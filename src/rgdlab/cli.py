@@ -87,7 +87,7 @@ def _write_run_artifacts(result: driver.ExperimentResult, cfg: fileio.Experiment
                         for i, stage in enumerate(record.result.summaries)
                         for s in stage.values()]
         fileio.write_summaries(summary_docs, os.path.join(run_dir, "summaries.jsonl"))
-        if cfg.save_checkpoints and record.result.checkpoints:
+        if cfg.plan.keep_checkpoints and record.result.checkpoints:
             ckpt_dir = os.path.join(run_dir, "checkpoints")
             os.makedirs(ckpt_dir, exist_ok=True)
             for i, model in enumerate(record.result.checkpoints):
@@ -127,6 +127,7 @@ def _cmd_probe(args) -> int:
     if examples is None:
         print(f"unknown task {args.task!r}", file=sys.stderr)
         return 1
+    os.makedirs(cfg.output_dir, exist_ok=True)
     wrote = []
     if args.kind in ("partial", "both"):
         grid = driver.probe_partial_rationale(model, examples, cfg.plan.k_grid,
@@ -233,16 +234,8 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    records = []
-    for root in args.runs:
-        raw_path = os.path.join(root, "report_raw.json")
-        with open(raw_path, encoding="utf-8") as fh:
-            for doc in json.load(fh):
-                records.append(fileio.TableRecord(
-                    strategy=doc["strategy"], run_seed=doc["run_seed"],
-                    order_index=doc["order_index"], suite_fingerprint=doc["suite"],
-                    fap=doc["fap"], cap=doc["cap"], f_ra=doc["f_ra"],
-                    bwt=doc["bwt"], fwt=doc["fwt"]))
+    records = [record for root in args.runs
+               for record in fileio.read_report_raw(os.path.join(root, "report_raw.json"))]
     text = fileio.emit_report(records, args.out_file, None)
     print(text, end="")
     return 0

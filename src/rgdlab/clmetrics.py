@@ -12,8 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InputError, MetricUndefinedError
-
-RESULT_MARKER = "[RESULT]"
+from .taskgen import RESULT_MARKER
 
 
 @dataclass(frozen=True)

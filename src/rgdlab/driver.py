@@ -10,7 +10,7 @@ with the stage i-1 model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -55,6 +55,9 @@ class TrainSettings:
     momentum: float = 0.9
     shuffle: bool = True
 
+    def __post_init__(self):
+        self.to_config(seed=0)      # tinylm.TrainConfig checks the bounds
+
     def to_config(self, seed: int) -> tinylm.TrainConfig:
         return tinylm.TrainConfig(
             learning_rate=self.learning_rate,
@@ -66,11 +69,10 @@ class TrainSettings:
         )
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    strategy: str
-    run_seed: int
-    order_index: int = 0
+@dataclass(frozen=True, kw_only=True)
+class RunSettings:
+    """Settings every run of a grid shares; the grid adds strategy, seed and order."""
+
     dims: ModelDims = field(default_factory=ModelDims)
     train: TrainSettings = field(default_factory=TrainSettings)
     warmup: TrainSettings = field(default_factory=lambda: TrainSettings(
@@ -82,14 +84,24 @@ class RunConfig:
     max_gen_len: int = 18
 
     def __post_init__(self):
-        if self.strategy not in STRATEGIES:
-            raise ConfigError(f"strategy must be one of {STRATEGIES}")
-        if self.strategy.startswith("rgd") and self.rgd_eval_size < 1:
-            raise ConfigError("rgd strategies need an evaluation subset of >= 1 examples")
         if self.replay_budget is not None and self.replay_budget < 0:
             raise ConfigError("replay_budget must be nonnegative")
         if not 0 <= self.replay_fraction <= 1:
             raise ConfigError("replay_fraction must be in [0, 1]")
+
+
+@dataclass(frozen=True)
+class RunConfig(RunSettings):
+    strategy: str
+    run_seed: int
+    order_index: int = 0
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.strategy not in STRATEGIES:
+            raise ConfigError(f"unknown strategy {self.strategy!r}; expected one of {STRATEGIES}")
+        if self.strategy.startswith("rgd") and self.rgd_eval_size < 1:
+            raise ConfigError("rgd strategies need an evaluation subset of >= 1 examples")
 
     @property
     def aggregator(self) -> str:
@@ -359,51 +371,36 @@ def most_forgotten_tasks(report: clmetrics.MetricsReport, top: int = DEFAULT_TOP
     return [task for task, _ in ranked[:top]]
 
 
-@dataclass(frozen=True)
-class ExperimentPlan:
+@dataclass(frozen=True, kw_only=True)
+class ExperimentPlan(RunSettings):
     """Grid of sequential runs plus baselines and optional probes."""
 
-    strategies: tuple[str, ...]
+    strategies: tuple[str, ...] = ("none", "equal", "inscl", "rgd-mean")
     run_seeds: tuple[int, ...]
     order_indices: tuple[int, ...] = (0, 1)
-    dims: ModelDims = field(default_factory=ModelDims)
-    train: TrainSettings = field(default_factory=TrainSettings)
-    warmup: TrainSettings = field(default_factory=lambda: TrainSettings(
-        learning_rate=0.25, epochs=25, batch_size=32))
-    warmup_examples: int = 2000
-    replay_budget: int | None = None
-    replay_fraction: float = 0.05
-    rgd_eval_size: int = 32
-    max_gen_len: int = 18
     run_probes: bool = False
     k_grid: tuple[float, ...] = DEFAULT_K_GRID
     demo_counts: tuple[int, ...] = DEFAULT_DEMO_COUNTS
     demo_draws: int = DEFAULT_DEMO_DRAWS
     top_forgotten: int = DEFAULT_TOP_FORGOTTEN
     threads: int = 1
-    keep_checkpoints: bool = False
+    keep_checkpoints: bool = True
 
     def __post_init__(self):
         if not self.strategies:
             raise ConfigError("at least one strategy is required")
-        for s in self.strategies:
-            if s not in STRATEGIES:
-                raise ConfigError(f"unknown strategy {s!r}")
         if not self.run_seeds:
             raise ConfigError("at least one run seed is required")
-        for o in self.order_indices:
-            if o not in (0, 1):
-                raise ConfigError("order indices must be 0 or 1")
+        if not self.order_indices or any(o not in (0, 1) for o in self.order_indices):
+            raise ConfigError("order indices must be a nonempty list of 0 and 1")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
+        for strategy in self.strategies:        # checks the shared settings too
+            self.run_config(strategy, self.run_seeds[0], self.order_indices[0])
 
     def run_config(self, strategy: str, seed: int, order_index: int) -> RunConfig:
-        return RunConfig(
-            strategy=strategy, run_seed=seed, order_index=order_index,
-            dims=self.dims, train=self.train, warmup=self.warmup,
-            warmup_examples=self.warmup_examples, replay_budget=self.replay_budget,
-            replay_fraction=self.replay_fraction, rgd_eval_size=self.rgd_eval_size,
-            max_gen_len=self.max_gen_len)
+        shared = {f.name: getattr(self, f.name) for f in fields(RunSettings)}
+        return RunConfig(strategy=strategy, run_seed=seed, order_index=order_index, **shared)
 
 
 @dataclass

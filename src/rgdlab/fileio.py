@@ -8,9 +8,12 @@ its inputs, so rerunning a configuration reproduces files byte for byte.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import os
+import types
+import typing
 from dataclasses import dataclass, field
 
 from . import clmetrics, driver, replay, rgd, taskgen
@@ -301,6 +304,19 @@ def emit_report(records, path_csv, path_raw=None) -> str:
     return text
 
 
+def read_report_raw(path) -> list[TableRecord]:
+    """The per-run rows that emit_report wrote to ``path_raw``."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            docs = json.load(fh)
+        except json.JSONDecodeError as err:
+            raise ParseError(f"{path}: not valid JSON: {err}") from None
+    try:
+        return list(_convert(docs, tuple[TableRecord, ...], "rows"))
+    except ConfigError as err:
+        raise ParseError(f"{path}: {err}") from None
+
+
 def experiment_table_records(result: driver.ExperimentResult) -> list[TableRecord]:
     """Rows for every run plus Single/Multi baseline pseudo-rows."""
     fingerprint = suite_fingerprint(result.suite)
@@ -345,41 +361,91 @@ def tap_probe_csv_text(rows) -> str:
 
 # ------------------------------------------------------ experiment config
 
-_SUITE_KEYS = {"num_tasks", "train_per_task", "eval_per_task", "probe_per_task", "seed"}
-_MODEL_KEYS = {"context_len", "embed_dim", "hidden_dim"}
-_TRAIN_KEYS = {"learning_rate", "epochs", "batch_size", "momentum", "shuffle"}
-_REPLAY_KEYS = {"budget", "budget_fraction"}
-_PROBE_KEYS = {"k_grid", "demo_counts", "demo_draws", "top_forgotten"}
-_TOP_KEYS = {"suite", "model", "train", "warmup", "warmup_examples", "replay",
-             "strategies", "run_seeds", "orders", "probes", "run_probes",
-             "output_dir", "threads", "save_checkpoints", "rgd_eval_size",
-             "max_gen_len"}
+# JSON keys of the dataclass fields whose names differ.  A dotted key sits in
+# a nested object: "replay.budget" is {"replay": {"budget": ...}}.
+_PLAN_KEYS = {
+    "dims": "model",
+    "replay_budget": "replay.budget",
+    "replay_fraction": "replay.budget_fraction",
+    "k_grid": "probes.k_grid",
+    "demo_counts": "probes.demo_counts",
+    "demo_draws": "probes.demo_draws",
+    "top_forgotten": "probes.top_forgotten",
+    "order_indices": "orders",
+    "keep_checkpoints": "save_checkpoints",
+}
+_JSON_KEYS = {driver.ExperimentPlan: _PLAN_KEYS, TableRecord: {"suite_fingerprint": "suite"}}
+_GROUPS = {key.split(".")[0] for key in _PLAN_KEYS.values() if "." in key}
+
+
+@dataclass(frozen=True)
+class SuiteSettings:
+    num_tasks: int
+    train_per_task: int
+    eval_per_task: int
+    seed: int                       # required: seeds are never implicit
+    probe_per_task: int = 32
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated, fully-resolved description of a run-seq experiment."""
 
-    suite_num_tasks: int
-    suite_train: int
-    suite_eval: int
-    suite_probe: int
-    suite_seed: int
+    suite: SuiteSettings
     plan: driver.ExperimentPlan
     output_dir: str
-    save_checkpoints: bool = True
     raw: dict = field(default_factory=dict, compare=False)
 
     def make_suite(self) -> taskgen.Suite:
-        return taskgen.make_suite(self.suite_num_tasks, self.suite_train,
-                                  self.suite_eval, seed=self.suite_seed,
-                                  probe_per_task=self.suite_probe)
+        s = self.suite
+        return taskgen.make_suite(s.num_tasks, s.train_per_task, s.eval_per_task,
+                                  seed=s.seed, probe_per_task=s.probe_per_task)
 
 
-def _check_keys(section: dict, allowed: set, where: str) -> None:
-    unknown = set(section) - allowed
-    if unknown:
-        raise ConfigError(f"unknown key {sorted(unknown)[0]!r} in {where}")
+def _convert(value, hint, path: str):
+    """``value`` checked against the type annotation ``hint``; errors name ``path``."""
+    if dataclasses.is_dataclass(hint):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{path}: expected an object, got {value!r}")
+        return _build(hint, value, path)
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):       # only X | None occurs
+        if value is None:
+            return None
+        (inner,) = [a for a in args if a is not type(None)]
+        return _convert(value, inner, path)
+    if origin is tuple:                                  # tuple[X, ...]
+        if not isinstance(value, list):
+            raise ConfigError(f"{path}: expected a list, got {value!r}")
+        return tuple(_convert(v, args[0], f"{path}[{i}]") for i, v in enumerate(value))
+    accepted = (int, float) if hint is float else (hint,)
+    if not isinstance(value, accepted) or (hint is not bool and isinstance(value, bool)):
+        raise ConfigError(f"{path}: expected {hint.__name__}, got {value!r}")
+    return hint(value)
+
+
+def _build(cls, doc: dict, path: str = ""):
+    """Dataclass ``cls`` from a JSON object; absent keys take the field defaults."""
+    keys = _JSON_KEYS.get(cls, {})
+    by_key = {keys.get(f.name, f.name): f for f in dataclasses.fields(cls)}
+    hints = typing.get_type_hints(cls)
+
+    def where(key):
+        return f"{path}.{key}" if path else key
+
+    for key in doc:
+        if key not in by_key:
+            raise ConfigError(f"unknown key {where(key)!r}")
+    kwargs = {}
+    for key, f in by_key.items():
+        if key in doc:
+            kwargs[f.name] = _convert(doc[key], hints[f.name], where(key))
+        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+            raise ConfigError(f"{where(key)} is required")
+    try:
+        return cls(**kwargs)
+    except ConfigError as err:
+        raise ConfigError(f"{path}: {err}" if path else str(err)) from None
 
 
 def load_experiment_config(path, output_dir=None) -> ExperimentConfig:
@@ -395,104 +461,33 @@ def load_experiment_config(path, output_dir=None) -> ExperimentConfig:
 def experiment_config_from_dict(doc: dict, output_dir=None, where="config") -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigError(f"{where}: config must be a JSON object")
-    _check_keys(doc, _TOP_KEYS, where)
+    if "suite" not in doc:
+        raise ConfigError("suite is required")
+    suite = _convert(doc["suite"], SuiteSettings, "suite")
 
-    suite = doc.get("suite")
-    if not isinstance(suite, dict):
-        raise ConfigError(f"{where}: missing 'suite' section")
-    _check_keys(suite, _SUITE_KEYS, "suite")
-    if "seed" not in suite:
-        raise ConfigError("suite.seed is required; seeds are never implicit")
+    settings = {}
+    for key, value in doc.items():
+        if key in _GROUPS:
+            if not isinstance(value, dict):
+                raise ConfigError(f"{key}: expected an object, got {value!r}")
+            settings.update((f"{key}.{k}", v) for k, v in value.items())
+        elif key not in ("suite", "output_dir"):
+            settings[key] = value
+    if settings.get("orders") == "both":
+        settings["orders"] = [0, 1]
+    plan = _build(driver.ExperimentPlan, settings)
 
-    model = dict(doc.get("model", {}))
-    _check_keys(model, _MODEL_KEYS, "model")
-    train = dict(doc.get("train", {}))
-    _check_keys(train, _TRAIN_KEYS, "train")
-    warmup = dict(doc.get("warmup", {}))
-    _check_keys(warmup, _TRAIN_KEYS, "warmup")
-    replay_cfg = dict(doc.get("replay", {}))
-    _check_keys(replay_cfg, _REPLAY_KEYS, "replay")
-    probes = dict(doc.get("probes", {}))
-    _check_keys(probes, _PROBE_KEYS, "probes")
-
-    run_seeds = doc.get("run_seeds")
-    if not run_seeds or not isinstance(run_seeds, list):
-        raise ConfigError("run_seeds is required and must be a nonempty list")
-
-    orders = doc.get("orders", "both")
-    if orders == "both":
-        order_indices = (0, 1)
-    elif isinstance(orders, list) and orders and all(o in (0, 1) for o in orders):
-        order_indices = tuple(orders)
-    else:
-        raise ConfigError("orders must be \"both\" or a list of 0/1 indices")
-
-    strategies = doc.get("strategies", ["none", "equal", "inscl", "rgd-mean"])
-
-    defaults = driver.ExperimentPlan(strategies=("none",), run_seeds=(0,))
-    plan = driver.ExperimentPlan(
-        strategies=tuple(strategies),
-        run_seeds=tuple(int(s) for s in run_seeds),
-        order_indices=order_indices,
-        dims=driver.ModelDims(**model),
-        train=driver.TrainSettings(**train) if train else defaults.train,
-        warmup=driver.TrainSettings(**warmup) if warmup else defaults.warmup,
-        warmup_examples=int(doc.get("warmup_examples", defaults.warmup_examples)),
-        replay_budget=replay_cfg.get("budget"),
-        replay_fraction=float(replay_cfg.get("budget_fraction", defaults.replay_fraction)),
-        rgd_eval_size=int(doc.get("rgd_eval_size", defaults.rgd_eval_size)),
-        max_gen_len=int(doc.get("max_gen_len", defaults.max_gen_len)),
-        run_probes=bool(doc.get("run_probes", False)),
-        k_grid=tuple(float(k) for k in probes.get("k_grid", defaults.k_grid)),
-        demo_counts=tuple(int(c) for c in probes.get("demo_counts", defaults.demo_counts)),
-        demo_draws=int(probes.get("demo_draws", defaults.demo_draws)),
-        top_forgotten=int(probes.get("top_forgotten", defaults.top_forgotten)),
-        threads=int(doc.get("threads", 1)),
-        keep_checkpoints=bool(doc.get("save_checkpoints", True)),
-    )
-
-    out = output_dir or doc.get("output_dir") or os.environ.get("RGDLAB_OUT")
+    out = (output_dir or _convert(doc.get("output_dir"), str | None, "output_dir")
+           or os.environ.get("RGDLAB_OUT"))
     if not out:
         raise ConfigError("output_dir is required (flag, config key, or RGDLAB_OUT)")
-
-    return ExperimentConfig(
-        suite_num_tasks=int(suite["num_tasks"]),
-        suite_train=int(suite["train_per_task"]),
-        suite_eval=int(suite["eval_per_task"]),
-        suite_probe=int(suite.get("probe_per_task", 32)),
-        suite_seed=int(suite["seed"]),
-        plan=plan,
-        output_dir=str(out),
-        save_checkpoints=bool(doc.get("save_checkpoints", True)),
-        raw=doc,
-    )
+    return ExperimentConfig(suite=suite, plan=plan, output_dir=str(out), raw=doc)
 
 
 def resolved_config_doc(cfg: ExperimentConfig) -> dict:
-    """Every effective setting, defaults included, for the run-dir snapshot."""
-    plan = cfg.plan
-    return {
-        "suite": {"num_tasks": cfg.suite_num_tasks, "train_per_task": cfg.suite_train,
-                  "eval_per_task": cfg.suite_eval, "probe_per_task": cfg.suite_probe,
-                  "seed": cfg.suite_seed},
-        "model": {"context_len": plan.dims.context_len, "embed_dim": plan.dims.embed_dim,
-                  "hidden_dim": plan.dims.hidden_dim},
-        "train": {"learning_rate": plan.train.learning_rate, "epochs": plan.train.epochs,
-                  "batch_size": plan.train.batch_size, "momentum": plan.train.momentum,
-                  "shuffle": plan.train.shuffle},
-        "warmup": {"learning_rate": plan.warmup.learning_rate, "epochs": plan.warmup.epochs,
-                   "batch_size": plan.warmup.batch_size, "momentum": plan.warmup.momentum,
-                   "shuffle": plan.warmup.shuffle},
-        "warmup_examples": plan.warmup_examples,
-        "strategies": list(plan.strategies),
-        "run_seeds": list(plan.run_seeds),
-        "orders": list(plan.order_indices),
-        "replay": {"budget": plan.replay_budget, "budget_fraction": plan.replay_fraction},
-        "rgd_eval_size": plan.rgd_eval_size,
-        "max_gen_len": plan.max_gen_len,
-        "run_probes": plan.run_probes,
-        "probes": {"k_grid": list(plan.k_grid), "demo_counts": list(plan.demo_counts),
-                   "demo_draws": plan.demo_draws, "top_forgotten": plan.top_forgotten},
-        "threads": plan.threads,
-        "save_checkpoints": cfg.save_checkpoints,
-    }
+    """Every effective setting, defaults included, keyed as in a config file."""
+    doc = {"suite": dataclasses.asdict(cfg.suite)}
+    for name, value in dataclasses.asdict(cfg.plan).items():
+        group, _, key = _PLAN_KEYS.get(name, name).rpartition(".")
+        (doc.setdefault(group, {}) if group else doc)[key] = value
+    return doc

@@ -131,19 +131,6 @@ class Example:
 
 
 @dataclass(frozen=True)
-class ProbeConfig:
-    k: float
-    demo_count: int
-    demo_source_task: str
-
-    def __post_init__(self):
-        if not 0.0 <= self.k <= 1.0:
-            raise ConfigError("k must be in [0, 1]")
-        if self.demo_count < 0:
-            raise ConfigError("demo_count must be nonnegative")
-
-
-@dataclass(frozen=True)
 class Suite:
     specs: tuple[TaskSpec, ...]
     train: dict[str, tuple[Example, ...]]

@@ -25,6 +25,7 @@ from .errors import (
     DivergenceError,
     EmptyTargetError,
     InvalidTokenError,
+    ParseError,
 )
 
 PAD, BOS, EOS, UNK = 0, 1, 2, 3
@@ -364,11 +365,6 @@ def generate_batch(model: ModelState, prompts, max_len: int) -> list[list[int]]:
     return outputs
 
 
-def generate(model: ModelState, prompt, max_len: int) -> list[int]:
-    """Greedy continuation of one prompt; see generate_batch."""
-    return generate_batch(model, [prompt], max_len)[0]
-
-
 def grad_check(model: ModelState, pair, epsilon: float, n_coords: int = 64) -> float:
     """Max relative error between analytic and central-difference gradients.
 
@@ -448,16 +444,28 @@ def save_model(model: ModelState, path) -> None:
 
 
 def load_model(path) -> ModelState:
+    """Checkpoint written by save_model; keys and parameter shapes are checked."""
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != CHECKPOINT_FORMAT:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as err:
+            raise ParseError(f"{path}: not valid JSON: {err}") from None
+    if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise ConfigError(f"not a {CHECKPOINT_FORMAT} file: {path}")
-    params = {name: _decode_array(d) for name, d in doc["params"].items()}
-    return ModelState(
-        vocab=Vocab(tokens=tuple(doc["vocab"])),
-        context_len=doc["context_len"],
-        embed_dim=doc["embed_dim"],
-        hidden_dim=doc["hidden_dim"],
-        rng_seed=doc["rng_seed"],
-        **params,
-    )
+    try:
+        vocab = Vocab(tokens=tuple(doc["vocab"]))
+        v, c, e, h = len(vocab), doc["context_len"], doc["embed_dim"], doc["hidden_dim"]
+        shapes = {"embed": (v, e), "w_hidden": (c * e, h), "b_hidden": (h,),
+                  "w_out": (h, v), "b_out": (v,)}
+        params = {name: _decode_array(doc["params"][name]) for name in shapes}
+        seed = doc["rng_seed"]
+    except KeyError as err:
+        raise ParseError(f"{path}: checkpoint lacks key {err}") from None
+    except (TypeError, ValueError) as err:
+        raise ParseError(f"{path}: bad checkpoint: {err}") from None
+    for name, shape in shapes.items():
+        if params[name].shape != shape:
+            raise ParseError(f"{path}: {name} has shape {params[name].shape}, but the vocab "
+                             f"and dims give {shape}")
+    return ModelState(vocab=vocab, context_len=c, embed_dim=e, hidden_dim=h,
+                      rng_seed=seed, **params)

@@ -14,7 +14,7 @@ once per session:
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import pytest
 
@@ -36,10 +36,9 @@ EVAL_PER_TASK_8 = 100      # harness8: halves the eval noise on paired diffs
 @dataclass
 class Harness:
     suite: taskgen.Suite
-    runs: dict                                  # (strategy, seed, order) -> RunRecord
-    multis: dict = field(default_factory=dict)  # seed -> {task: score}
-    probes: list = field(default_factory=list)  # ProbeRecord, no-replay runs only
+    runs: dict                      # (strategy, seed, order) -> RunRecord
     elapsed: float = 0.0
+    result: driver.ExperimentResult | None = None   # harness5 only
 
 
 def _config(strategy, seed, order, train=None, **kw):
@@ -52,37 +51,13 @@ def _config(strategy, seed, order, train=None, **kw):
 def harness5():
     start = time.time()
     suite = taskgen.make_suite(5, 200, 50, seed=SUITE_SEED)
-    base = driver.build_base_model(suite, _config("none", RUN_SEEDS[0], 0))
-    runs = {}
-    multis = {}
-    singles = {}
-    for seed in RUN_SEEDS:
-        singles[seed] = driver.run_single_baselines(
-            suite, _config("none", seed, 0), base_model=base)
-        multis[seed] = driver.run_multitask(suite, _config("none", seed, 0), base_model=base)
-        for strategy in ("none", "equal"):
-            for order in (0, 1):
-                cfg = _config(strategy, seed, order, replay_fraction=REPLAY_FRACTION)
-                result = driver.run_sequence(suite, cfg, a0=singles[seed], base_model=base,
-                                             keep_checkpoints=(strategy == "none"))
-                runs[(strategy, seed, order)] = driver.RunRecord(
-                    strategy=strategy, run_seed=seed, order_index=order,
-                    result=result, report=clmetrics.compute_report(result.matrix))
-    probes = []
-    for seed in RUN_SEEDS:
-        for order in (0, 1):
-            record = runs[("none", seed, order)]
-            model = record.result.checkpoints[-1]
-            for task in driver.most_forgotten_tasks(record.report):
-                partial = driver.probe_partial_rationale(model, suite.eval[task])
-                pool = [ex for other in record.result.order if other != task
-                        for ex in suite.train[other]]
-                tap = driver.probe_tap(model, suite.eval[task], pool,
-                                       seed=driver.derive_seed(seed, order))
-                probes.append(driver.ProbeRecord(run_seed=seed, order_index=order,
-                                                 task_id=task, partial=partial, tap=tap))
-    return Harness(suite=suite, runs=runs, multis=multis, probes=probes,
-                   elapsed=time.time() - start)
+    plan = driver.ExperimentPlan(
+        strategies=("none", "equal"), run_seeds=RUN_SEEDS, order_indices=(0, 1),
+        dims=DIMS, train=TRAIN5, warmup=WARMUP, warmup_examples=WARMUP_EXAMPLES,
+        replay_fraction=REPLAY_FRACTION, run_probes=True, keep_checkpoints=False)
+    result = driver.run_experiment(suite, plan)
+    runs = {(r.strategy, r.run_seed, r.order_index): r for r in result.runs}
+    return Harness(suite=suite, runs=runs, elapsed=time.time() - start, result=result)
 
 
 @pytest.fixture(scope="session")

@@ -174,7 +174,7 @@ def test_criterion_07_rgd_rises_with_forgetting(harness5):
 def test_criterion_08_partial_rationale_recovery(harness5):
     k_grid = list(driver.DEFAULT_K_GRID)
     gaps, rhos = [], []
-    for probe in harness5.probes:
+    for probe in harness5.result.probes:
         accs = [acc for _, acc in probe.partial]
         gaps.append(accs[-1] - accs[0])
         rhos.append(spearman(k_grid, accs))
@@ -187,7 +187,7 @@ def test_criterion_08_partial_rationale_recovery(harness5):
 
 def test_criterion_09_tap_recovery(harness5):
     weak, strict = [], []
-    for probe in harness5.probes:
+    for probe in harness5.result.probes:
         weak.append(probe.tap.best_accuracy >= probe.tap.instruction_only)
         strict.append(probe.tap.best_accuracy > probe.tap.instruction_only)
     strict_fraction = sum(strict) / len(strict)
@@ -232,11 +232,7 @@ def test_criterion_10_reproducibility(tmp_path):
 def test_criterion_11_pipeline_budget(harness5, harness8):
     # everything from suite generation through the comparison report
     start = time.time()
-    records = fileio.experiment_table_records(driver.ExperimentResult(
-        suite=harness5.suite,
-        plan=driver.ExperimentPlan(strategies=("none", "equal"), run_seeds=RUN_SEEDS),
-        singles={}, multis=harness5.multis,
-        runs=list(harness5.runs.values()), probes=harness5.probes))
+    records = fileio.experiment_table_records(harness5.result)
     table = fileio.emit_report(records, None, None)
     assert "CL," in table and "EA," in table
     total = harness5.elapsed + harness8.elapsed + (time.time() - start)
@@ -248,7 +244,7 @@ def test_criterion_11_pipeline_budget(harness5, harness8):
 def test_multitask_upper_bound(harness5):
     # the multi-task model outscores the no-replay sequential FAP
     multi = np.mean([np.mean(list(scores.values()))
-                     for scores in harness5.multis.values()])
+                     for scores in harness5.result.multis.values()])
     cl_fap = mean_over_runs(harness5, "none", "fap")
     check(multi >= cl_fap,
           f"support: multi-task mean {multi:.2f} >= no-replay FAP {cl_fap:.2f}")

@@ -135,41 +135,42 @@ class TestEmitReport:
             fileio.emit_report([], None, None)
 
 
-class TestExperimentConfig:
-    def good(self):
-        return {
-            "suite": {"num_tasks": 2, "train_per_task": 4, "eval_per_task": 2,
-                      "probe_per_task": 2, "seed": 3},
-            "run_seeds": [1],
-            "output_dir": "out",
-        }
+def good_config():
+    return {
+        "suite": {"num_tasks": 2, "train_per_task": 4, "eval_per_task": 2,
+                  "probe_per_task": 2, "seed": 3},
+        "run_seeds": [1],
+        "output_dir": "out",
+    }
 
+
+class TestExperimentConfig:
     def test_unknown_key_named(self, tmp_path):
-        doc = self.good()
+        doc = good_config()
         doc["sneaky"] = 1
         with pytest.raises(ConfigError, match="sneaky"):
             fileio.experiment_config_from_dict(doc)
 
     def test_unknown_nested_key_named(self):
-        doc = self.good()
+        doc = good_config()
         doc["train"] = {"learning_rate": 0.1, "warp": 9}
         with pytest.raises(ConfigError, match="warp"):
             fileio.experiment_config_from_dict(doc)
 
     def test_missing_suite_seed_rejected(self):
-        doc = self.good()
+        doc = good_config()
         del doc["suite"]["seed"]
         with pytest.raises(ConfigError, match="seed"):
             fileio.experiment_config_from_dict(doc)
 
     def test_missing_run_seeds_rejected(self):
-        doc = self.good()
+        doc = good_config()
         del doc["run_seeds"]
         with pytest.raises(ConfigError, match="run_seeds"):
             fileio.experiment_config_from_dict(doc)
 
     def test_orders_validation(self):
-        doc = self.good()
+        doc = good_config()
         doc["orders"] = [0]
         cfg = fileio.experiment_config_from_dict(doc)
         assert cfg.plan.order_indices == (0,)
@@ -178,7 +179,7 @@ class TestExperimentConfig:
             fileio.experiment_config_from_dict(doc)
 
     def test_output_dir_required(self):
-        doc = self.good()
+        doc = good_config()
         del doc["output_dir"]
         old = os.environ.pop("RGDLAB_OUT", None)
         try:
@@ -187,6 +188,31 @@ class TestExperimentConfig:
         finally:
             if old is not None:
                 os.environ["RGDLAB_OUT"] = old
+
+
+@pytest.mark.parametrize("key, value, named", [
+    ("run_seeds", ["x"], "run_seeds[0]"),
+    ("run_probes", "false", "run_probes"),
+    ("threads", "two", "threads"),
+    ("train.learning_rate", "0.1", "train.learning_rate"),
+    ("model.hidden_dim", 1.5, "model.hidden_dim"),
+    ("strategies", "none", "strategies"),
+    ("train.learning_rate", 0, "train: learning_rate"),
+])
+def test_bad_config_value_exits_one(tmp_path, capsys, key, value, named):
+    doc = good_config()
+    *sections, leaf = key.split(".")
+    target = doc
+    for section in sections:
+        target = target.setdefault(section, {})
+    target[leaf] = value
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert cli.main(["run-seq", "--config", str(cfg_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and named in err[0], err
+    assert not out.exists()
 
 
 @pytest.fixture(scope="module")
@@ -272,6 +298,13 @@ class TestCli:
         assert set(snapshot) == {"given", "resolved"}
         assert snapshot["resolved"]["train"]["epochs"] == 2
 
+    def test_resolved_snapshot_loads_back(self, run_dir):
+        original = fileio.load_experiment_config(run_dir / "config.json")
+        resolved = json.loads((run_dir / "out" / "config.json").read_text())["resolved"]
+        again = fileio.experiment_config_from_dict(
+            {**resolved, "output_dir": original.output_dir})
+        assert again == original
+
     def test_probe_command(self, run_dir, capsys):
         out = run_dir / "out"
         ckpt = out / "runs/none-o0-s3/checkpoints/stage-02.json"
@@ -279,12 +312,12 @@ class TestCli:
         task = suite.specs[0].task_id
         rc = cli.main(["probe", "--config", str(run_dir / "config.json"),
                        "--checkpoint", str(ckpt), "--task", task,
-                       "--kind", "both", "--out", str(run_dir)])
+                       "--kind", "both", "--out", str(run_dir / "probes")])
         assert rc == 0
-        partial = (run_dir / f"probe_partial_{task}.csv").read_text().splitlines()
+        partial = (run_dir / "probes" / f"probe_partial_{task}.csv").read_text().splitlines()
         assert partial[0] == "task,k,accuracy"
         assert len(partial) == 1 + 7
-        tap = (run_dir / f"probe_tap_{task}.csv").read_text().splitlines()
+        tap = (run_dir / "probes" / f"probe_tap_{task}.csv").read_text().splitlines()
         assert tap[0] == "task,demo_count,draw,accuracy"
         assert len(tap) == 1 + 1 + 4 * 3
 
@@ -299,6 +332,21 @@ class TestCli:
         for line in lines:
             doc = json.loads(line)
             assert doc["n"] == 4 and doc["mean"] > 0
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda doc: doc.update(hidden_dim=99), "w_hidden"),
+        (lambda doc: doc.pop("params"), "params"),
+    ])
+    def test_score_rgd_rejects_bad_checkpoint(self, run_dir, tmp_path, capsys, edit, named):
+        doc = json.loads((run_dir / "out/runs/none-o0-s3/checkpoints/stage-02.json").read_text())
+        edit(doc)
+        ckpt = tmp_path / "bad.json"
+        ckpt.write_text(json.dumps(doc))
+        rc = cli.main(["score-rgd", "--config", str(run_dir / "config.json"),
+                       "--checkpoint", str(ckpt)])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and named in err[0], err
 
     def test_allocate_with_pools(self, capsys):
         rc = cli.main(["allocate", "--strategy", "rgd", "--alpha", "10",
@@ -319,3 +367,18 @@ class TestCli:
         assert cli.main(["report", str(run_dir)]) == 0
         out = capsys.readouterr().out
         assert "CL,50.0,20.0,-15.0,1.0,80.0" in out
+
+    @pytest.mark.parametrize("text", [
+        "not json",
+        json.dumps({"strategy": "none"}),
+        json.dumps([{"strategy": "none", "run_seed": 1}]),
+    ])
+    def test_report_rejects_malformed_raw(self, tmp_path, capsys, text):
+        run_dir = tmp_path / "exp"
+        run_dir.mkdir()
+        (run_dir / "report_raw.json").write_text(text)
+        with pytest.raises(ParseError, match="report_raw.json"):
+            fileio.read_report_raw(run_dir / "report_raw.json")
+        assert cli.main(["report", str(run_dir)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "report_raw.json" in err[0]

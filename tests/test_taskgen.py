@@ -10,7 +10,6 @@ from rgdlab.taskgen import (
     GLOBAL_FEATURES,
     RESULT_MARKER,
     Example,
-    ProbeConfig,
     make_suite,
     make_warmup_corpus,
     partial_rationale_prompt,
@@ -180,15 +179,6 @@ class TestTapPrompt:
         ex = suite.eval[task][0]
         with pytest.raises(ConfigError):
             tap_prompt(ex, [suite.train[task][0]])
-
-
-class TestProbeConfig:
-    def test_bounds(self):
-        ProbeConfig(k=0.5, demo_count=2, demo_source_task="other")
-        with pytest.raises(ConfigError):
-            ProbeConfig(k=1.5, demo_count=2, demo_source_task="other")
-        with pytest.raises(ConfigError):
-            ProbeConfig(k=0.5, demo_count=-1, demo_source_task="other")
 
 
 class TestWarmupCorpus:

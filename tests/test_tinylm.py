@@ -18,7 +18,7 @@ from rgdlab.tinylm import (
     NllResult,
     TrainConfig,
     Vocab,
-    generate,
+    generate_batch,
     grad_check,
     init_model,
     load_model,
@@ -246,19 +246,19 @@ class TestGenerate:
         v = make_vocab(4)
         m = zeroed(init_model(v, 2, 4, 4, seed=0))
         m.b_out[EOS] = 50.0
-        assert generate(m, [4, 5], max_len=10) == []
+        assert generate_batch(m, [[4, 5]], max_len=10)[0] == []
 
     def test_max_len_cutoff(self):
         v = make_vocab(4)
         m = zeroed(init_model(v, 2, 4, 4, seed=0))
         m.b_out[4] = 50.0
-        assert generate(m, [5], max_len=3) == [4, 4, 4]
+        assert generate_batch(m, [[5]], max_len=3)[0] == [4, 4, 4]
 
     def test_tie_breaks_to_lowest_id(self):
         v = make_vocab(4)
         m = zeroed(init_model(v, 2, 4, 4, seed=0))
         # all logits equal: the first (lowest-id) token wins; PAD has id 0
-        assert generate(m, [4], max_len=1) == [tinylm.PAD]
+        assert generate_batch(m, [[4]], max_len=1)[0] == [tinylm.PAD]
 
     def test_memorized_continuation(self):
         v = make_vocab(8)
@@ -266,12 +266,12 @@ class TestGenerate:
         context, target = [4, 5, 6], [7, 8, 9, EOS]
         cfg = TrainConfig(learning_rate=0.1, epochs=60, batch_size=1, momentum=0.9, seed=2)
         trained, _ = train(m, [(context, target)], cfg)
-        assert generate(trained, context, max_len=8) == [7, 8, 9]
+        assert generate_batch(trained, [context], max_len=8)[0] == [7, 8, 9]
 
     def test_invalid_max_len(self):
         m = init_model(make_vocab(4), 2, 4, 4, seed=0)
         with pytest.raises(ConfigError):
-            generate(m, [4], max_len=0)
+            generate_batch(m, [[4]], max_len=0)[0]
 
 
 class TestGradCheck:
