@@ -14,6 +14,7 @@ import os
 import sys
 
 from . import clmetrics, driver, fileio, replay, rgd, taskgen, tinylm
+from .atomic import atomic_write
 from .errors import RgdLabError
 
 
@@ -36,7 +37,7 @@ def _write_suite(suite: taskgen.Suite, out_dir: str) -> None:
             "rationale_template": s.rationale_template,
         } for s in suite.specs],
     }
-    with open(os.path.join(out_dir, "suite.json"), "w", encoding="utf-8") as fh:
+    with atomic_write(os.path.join(out_dir, "suite.json")) as fh:
         json.dump(manifest, fh, indent=1)
         fh.write("\n")
 
@@ -64,14 +65,14 @@ def _write_run_artifacts(result: driver.ExperimentResult, cfg: fileio.Experiment
     root = cfg.output_dir
     os.makedirs(root, exist_ok=True)
     given = {k: v for k, v in cfg.raw.items() if k != "output_dir"}
-    with open(os.path.join(root, "config.json"), "w", encoding="utf-8") as fh:
+    with atomic_write(os.path.join(root, "config.json")) as fh:
         json.dump({"given": given, "resolved": fileio.resolved_config_doc(cfg)},
                   fh, indent=1, sort_keys=True)
         fh.write("\n")
-    with open(os.path.join(root, "singles.json"), "w", encoding="utf-8") as fh:
+    with atomic_write(os.path.join(root, "singles.json")) as fh:
         json.dump({str(k): v for k, v in result.singles.items()}, fh, indent=1)
         fh.write("\n")
-    with open(os.path.join(root, "multis.json"), "w", encoding="utf-8") as fh:
+    with atomic_write(os.path.join(root, "multis.json")) as fh:
         json.dump({str(k): v for k, v in result.multis.items()}, fh, indent=1)
         fh.write("\n")
 
@@ -80,7 +81,7 @@ def _write_run_artifacts(result: driver.ExperimentResult, cfg: fileio.Experiment
         os.makedirs(run_dir, exist_ok=True)
         fileio.write_matrix(record.result.matrix, os.path.join(run_dir, "matrix.csv"))
         plan_docs = [fileio.plan_doc(p) for p in record.result.plans if p is not None]
-        with open(os.path.join(run_dir, "plans.jsonl"), "w", encoding="utf-8") as fh:
+        with atomic_write(os.path.join(run_dir, "plans.jsonl")) as fh:
             for doc in plan_docs:
                 fh.write(json.dumps(doc) + "\n")
         summary_docs = [fileio.summary_doc(s, stage=i + 1)
@@ -97,9 +98,9 @@ def _write_run_artifacts(result: driver.ExperimentResult, cfg: fileio.Experiment
         partial_rows = [(p.task_id, k, acc) for p in result.probes for k, acc in p.partial]
         tap_rows = [(p.task_id, count, draw, acc)
                     for p in result.probes for count, draw, acc in p.tap.grid]
-        with open(os.path.join(root, "probe_partial.csv"), "w", encoding="utf-8") as fh:
+        with atomic_write(os.path.join(root, "probe_partial.csv")) as fh:
             fh.write(fileio.partial_probe_csv_text(partial_rows))
-        with open(os.path.join(root, "probe_tap.csv"), "w", encoding="utf-8") as fh:
+        with atomic_write(os.path.join(root, "probe_tap.csv")) as fh:
             fh.write(fileio.tap_probe_csv_text(tap_rows))
 
     fileio.emit_report(fileio.experiment_table_records(result),
@@ -133,7 +134,7 @@ def _cmd_probe(args) -> int:
         grid = driver.probe_partial_rationale(model, examples, cfg.plan.k_grid,
                                               cfg.plan.max_gen_len)
         path = os.path.join(cfg.output_dir, f"probe_partial_{args.task}.csv")
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path) as fh:
             fh.write(fileio.partial_probe_csv_text([(args.task, k, a) for k, a in grid]))
         wrote.append(path)
     if args.kind in ("tap", "both"):
@@ -143,7 +144,7 @@ def _cmd_probe(args) -> int:
                                cfg.plan.demo_draws, seed=args.seed,
                                max_gen_len=cfg.plan.max_gen_len)
         path = os.path.join(cfg.output_dir, f"probe_tap_{args.task}.csv")
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path) as fh:
             fh.write(fileio.tap_probe_csv_text(
                 [(args.task, c, d, a) for c, d, a in tap.grid]))
         wrote.append(path)
@@ -223,11 +224,11 @@ def _cmd_metrics(args) -> int:
     matrix = fileio.read_matrix(args.matrix)
     report = clmetrics.compute_report(matrix)
     if args.out_json:
-        with open(args.out_json, "w", encoding="utf-8") as fh:
+        with atomic_write(args.out_json) as fh:
             json.dump(fileio.report_json_doc(report), fh, indent=1)
             fh.write("\n")
     if args.out_csv:
-        with open(args.out_csv, "w", encoding="utf-8") as fh:
+        with atomic_write(args.out_csv) as fh:
             fh.write(fileio.report_csv_text(report))
     print(fileio.report_csv_text(report), end="")
     return 0
@@ -260,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None, help="overrides config output_dir")
     p.add_argument("--threads", type=int, default=None,
-                   help="bounds worker parallelism across independent runs")
+                   help="accepted for compatibility; runs execute serially")
     p.set_defaults(func=_cmd_run_seq)
 
     p = sub.add_parser("probe", help="probe a checkpoint on one task")

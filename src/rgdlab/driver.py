@@ -178,7 +178,7 @@ def evaluate_accuracy(model: tinylm.ModelState, examples, max_gen_len: int = 18)
 def score_task_rgd(model: tinylm.ModelState, examples, limit: int | None = None) -> rgd.RgdSummary:
     """Difficulty summary of a task's probe slice under one checkpoint."""
     chosen = list(examples)[:limit] if limit else list(examples)
-    records = [rgd.rgd_from_model(model, ex)[0] for ex in chosen]
+    records = [record for record, _ in rgd.rgd_records(model, chosen)]
     summary, _ = rgd.task_rgd(records)
     return summary
 
@@ -383,7 +383,7 @@ class ExperimentPlan(RunSettings):
     demo_counts: tuple[int, ...] = DEFAULT_DEMO_COUNTS
     demo_draws: int = DEFAULT_DEMO_DRAWS
     top_forgotten: int = DEFAULT_TOP_FORGOTTEN
-    threads: int = 1
+    threads: int = 1                          # accepted for old configs; runs are serial
     keep_checkpoints: bool = True
 
     def __post_init__(self):
@@ -435,12 +435,10 @@ def run_experiment(suite: taskgen.Suite, plan: ExperimentPlan) -> ExperimentResu
     """Baselines plus every (strategy, seed, order) run, optionally probed.
 
     All runs share one base checkpoint; single-task baselines are computed
-    once per run seed and reused across strategies and orders.  Results are
-    assembled in grid order so output artifacts do not depend on the number
-    of worker threads.
+    once per run seed and reused across strategies and orders.  Runs execute
+    one after another in grid order, so BLAS gets every core; ``plan.threads``
+    is accepted for compatibility and does not change scheduling.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
     base = build_base_model(suite, plan.run_config(plan.strategies[0], plan.run_seeds[0], 0))
     singles = {seed: run_single_baselines(suite, plan.run_config(plan.strategies[0], seed, 0),
                                           base_model=base)
@@ -454,20 +452,14 @@ def run_experiment(suite: taskgen.Suite, plan: ExperimentPlan) -> ExperimentResu
             for seed in plan.run_seeds
             for order in plan.order_indices]
 
-    def one(args):
-        strategy, seed, order = args
+    runs = []
+    for strategy, seed, order in grid:
         cfg = plan.run_config(strategy, seed, order)
         keep = plan.keep_checkpoints or (plan.run_probes and strategy == "none")
         result = run_sequence(suite, cfg, a0=singles[seed], base_model=base,
                               keep_checkpoints=keep)
-        return RunRecord(strategy=strategy, run_seed=seed, order_index=order,
-                         result=result, report=clmetrics.compute_report(result.matrix))
-
-    if plan.threads > 1:
-        with ThreadPoolExecutor(max_workers=plan.threads) as pool:
-            runs = list(pool.map(one, grid))
-    else:
-        runs = [one(g) for g in grid]
+        runs.append(RunRecord(strategy=strategy, run_seed=seed, order_index=order,
+                              result=result, report=clmetrics.compute_report(result.matrix)))
 
     probes: list[ProbeRecord] = []
     if plan.run_probes:

@@ -17,6 +17,7 @@ import typing
 from dataclasses import dataclass, field
 
 from . import clmetrics, driver, replay, rgd, taskgen
+from .atomic import atomic_write
 from .errors import ConfigError, InputError, ParseError
 
 METRIC_COLUMNS = ("FAP", "F.Ra", "BWT", "FWT", "CAP")
@@ -42,7 +43,7 @@ def _fmt(value) -> str:
 # ---------------------------------------------------------------- examples
 
 def write_examples(examples, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for ex in examples:
             fh.write(json.dumps({
                 "task": ex.task_id,
@@ -79,7 +80,7 @@ def read_examples(path) -> list[taskgen.Example]:
 # ------------------------------------------------------------- PPL records
 
 def export_ppl_records(records, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for r in records:
             fh.write(json.dumps({
                 "task": r.task_id,
@@ -115,7 +116,7 @@ def import_ppl_records(path) -> list[rgd.PplRecord]:
 # ------------------------------------------------------ plans and summaries
 
 def write_plan(plan: replay.AllocationPlan, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(plan_doc(plan), fh, indent=1)
         fh.write("\n")
 
@@ -129,19 +130,6 @@ def plan_doc(plan: replay.AllocationPlan) -> dict:
     }
 
 
-def read_plan(path) -> replay.AllocationPlan:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    try:
-        return replay.AllocationPlan(
-            budget=doc["budget"], strategy=doc["strategy"],
-            counts={k: int(v) for k, v in doc["counts"].items()},
-            shortfalls={k: int(v) for k, v in doc.get("shortfalls", {}).items()},
-        )
-    except (KeyError, TypeError, ValueError) as err:
-        raise ParseError(f"{path}: bad plan: {err}") from None
-
-
 def summary_doc(summary: rgd.RgdSummary, stage: int | None = None) -> dict:
     doc = {"task": summary.task_id, "mean": summary.mean,
            "std": summary.std, "n": summary.n}
@@ -151,7 +139,7 @@ def summary_doc(summary: rgd.RgdSummary, stage: int | None = None) -> dict:
 
 
 def write_summaries(docs, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for doc in docs:
             fh.write(json.dumps(doc) + "\n")
 
@@ -185,7 +173,7 @@ def matrix_csv_text(m: clmetrics.PerfMatrix) -> str:
 
 
 def write_matrix(m: clmetrics.PerfMatrix, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write(matrix_csv_text(m))
 
 
@@ -290,7 +278,7 @@ def emit_report(records, path_csv, path_raw=None) -> str:
                          _fmt(mean_of("bwt")), _fmt(mean_of("fwt")), _fmt(mean_of("cap"))])
     text = buf.getvalue()
     if path_csv is not None:
-        with open(path_csv, "w", encoding="utf-8") as fh:
+        with atomic_write(path_csv) as fh:
             fh.write(text)
     if path_raw is not None:
         raw = [{
@@ -298,7 +286,7 @@ def emit_report(records, path_csv, path_raw=None) -> str:
             "suite": r.suite_fingerprint, "fap": r.fap, "f_ra": r.f_ra,
             "bwt": r.bwt, "fwt": r.fwt, "cap": r.cap,
         } for r in records]
-        with open(path_raw, "w", encoding="utf-8") as fh:
+        with atomic_write(path_raw) as fh:
             json.dump(raw, fh, indent=1)
             fh.write("\n")
     return text

@@ -57,22 +57,39 @@ def rgd_score(ppl_cond: float, ppl_uncond: float) -> float:
     return ppl_cond / ppl_uncond
 
 
+def rgd_records(model: tinylm.ModelState, examples) -> list[tuple[PplRecord, float]]:
+    """Score examples against one model snapshot.
+
+    ``PPL(r)`` does not depend on the instruction, so it is computed once per
+    distinct rationale and shared by every example that has it.
+    """
+    vocab = model.vocab
+    uncond_by_rationale: dict[tuple[int, ...], tinylm.NllResult] = {}
+    out = []
+    for ex in examples:
+        if len(ex.rationale) == 0:
+            raise InputError(f"example {ex.id} has an empty rationale")
+        x_ids = vocab.encode(ex.instruction)
+        r_ids = vocab.encode(ex.rationale)
+        cond = tinylm.sequence_nll(model, x_ids, r_ids)
+        key = tuple(r_ids)
+        if key not in uncond_by_rationale:
+            uncond_by_rationale[key] = tinylm.sequence_nll(model, [], r_ids)
+        uncond = uncond_by_rationale[key]
+        record = PplRecord(
+            task_id=ex.task_id,
+            example_id=ex.id,
+            nll_cond_sum=cond.sum_nll,
+            nll_uncond_sum=uncond.sum_nll,
+            n_rationale_tokens=cond.n_tokens,
+        )
+        out.append((record, rgd_score(tinylm.perplexity(cond), tinylm.perplexity(uncond))))
+    return out
+
+
 def rgd_from_model(model: tinylm.ModelState, ex: Example) -> tuple[PplRecord, float]:
     """Score one example against a model snapshot."""
-    if len(ex.rationale) == 0:
-        raise InputError(f"example {ex.id} has an empty rationale")
-    x_ids = model.vocab.encode(ex.instruction)
-    r_ids = model.vocab.encode(ex.rationale)
-    cond = tinylm.sequence_nll(model, x_ids, r_ids)
-    uncond = tinylm.sequence_nll(model, [], r_ids)
-    record = PplRecord(
-        task_id=ex.task_id,
-        example_id=ex.id,
-        nll_cond_sum=cond.sum_nll,
-        nll_uncond_sum=uncond.sum_nll,
-        n_rationale_tokens=cond.n_tokens,
-    )
-    return record, rgd_score(tinylm.perplexity(cond), tinylm.perplexity(uncond))
+    return rgd_records(model, [ex])[0]
 
 
 def task_rgd(records, aggregator: str = "mean") -> tuple[RgdSummary, float]:

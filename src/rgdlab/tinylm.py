@@ -20,6 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .atomic import atomic_write
 from .errors import (
     ConfigError,
     DivergenceError,
@@ -77,9 +78,13 @@ class Vocab:
         return self.tokens[token_id]
 
     def encode(self, tokens, strict: bool = True) -> list[int]:
+        index = self.index
         if strict:
-            return [self.id(t) for t in tokens]
-        return [self.index.get(t, UNK) for t in tokens]
+            try:
+                return [index[t] for t in tokens]
+            except KeyError as err:
+                raise InvalidTokenError(f"unknown token {err.args[0]!r}") from None
+        return [index.get(t, UNK) for t in tokens]
 
     def decode(self, ids) -> list[str]:
         return [self.token(i) for i in ids]
@@ -179,6 +184,8 @@ def init_model(vocab: Vocab, context_len: int, embed_dim: int, hidden_dim: int,
 
 def _check_ids(model: ModelState, ids, what: str):
     v = len(model.vocab)
+    if len(ids) == 0 or (min(ids) >= 0 and max(ids) < v):
+        return
     for i in ids:
         if not 0 <= i < v:
             raise InvalidTokenError(f"{what} id {i} out of range for |V|={v}")
@@ -187,40 +194,31 @@ def _check_ids(model: ModelState, ids, what: str):
 def _target_windows(model: ModelState, context, target) -> np.ndarray:
     """One window per target token: the last context_len tokens before it."""
     c = model.context_len
-    full = np.concatenate([
-        np.full(c, BOS, dtype=np.int64),
-        np.asarray(list(context) + list(target), dtype=np.int64),
-    ])
-    n = len(target)
+    full = [BOS] * c
+    full += context
+    full += target
     start = len(context)
-    return np.lib.stride_tricks.sliding_window_view(full, c)[start:start + n].copy()
+    rows = np.arange(start, start + len(target))
+    return np.asarray(full, dtype=np.int64)[np.add.outer(rows, np.arange(c))]
 
 
 def _forward(model: ModelState, windows: np.ndarray):
     """Logits for a batch of windows, with the activations kept for backprop."""
     n = windows.shape[0]
-    x = model.embed[windows].reshape(n, -1)
-    hidden = np.tanh(x @ model.w_hidden + model.b_hidden)
-    logits = hidden @ model.w_out + model.b_out
+    x = model.embed.take(windows.ravel(), axis=0).reshape(n, -1)
+    hidden = x @ model.w_hidden
+    hidden += model.b_hidden
+    np.tanh(hidden, out=hidden)
+    logits = hidden @ model.w_out
+    logits += model.b_out
     return x, hidden, logits
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    m = logits.max(axis=1, keepdims=True)
-    shifted = logits - m
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-
-
-def next_token_probs(model: ModelState, context) -> np.ndarray:
-    """Distribution over the next token given a (possibly empty) context."""
-    _check_ids(model, context, "context")
-    c = model.context_len
-    window = np.full(c, BOS, dtype=np.int64)
-    tail = np.asarray(list(context), dtype=np.int64)[-c:]
-    if len(tail):
-        window[c - len(tail):] = tail
-    _, _, logits = _forward(model, window[None, :])
-    return np.exp(_log_softmax(logits))[0]
+    """Row-wise log-softmax, computed in place: ``logits`` is overwritten."""
+    logits -= logits.max(axis=1, keepdims=True)
+    logits -= np.log(np.exp(logits).sum(axis=1, keepdims=True))
+    return logits
 
 
 def sequence_nll(model: ModelState, context, target) -> NllResult:
@@ -255,18 +253,25 @@ def _batch_grads(model: ModelState, windows, targets):
     logp = _log_softmax(logits)
     loss = float(-logp[np.arange(n), targets].mean())
 
-    d_logits = np.exp(logp)
+    d_logits = np.exp(logp, out=logp)
     d_logits[np.arange(n), targets] -= 1.0
     d_logits /= n
 
     g_w_out = hidden.T @ d_logits
     g_b_out = d_logits.sum(axis=0)
-    d_hidden = (d_logits @ model.w_out.T) * (1.0 - hidden * hidden)
+    d_hidden = d_logits @ model.w_out.T
+    d_tanh = np.multiply(hidden, hidden, out=hidden)      # hidden is not used below
+    np.subtract(1.0, d_tanh, out=d_tanh)
+    d_hidden *= d_tanh
     g_w_hidden = x.T @ d_hidden
     g_b_hidden = d_hidden.sum(axis=0)
-    d_x = (d_hidden @ model.w_hidden.T).reshape(n, model.context_len, model.embed_dim)
-    g_embed = np.zeros_like(model.embed)
-    np.add.at(g_embed, windows, d_x)
+    d_x = d_hidden @ model.w_hidden.T
+    # Scatter-add of d_x into the rows of the embedding table.  Each element
+    # (v, e) sums its terms in window order, as np.add.at would, so the
+    # result is bit-identical to it.
+    v, e = model.embed.shape
+    flat = (windows * e)[..., None] + np.arange(e)
+    g_embed = np.bincount(flat.ravel(), weights=d_x.ravel(), minlength=v * e).reshape(v, e)
 
     grads = {
         "embed": g_embed,
@@ -438,7 +443,7 @@ def save_model(model: ModelState, path) -> None:
         "rng_seed": model.rng_seed,
         "params": {name: _encode_array(p) for name, p in model.params()},
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
 

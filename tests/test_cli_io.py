@@ -1,8 +1,11 @@
 """Codec, configuration and command-line surface tests."""
 
+import filecmp
 import json
 import math
 import os
+import stat
+import threading
 
 import pytest
 
@@ -82,17 +85,34 @@ class TestPlanAndSummaryCodec:
             replay.allocate_rgd({"a": 2.0, "b": 1.0}, 9), {"a": 4, "b": 9})
         path = tmp_path / "plan.json"
         fileio.write_plan(plan, path)
-        loaded = fileio.read_plan(path)
-        assert loaded.counts == plan.counts
-        assert loaded.shortfalls == plan.shortfalls
-        assert set(json.loads(path.read_text())) == {
-            "budget", "strategy", "counts", "shortfalls"}
+        doc = json.loads(path.read_text())
+        assert doc == fileio.plan_doc(plan)
+        assert set(doc) == {"budget", "strategy", "counts", "shortfalls"}
+        assert doc["counts"] == plan.counts and doc["shortfalls"] == plan.shortfalls
 
     def test_summaries_roundtrip(self, tmp_path):
         summaries = [rgd.RgdSummary("a", 1.25, 0.5, 8), rgd.RgdSummary("b", 0.75, 0.0, 1)]
         path = tmp_path / "summaries.jsonl"
         fileio.write_summaries([fileio.summary_doc(s) for s in summaries], path)
         assert fileio.read_summaries(path) == summaries
+
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        path = tmp_path / "summaries.jsonl"
+        with pytest.raises(TypeError):
+            fileio.write_summaries([{"task": "a"}, {"task": object()}], path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_write_to_pipe(self, tmp_path):
+        # A target that is not a regular file is written in place, not replaced.
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(pipe.read_text()), daemon=True)
+        reader.start()
+        fileio.write_summaries([{"task": "a"}], pipe)
+        reader.join(timeout=10)
+        assert got == ['{"task": "a"}\n']
+        assert stat.S_ISFIFO(os.stat(pipe).st_mode)
 
 
 class TestEmitReport:
@@ -297,6 +317,27 @@ class TestCli:
         snapshot = json.loads((out / "config.json").read_text())
         assert set(snapshot) == {"given", "resolved"}
         assert snapshot["resolved"]["train"]["epochs"] == 2
+
+    def test_threads_do_not_change_results(self, run_dir):
+        """``threads`` is kept for old configs: the artifacts do not depend on it."""
+        config = json.loads((run_dir / "config.json").read_text())
+        config.update(strategies=["none", "equal"], run_probes=True, replay={"budget": 6},
+                      probes={"k_grid": [0.0, 1.0], "demo_counts": [1], "demo_draws": 1,
+                              "top_forgotten": 1})
+        cfg_path = run_dir / "threads-config.json"
+        cfg_path.write_text(json.dumps(config))
+        trees = []
+        for threads in (1, 2):
+            out = run_dir / f"threads-{threads}"
+            assert cli.main(["run-seq", "--config", str(cfg_path), "--out", str(out),
+                             "--threads", str(threads)]) == 0
+            trees.append(sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file()))
+        assert trees[0] == trees[1]
+        assert not [p for p in trees[0] if p.suffix == ".tmp"]
+        assert "runs/none-o0-s3/checkpoints/stage-02.json" in {str(p) for p in trees[0]}
+        a, b = run_dir / "threads-1", run_dir / "threads-2"
+        for rel in trees[0]:
+            assert filecmp.cmp(a / rel, b / rel, shallow=False), rel
 
     def test_resolved_snapshot_loads_back(self, run_dir):
         original = fileio.load_experiment_config(run_dir / "config.json")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from rgdlab import driver, taskgen
+from rgdlab import driver, rgd, taskgen, tinylm
 from rgdlab.errors import ConfigError, InputError
 
 TINY_TRAIN = driver.TrainSettings(learning_rate=0.15, epochs=3, batch_size=16)
@@ -160,6 +160,30 @@ class TestProbes:
             driver.probe_partial_rationale(base, [])
 
 
+class TestScoreTaskRgd:
+    def test_matches_per_example_records(self, suite, base):
+        examples = suite.probe[suite.specs[0].task_id]
+        expected, _ = rgd.task_rgd([rgd.rgd_from_model(base, ex)[0] for ex in examples[:6]])
+        assert driver.score_task_rgd(base, examples, 6) == expected
+
+    def test_one_unconditional_nll_per_rationale(self, suite, base, monkeypatch):
+        examples = [ex for spec in suite.specs for ex in suite.probe[spec.task_id]]
+        calls = []
+        original = tinylm.sequence_nll
+
+        def counting(model, context, target):
+            calls.append(tuple(context))
+            return original(model, context, target)
+
+        monkeypatch.setattr(tinylm, "sequence_nll", counting)
+        for spec in suite.specs:
+            driver.score_task_rgd(base, suite.probe[spec.task_id])
+        distinct = {(ex.task_id, ex.rationale) for ex in examples}
+        assert len(distinct) < len(examples)
+        assert len(calls) == len(examples) + len(distinct)
+        assert calls.count(()) == len(distinct)
+
+
 class TestReplayMitigates:
     def test_equal_beats_none_on_most_tasks(self, suite, base):
         # paired-run comparison: replay should not score worse on the final
@@ -190,15 +214,6 @@ class TestExperiment:
             ("none", 7, 0), ("equal", 7, 0)]
         assert set(result.singles[7]) == {s.task_id for s in suite.specs}
         assert set(result.multis[7]) == {s.task_id for s in suite.specs}
-
-    def test_threads_do_not_change_results(self, suite):
-        kw = dict(strategies=("none", "equal"), run_seeds=(7, 8), order_indices=(0, 1),
-                  train=TINY_TRAIN, warmup=TINY_WARM, warmup_examples=300, replay_budget=6)
-        serial = driver.run_experiment(suite, driver.ExperimentPlan(**kw, threads=1))
-        threaded = driver.run_experiment(suite, driver.ExperimentPlan(**kw, threads=4))
-        for a, b in zip(serial.runs, threaded.runs):
-            assert (a.strategy, a.run_seed, a.order_index) == (b.strategy, b.run_seed, b.order_index)
-            assert a.result.matrix == b.result.matrix
 
     def test_probes_on_no_replay_runs(self, suite):
         plan = driver.ExperimentPlan(strategies=("none",), run_seeds=(7,),

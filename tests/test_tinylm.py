@@ -22,7 +22,6 @@ from rgdlab.tinylm import (
     grad_check,
     init_model,
     load_model,
-    next_token_probs,
     perplexity,
     save_model,
     sequence_nll,
@@ -158,9 +157,72 @@ class TestNormalization:
         for seed in range(5):
             m = init_model(make_vocab(10), 4, 5, 7, seed=seed)
             ctx = list(rng.integers(0, len(m.vocab), size=rng.integers(0, 6)))
-            probs = next_token_probs(m, ctx)
+            probs = np.exp([-sequence_nll(m, ctx, [t]).sum_nll for t in range(len(m.vocab))])
             assert probs.sum() == pytest.approx(1.0, abs=1e-6)
             assert np.all(probs >= 0)
+
+
+def reference_batch_grads(model, windows, targets):
+    """The training step as first written, scattering with np.add.at."""
+    n = windows.shape[0]
+    x = model.embed[windows].reshape(n, -1)
+    hidden = np.tanh(x @ model.w_hidden + model.b_hidden)
+    logits = hidden @ model.w_out + model.b_out
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    loss = float(-logp[np.arange(n), targets].mean())
+    d_logits = np.exp(logp)
+    d_logits[np.arange(n), targets] -= 1.0
+    d_logits /= n
+    d_hidden = (d_logits @ model.w_out.T) * (1.0 - hidden * hidden)
+    d_x = (d_hidden @ model.w_hidden.T).reshape(n, model.context_len, model.embed_dim)
+    g_embed = np.zeros_like(model.embed)
+    np.add.at(g_embed, windows, d_x)
+    return loss, {"embed": g_embed, "w_hidden": x.T @ d_hidden,
+                  "b_hidden": d_hidden.sum(axis=0), "w_out": hidden.T @ d_logits,
+                  "b_out": d_logits.sum(axis=0)}
+
+
+class TestExactKernels:
+    """The rewritten hot-path kernels give the same bits as the plain numpy forms."""
+
+    def test_batch_grads_match_add_at(self):
+        m = init_model(make_vocab(12), 5, 6, 9, seed=4)
+        pairs = [([4, 4, 5], [4, 6, 4, EOS]), ([], [7, 7, 7]), ([8, 9, 8, 9, 8, 9, 8], [9, 4])]
+        windows = np.concatenate([tinylm._target_windows(m, c, t) for c, t in pairs])
+        targets = np.concatenate([np.asarray(t, dtype=np.int64) for _, t in pairs])
+        assert len(np.unique(windows)) < windows.size      # ids repeat across and within rows
+        loss, grads = tinylm._batch_grads(m, windows, targets)
+        ref_loss, ref_grads = reference_batch_grads(m, windows, targets)
+        assert loss == ref_loss
+        for name, g in ref_grads.items():
+            assert grads[name].shape == g.shape
+            assert np.array_equal(grads[name], g), name
+
+    @pytest.mark.parametrize("context", [[], [4, 5], [4, 5, 6, 7, 8, 9, 10, 11]])
+    def test_target_windows_match_sliding_view(self, context):
+        m = init_model(make_vocab(10), 4, 3, 5, seed=0)
+        target = [6, 7, 8]
+        full = np.concatenate([np.full(m.context_len, BOS, dtype=np.int64),
+                               np.asarray(context + target, dtype=np.int64)])
+        start = len(context)
+        expected = np.lib.stride_tricks.sliding_window_view(
+            full, m.context_len)[start:start + len(target)]
+        windows = tinylm._target_windows(m, context, target)
+        assert windows.dtype == np.int64
+        assert np.array_equal(windows, expected)
+
+    def test_encode_names_unknown_token(self):
+        v = make_vocab(3)
+        with pytest.raises(InvalidTokenError, match="unknown token 'zzz'"):
+            v.encode(["w0", "zzz", "yyy"])
+
+    def test_check_ids_names_first_bad_id(self):
+        m = init_model(make_vocab(4), 2, 4, 4, seed=0)
+        with pytest.raises(InvalidTokenError, match="context id -1 out of range"):
+            sequence_nll(m, [4, -1, 99], [5])
+        with pytest.raises(InvalidTokenError, match="target id 99 out of range"):
+            sequence_nll(m, [4], [5, 99, -1])
 
 
 class TestPerplexity:
@@ -311,6 +373,25 @@ class TestCheckpoint:
         save_model(m, p1)
         save_model(m, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_failed_save_leaves_no_file(self, tmp_path):
+        m = init_model(make_vocab(5), 2, 4, 4, seed=0)
+        m.rng_seed = object()          # json cannot encode it; params are written first
+        path = tmp_path / "model.json"
+        with pytest.raises(TypeError):
+            save_model(m, path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path):
+        m = init_model(make_vocab(5), 2, 4, 4, seed=0)
+        path = tmp_path / "model.json"
+        save_model(m, path)
+        before = path.read_bytes()
+        m.rng_seed = object()
+        with pytest.raises(TypeError):
+            save_model(m, path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_wrong_format_rejected(self, tmp_path):
         path = tmp_path / "x.json"
