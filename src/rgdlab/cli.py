@@ -13,8 +13,7 @@ import json
 import os
 import sys
 
-from . import clmetrics, driver, fileio, replay, rgd, taskgen, tinylm
-from .atomic import atomic_write
+from . import artifacts, clmetrics, driver, fileio, replay, rgd, taskgen, tinylm
 from .errors import RgdLabError
 
 
@@ -37,9 +36,7 @@ def _write_suite(suite: taskgen.Suite, out_dir: str) -> None:
             "rationale_template": s.rationale_template,
         } for s in suite.specs],
     }
-    with atomic_write(os.path.join(out_dir, "suite.json")) as fh:
-        json.dump(manifest, fh, indent=1)
-        fh.write("\n")
+    artifacts.write_json(os.path.join(out_dir, "suite.json"), manifest)
 
 
 def _cmd_gen_suite(args) -> int:
@@ -65,29 +62,24 @@ def _write_run_artifacts(result: driver.ExperimentResult, cfg: fileio.Experiment
     root = cfg.output_dir
     os.makedirs(root, exist_ok=True)
     given = {k: v for k, v in cfg.raw.items() if k != "output_dir"}
-    with atomic_write(os.path.join(root, "config.json")) as fh:
-        json.dump({"given": given, "resolved": fileio.resolved_config_doc(cfg)},
-                  fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    with atomic_write(os.path.join(root, "singles.json")) as fh:
-        json.dump({str(k): v for k, v in result.singles.items()}, fh, indent=1)
-        fh.write("\n")
-    with atomic_write(os.path.join(root, "multis.json")) as fh:
-        json.dump({str(k): v for k, v in result.multis.items()}, fh, indent=1)
-        fh.write("\n")
+    artifacts.write_json(os.path.join(root, "config.json"),
+                         {"given": given, "resolved": fileio.resolved_config_doc(cfg)},
+                         sort_keys=True)
+    artifacts.write_json(os.path.join(root, "singles.json"),
+                         {str(k): v for k, v in result.singles.items()})
+    artifacts.write_json(os.path.join(root, "multis.json"),
+                         {str(k): v for k, v in result.multis.items()})
 
     for record in result.runs:
         run_dir = os.path.join(root, "runs", _run_dir_name(record))
         os.makedirs(run_dir, exist_ok=True)
         fileio.write_matrix(record.result.matrix, os.path.join(run_dir, "matrix.csv"))
-        plan_docs = [fileio.plan_doc(p) for p in record.result.plans if p is not None]
-        with atomic_write(os.path.join(run_dir, "plans.jsonl")) as fh:
-            for doc in plan_docs:
-                fh.write(json.dumps(doc) + "\n")
-        summary_docs = [fileio.summary_doc(s, stage=i + 1)
-                        for i, stage in enumerate(record.result.summaries)
-                        for s in stage.values()]
-        fileio.write_summaries(summary_docs, os.path.join(run_dir, "summaries.jsonl"))
+        artifacts.write_jsonl(os.path.join(run_dir, "plans.jsonl"),
+                              (fileio.plan_doc(p) for p in record.result.plans if p is not None))
+        artifacts.write_jsonl(os.path.join(run_dir, "summaries.jsonl"),
+                              (fileio.summary_doc(s, stage=i + 1)
+                               for i, stage in enumerate(record.result.summaries)
+                               for s in stage.values()))
         if cfg.plan.keep_checkpoints and record.result.checkpoints:
             ckpt_dir = os.path.join(run_dir, "checkpoints")
             os.makedirs(ckpt_dir, exist_ok=True)
@@ -98,10 +90,10 @@ def _write_run_artifacts(result: driver.ExperimentResult, cfg: fileio.Experiment
         partial_rows = [(p.task_id, k, acc) for p in result.probes for k, acc in p.partial]
         tap_rows = [(p.task_id, count, draw, acc)
                     for p in result.probes for count, draw, acc in p.tap.grid]
-        with atomic_write(os.path.join(root, "probe_partial.csv")) as fh:
-            fh.write(fileio.partial_probe_csv_text(partial_rows))
-        with atomic_write(os.path.join(root, "probe_tap.csv")) as fh:
-            fh.write(fileio.tap_probe_csv_text(tap_rows))
+        artifacts.write_text(os.path.join(root, "probe_partial.csv"),
+                             fileio.partial_probe_csv_text(partial_rows))
+        artifacts.write_text(os.path.join(root, "probe_tap.csv"),
+                             fileio.tap_probe_csv_text(tap_rows))
 
     fileio.emit_report(fileio.experiment_table_records(result),
                        os.path.join(root, "report.csv"),
@@ -134,8 +126,8 @@ def _cmd_probe(args) -> int:
         grid = driver.probe_partial_rationale(model, examples, cfg.plan.k_grid,
                                               cfg.plan.max_gen_len)
         path = os.path.join(cfg.output_dir, f"probe_partial_{args.task}.csv")
-        with atomic_write(path) as fh:
-            fh.write(fileio.partial_probe_csv_text([(args.task, k, a) for k, a in grid]))
+        artifacts.write_text(path, fileio.partial_probe_csv_text(
+            [(args.task, k, a) for k, a in grid]))
         wrote.append(path)
     if args.kind in ("tap", "both"):
         pool = [ex for spec in suite.specs if spec.task_id != args.task
@@ -144,9 +136,8 @@ def _cmd_probe(args) -> int:
                                cfg.plan.demo_draws, seed=args.seed,
                                max_gen_len=cfg.plan.max_gen_len)
         path = os.path.join(cfg.output_dir, f"probe_tap_{args.task}.csv")
-        with atomic_write(path) as fh:
-            fh.write(fileio.tap_probe_csv_text(
-                [(args.task, c, d, a) for c, d, a in tap.grid]))
+        artifacts.write_text(path, fileio.tap_probe_csv_text(
+            [(args.task, c, d, a) for c, d, a in tap.grid]))
         wrote.append(path)
     print("wrote " + ", ".join(wrote))
     return 0
@@ -178,7 +169,7 @@ def _cmd_score_rgd(args) -> int:
             docs.append({**fileio.summary_doc(summary),
                          "scalar": rgd.summary_scalar(summary, args.aggregator)})
     if args.out_file:
-        fileio.write_summaries(docs, args.out_file)
+        artifacts.write_jsonl(args.out_file, docs)
     for doc in docs:
         print(json.dumps(doc))
     return 0
@@ -215,7 +206,7 @@ def _cmd_allocate(args) -> int:
         plan = replay.fit_to_pools(plan, {k: int(v) for k, v in _parse_kv(args.pools).items()})
     doc = fileio.plan_doc(plan)
     if args.out_file:
-        fileio.write_plan(plan, args.out_file)
+        artifacts.write_json(args.out_file, doc)
     print(json.dumps(doc))
     return 0
 
@@ -224,13 +215,11 @@ def _cmd_metrics(args) -> int:
     matrix = fileio.read_matrix(args.matrix)
     report = clmetrics.compute_report(matrix)
     if args.out_json:
-        with atomic_write(args.out_json) as fh:
-            json.dump(fileio.report_json_doc(report), fh, indent=1)
-            fh.write("\n")
+        artifacts.write_json(args.out_json, fileio.report_json_doc(report))
+    text = fileio.report_csv_text(report)
     if args.out_csv:
-        with atomic_write(args.out_csv) as fh:
-            fh.write(fileio.report_csv_text(report))
-    print(fileio.report_csv_text(report), end="")
+        artifacts.write_text(args.out_csv, text)
+    print(text, end="")
     return 0
 
 
@@ -311,10 +300,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except RgdLabError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as err:
+    except (RgdLabError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -1,4 +1,4 @@
-"""Task scoring (answer accuracy, Rouge-L) and the continual-learning metrics.
+"""Task scoring (answer accuracy) and the continual-learning metrics.
 
 The performance matrix holds one row per training stage with the scores of
 every task seen so far, plus a single-task baseline row.  Five summary
@@ -73,28 +73,6 @@ def answer_accuracy(predictions, gold_answers) -> float:
         if answer == gold.strip().lower():
             correct += 1
     return 100.0 * correct / len(predictions)
-
-
-def rouge_l(prediction, reference) -> float:
-    """LCS-based F-score between two token sequences."""
-    pred = list(prediction)
-    ref = list(reference)
-    if not ref:
-        raise InputError("reference must be nonempty")
-    if not pred:
-        return 0.0
-    prev = [0] * (len(ref) + 1)
-    for p in pred:
-        cur = [0] * (len(ref) + 1)
-        for j, r in enumerate(ref, start=1):
-            cur[j] = prev[j - 1] + 1 if p == r else max(prev[j], cur[j - 1])
-        prev = cur
-    lcs = prev[-1]
-    if lcs == 0:
-        return 0.0
-    precision = lcs / len(pred)
-    recall = lcs / len(ref)
-    return 2 * precision * recall / (precision + recall)
 
 
 def fap(m: PerfMatrix) -> float:

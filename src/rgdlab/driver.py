@@ -163,16 +163,21 @@ def prompt_tokens(instruction) -> tuple[str, ...]:
     return taskgen.PROMPT_PREFIX + instruction
 
 
+def _decoded_accuracy(model: tinylm.ModelState, prompts, examples, max_gen_len: int) -> float:
+    """Greedy-decode each token prompt and score the answers against ``examples``."""
+    vocab = model.vocab
+    outputs = tinylm.generate_batch(model, [vocab.encode(p) for p in prompts], max_gen_len)
+    return clmetrics.answer_accuracy([vocab.decode(ids) for ids in outputs],
+                                     [ex.answer for ex in examples])
+
+
 def evaluate_accuracy(model: tinylm.ModelState, examples, max_gen_len: int = 18) -> float:
     """Greedy-decode each instruction and score the parsed answers."""
     examples = list(examples)
     if not examples:
         raise InputError("no examples to evaluate")
-    vocab = model.vocab
-    prompts = [vocab.encode(prompt_tokens(ex.instruction)) for ex in examples]
-    outputs = tinylm.generate_batch(model, prompts, max_gen_len)
-    decoded = [vocab.decode(ids) for ids in outputs]
-    return clmetrics.answer_accuracy(decoded, [ex.answer for ex in examples])
+    return _decoded_accuracy(model, [prompt_tokens(ex.instruction) for ex in examples],
+                             examples, max_gen_len)
 
 
 def score_task_rgd(model: tinylm.ModelState, examples, limit: int | None = None) -> rgd.RgdSummary:
@@ -300,15 +305,10 @@ def probe_partial_rationale(model: tinylm.ModelState, examples, k_grid=DEFAULT_K
     examples = list(examples)
     if not examples:
         raise InputError("no examples to probe")
-    vocab = model.vocab
     results = []
     for k in k_grid:
-        prompts = [vocab.encode(taskgen.PROMPT_PREFIX + taskgen.partial_rationale_prompt(ex, k))
-                   for ex in examples]
-        outputs = tinylm.generate_batch(model, prompts, max_gen_len)
-        decoded = [vocab.decode(ids) for ids in outputs]
-        acc = clmetrics.answer_accuracy(decoded, [ex.answer for ex in examples])
-        results.append((float(k), acc))
+        prompts = [prompt_tokens(taskgen.partial_rationale_prompt(ex, k)) for ex in examples]
+        results.append((float(k), _decoded_accuracy(model, prompts, examples, max_gen_len)))
     return results
 
 
@@ -338,15 +338,8 @@ def probe_tap(model: tinylm.ModelState, examples, demo_pool,
     demo_pool = [d for d in demo_pool if d.task_id != examples[0].task_id]
     if not demo_pool:
         raise ConfigError("demo pool is empty after removing same-task examples")
-    vocab = model.vocab
-    golds = [ex.answer for ex in examples]
-
-    def accuracy_for(prompts):
-        outputs = tinylm.generate_batch(model, prompts, max_gen_len)
-        return clmetrics.answer_accuracy([vocab.decode(ids) for ids in outputs], golds)
-
-    instruction_only = accuracy_for(
-        [vocab.encode(prompt_tokens(ex.instruction)) for ex in examples])
+    instruction_only = _decoded_accuracy(
+        model, [prompt_tokens(ex.instruction) for ex in examples], examples, max_gen_len)
     grid: list[tuple[int, int, float]] = [(0, 0, instruction_only)]
     best = (0, 0, instruction_only, ())
     for count in demo_counts:
@@ -355,9 +348,8 @@ def probe_tap(model: tinylm.ModelState, examples, demo_pool,
         for draw in range(draws):
             demos = replay.sample_replay(
                 demo_pool, count, seed=derive_seed(seed, _SALT_DEMOS, count, draw))
-            prompts = [vocab.encode(taskgen.tap_prompt(ex, demos, context_template))
-                       for ex in examples]
-            acc = accuracy_for(prompts)
+            prompts = [taskgen.tap_prompt(ex, demos, context_template) for ex in examples]
+            acc = _decoded_accuracy(model, prompts, examples, max_gen_len)
             grid.append((count, draw, acc))
             if acc > best[2]:
                 best = (count, draw, acc, tuple(d.id for d in demos))

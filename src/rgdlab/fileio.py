@@ -10,14 +10,12 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
-import json
 import os
 import types
 import typing
 from dataclasses import dataclass, field
 
-from . import clmetrics, driver, replay, rgd, taskgen
-from .atomic import atomic_write
+from . import artifacts, clmetrics, driver, replay, rgd, taskgen
 from .errors import ConfigError, InputError, ParseError
 
 METRIC_COLUMNS = ("FAP", "F.Ra", "BWT", "FWT", "CAP")
@@ -43,83 +41,52 @@ def _fmt(value) -> str:
 # ---------------------------------------------------------------- examples
 
 def write_examples(examples, path) -> None:
-    with atomic_write(path) as fh:
-        for ex in examples:
-            fh.write(json.dumps({
-                "task": ex.task_id,
-                "id": ex.id,
-                "instruction": " ".join(ex.instruction),
-                "rationale": " ".join(ex.rationale),
-                "answer": ex.answer,
-            }) + "\n")
+    artifacts.write_jsonl(path, ({
+        "task": ex.task_id,
+        "id": ex.id,
+        "instruction": " ".join(ex.instruction),
+        "rationale": " ".join(ex.rationale),
+        "answer": ex.answer,
+    } for ex in examples))
+
+
+def _example(doc: dict) -> taskgen.Example:
+    ex = taskgen.Example(task_id=doc["task"], id=doc["id"],
+                         instruction=tuple(doc["instruction"].split()),
+                         rationale=tuple(doc["rationale"].split()), answer=doc["answer"])
+    if not ex.rationale:
+        raise InputError("empty rationale")
+    return ex
 
 
 def read_examples(path) -> list[taskgen.Example]:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                doc = json.loads(line)
-                ex = taskgen.Example(
-                    task_id=doc["task"],
-                    id=doc["id"],
-                    instruction=tuple(doc["instruction"].split()),
-                    rationale=tuple(doc["rationale"].split()),
-                    answer=doc["answer"],
-                )
-            except (json.JSONDecodeError, KeyError, TypeError) as err:
-                raise ParseError(f"{path}:{lineno}: bad example record: {err}") from None
-            if not ex.rationale:
-                raise ParseError(f"{path}:{lineno}: empty rationale")
-            out.append(ex)
-    return out
+    return artifacts.read_jsonl(path, _example, "example record")
 
 
 # ------------------------------------------------------------- PPL records
 
 def export_ppl_records(records, path) -> None:
-    with atomic_write(path) as fh:
-        for r in records:
-            fh.write(json.dumps({
-                "task": r.task_id,
-                "id": r.example_id,
-                "nll_cond_sum": r.nll_cond_sum,
-                "nll_uncond_sum": r.nll_uncond_sum,
-                "n_rationale_tokens": r.n_rationale_tokens,
-            }) + "\n")
+    artifacts.write_jsonl(path, ({
+        "task": r.task_id,
+        "id": r.example_id,
+        "nll_cond_sum": r.nll_cond_sum,
+        "nll_uncond_sum": r.nll_uncond_sum,
+        "n_rationale_tokens": r.n_rationale_tokens,
+    } for r in records))
 
 
 def import_ppl_records(path) -> list[rgd.PplRecord]:
     """All-or-nothing load; malformed lines are reported with their number."""
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                doc = json.loads(line)
-                record = rgd.PplRecord(
-                    task_id=doc["task"],
-                    example_id=doc["id"],
-                    nll_cond_sum=float(doc["nll_cond_sum"]),
-                    nll_uncond_sum=float(doc["nll_uncond_sum"]),
-                    n_rationale_tokens=int(doc["n_rationale_tokens"]),
-                )
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError, InputError) as err:
-                raise ParseError(f"{path}:{lineno}: bad record: {err}") from None
-            out.append(record)
-    return out
+    return artifacts.read_jsonl(path, lambda doc: rgd.PplRecord(
+        task_id=doc["task"],
+        example_id=doc["id"],
+        nll_cond_sum=float(doc["nll_cond_sum"]),
+        nll_uncond_sum=float(doc["nll_uncond_sum"]),
+        n_rationale_tokens=int(doc["n_rationale_tokens"]),
+    ), "record")
 
 
 # ------------------------------------------------------ plans and summaries
-
-def write_plan(plan: replay.AllocationPlan, path) -> None:
-    with atomic_write(path) as fh:
-        json.dump(plan_doc(plan), fh, indent=1)
-        fh.write("\n")
-
 
 def plan_doc(plan: replay.AllocationPlan) -> dict:
     return {
@@ -138,43 +105,32 @@ def summary_doc(summary: rgd.RgdSummary, stage: int | None = None) -> dict:
     return doc
 
 
-def write_summaries(docs, path) -> None:
-    with atomic_write(path) as fh:
-        for doc in docs:
-            fh.write(json.dumps(doc) + "\n")
-
-
 def read_summaries(path) -> list[rgd.RgdSummary]:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                doc = json.loads(line)
-                out.append(rgd.RgdSummary(task_id=doc["task"], mean=float(doc["mean"]),
-                                          std=float(doc["std"]), n=int(doc["n"])))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as err:
-                raise ParseError(f"{path}:{lineno}: bad summary: {err}") from None
-    return out
+    return artifacts.read_jsonl(path, lambda doc: rgd.RgdSummary(
+        task_id=doc["task"], mean=float(doc["mean"]), std=float(doc["std"]), n=int(doc["n"])),
+        "summary")
 
 
 # --------------------------------------------------------- matrices, reports
 
-def matrix_csv_text(m: clmetrics.PerfMatrix) -> str:
+def csv_text(rows) -> str:
+    """``rows`` as CSV text, each row ended by a bare newline."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["stage"] + list(m.order))
-    for i, row in enumerate(m.rows):
-        writer.writerow([str(i + 1)] + [repr(float(v)) for v in row]
-                        + [""] * (m.num_tasks - len(row)))
-    writer.writerow(["a0"] + [repr(float(v)) for v in m.a0])
+    csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue()
 
 
+def matrix_csv_text(m: clmetrics.PerfMatrix) -> str:
+    return csv_text([
+        ["stage", *m.order],
+        *([str(i + 1)] + [repr(float(v)) for v in row] + [""] * (m.num_tasks - len(row))
+          for i, row in enumerate(m.rows)),
+        ["a0", *(repr(float(v)) for v in m.a0)],
+    ])
+
+
 def write_matrix(m: clmetrics.PerfMatrix, path) -> None:
-    with atomic_write(path) as fh:
-        fh.write(matrix_csv_text(m))
+    artifacts.write_text(path, matrix_csv_text(m))
 
 
 def read_matrix(path) -> clmetrics.PerfMatrix:
@@ -214,7 +170,7 @@ def report_json_doc(report: clmetrics.MetricsReport) -> dict:
 
 def report_csv_text(report: clmetrics.MetricsReport) -> str:
     values = (report.fap, report.f_ra, report.bwt, report.fwt, report.cap)
-    return ",".join(METRIC_COLUMNS) + "\n" + ",".join(_fmt(v) for v in values) + "\n"
+    return csv_text([METRIC_COLUMNS, [_fmt(v) for v in values]])
 
 
 # --------------------------------------------------------- comparison table
@@ -260,45 +216,30 @@ def emit_report(records, path_csv, path_raw=None) -> str:
             raise InputError(f"unknown strategy {r.strategy!r}")
         by_label.setdefault(label, []).append(r)
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["strategy"] + list(METRIC_COLUMNS))
-    for label in REPORT_ROW_ORDER:
-        if label not in by_label:
-            continue
-        group = by_label[label]
+    def mean_of(group, attr):
+        values = [getattr(g, attr) for g in group]
+        if any(v is None for v in values):
+            return None
+        return sum(values) / len(values)
 
-        def mean_of(attr):
-            values = [getattr(g, attr) for g in group]
-            if any(v is None for v in values):
-                return None
-            return sum(values) / len(values)
-
-        writer.writerow([label, _fmt(mean_of("fap")), _fmt(mean_of("f_ra")),
-                         _fmt(mean_of("bwt")), _fmt(mean_of("fwt")), _fmt(mean_of("cap"))])
-    text = buf.getvalue()
+    text = csv_text([["strategy", *METRIC_COLUMNS]] + [
+        [label] + [_fmt(mean_of(by_label[label], attr))
+                   for attr in ("fap", "f_ra", "bwt", "fwt", "cap")]
+        for label in REPORT_ROW_ORDER if label in by_label])
     if path_csv is not None:
-        with atomic_write(path_csv) as fh:
-            fh.write(text)
+        artifacts.write_text(path_csv, text)
     if path_raw is not None:
-        raw = [{
+        artifacts.write_json(path_raw, [{
             "strategy": r.strategy, "run_seed": r.run_seed, "order_index": r.order_index,
             "suite": r.suite_fingerprint, "fap": r.fap, "f_ra": r.f_ra,
             "bwt": r.bwt, "fwt": r.fwt, "cap": r.cap,
-        } for r in records]
-        with atomic_write(path_raw) as fh:
-            json.dump(raw, fh, indent=1)
-            fh.write("\n")
+        } for r in records])
     return text
 
 
 def read_report_raw(path) -> list[TableRecord]:
     """The per-run rows that emit_report wrote to ``path_raw``."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            docs = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise ParseError(f"{path}: not valid JSON: {err}") from None
+    docs = artifacts.read_json(path)
     try:
         return list(_convert(docs, tuple[TableRecord, ...], "rows"))
     except ConfigError as err:
@@ -329,22 +270,14 @@ def experiment_table_records(result: driver.ExperimentResult) -> list[TableRecor
 
 def partial_probe_csv_text(rows) -> str:
     """rows: iterable of (task, k, accuracy)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["task", "k", "accuracy"])
-    for task, k, acc in rows:
-        writer.writerow([task, repr(float(k)), repr(float(acc))])
-    return buf.getvalue()
+    return csv_text([("task", "k", "accuracy"),
+                     *((task, repr(float(k)), repr(float(acc))) for task, k, acc in rows)])
 
 
 def tap_probe_csv_text(rows) -> str:
     """rows: iterable of (task, demo_count, draw, accuracy)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["task", "demo_count", "draw", "accuracy"])
-    for task, count, draw, acc in rows:
-        writer.writerow([task, count, draw, repr(float(acc))])
-    return buf.getvalue()
+    return csv_text([("task", "demo_count", "draw", "accuracy"),
+                     *((task, count, draw, repr(float(acc))) for task, count, draw, acc in rows)])
 
 
 # ------------------------------------------------------ experiment config
@@ -438,12 +371,8 @@ def _build(cls, doc: dict, path: str = ""):
 
 def load_experiment_config(path, output_dir=None) -> ExperimentConfig:
     """Parse and validate a config file; every seed must be explicit."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise ParseError(f"{path}: not valid JSON: {err}") from None
-    return experiment_config_from_dict(doc, output_dir=output_dir, where=str(path))
+    return experiment_config_from_dict(artifacts.read_json(path), output_dir=output_dir,
+                                       where=str(path))
 
 
 def experiment_config_from_dict(doc: dict, output_dir=None, where="config") -> ExperimentConfig:

@@ -14,13 +14,12 @@ give bit-identical outputs.
 from __future__ import annotations
 
 import base64
-import json
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .atomic import atomic_write
+from . import artifacts
 from .errors import (
     ConfigError,
     DivergenceError,
@@ -77,14 +76,12 @@ class Vocab:
             raise InvalidTokenError(f"token id {token_id} out of range")
         return self.tokens[token_id]
 
-    def encode(self, tokens, strict: bool = True) -> list[int]:
+    def encode(self, tokens) -> list[int]:
         index = self.index
-        if strict:
-            try:
-                return [index[t] for t in tokens]
-            except KeyError as err:
-                raise InvalidTokenError(f"unknown token {err.args[0]!r}") from None
-        return [index.get(t, UNK) for t in tokens]
+        try:
+            return [index[t] for t in tokens]
+        except KeyError as err:
+            raise InvalidTokenError(f"unknown token {err.args[0]!r}") from None
 
     def decode(self, ids) -> list[str]:
         return [self.token(i) for i in ids]
@@ -443,18 +440,12 @@ def save_model(model: ModelState, path) -> None:
         "rng_seed": model.rng_seed,
         "params": {name: _encode_array(p) for name, p in model.params()},
     }
-    with atomic_write(path) as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    artifacts.write_json(path, doc, sort_keys=True)
 
 
 def load_model(path) -> ModelState:
     """Checkpoint written by save_model; keys and parameter shapes are checked."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise ParseError(f"{path}: not valid JSON: {err}") from None
+    doc = artifacts.read_json(path)
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise ConfigError(f"not a {CHECKPOINT_FORMAT} file: {path}")
     try:

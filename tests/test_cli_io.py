@@ -6,10 +6,11 @@ import math
 import os
 import stat
 import threading
+from pathlib import Path
 
 import pytest
 
-from rgdlab import cli, fileio, replay, rgd, taskgen
+from rgdlab import artifacts, cli, fileio, replay, rgd, taskgen
 from rgdlab.clmetrics import PerfMatrix
 from rgdlab.errors import ConfigError, InputError, ParseError
 
@@ -40,6 +41,13 @@ class TestExampleCodec:
         path.write_text('{"task": "t", "id": "a", "instruction": "x", '
                         '"rationale": "r", "answer": "y"}\n{"nope": 1}\n')
         with pytest.raises(ParseError, match=":2:"):
+            fileio.read_examples(path)
+
+    def test_non_string_field_reported_with_number(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"task": "t", "id": "a", "instruction": 5, '
+                        '"rationale": "r", "answer": "y"}\n')
+        with pytest.raises(ParseError, match=":1: bad example record"):
             fileio.read_examples(path)
 
 
@@ -84,7 +92,7 @@ class TestPlanAndSummaryCodec:
         plan = replay.fit_to_pools(
             replay.allocate_rgd({"a": 2.0, "b": 1.0}, 9), {"a": 4, "b": 9})
         path = tmp_path / "plan.json"
-        fileio.write_plan(plan, path)
+        artifacts.write_json(path, fileio.plan_doc(plan))
         doc = json.loads(path.read_text())
         assert doc == fileio.plan_doc(plan)
         assert set(doc) == {"budget", "strategy", "counts", "shortfalls"}
@@ -93,13 +101,20 @@ class TestPlanAndSummaryCodec:
     def test_summaries_roundtrip(self, tmp_path):
         summaries = [rgd.RgdSummary("a", 1.25, 0.5, 8), rgd.RgdSummary("b", 0.75, 0.0, 1)]
         path = tmp_path / "summaries.jsonl"
-        fileio.write_summaries([fileio.summary_doc(s) for s in summaries], path)
+        artifacts.write_jsonl(path, [fileio.summary_doc(s) for s in summaries])
         assert fileio.read_summaries(path) == summaries
+
+    def test_bad_summary_reported_with_number(self, tmp_path):
+        path = tmp_path / "summaries.jsonl"
+        path.write_text('{"task": "a", "mean": 1.0, "std": 0.0, "n": 1}\n'
+                        '{"task": "b", "mean": "high", "std": 0.0, "n": 1}\n')
+        with pytest.raises(ParseError, match=":2:"):
+            fileio.read_summaries(path)
 
     def test_failed_write_leaves_no_file(self, tmp_path):
         path = tmp_path / "summaries.jsonl"
         with pytest.raises(TypeError):
-            fileio.write_summaries([{"task": "a"}, {"task": object()}], path)
+            artifacts.write_jsonl(path, [{"task": "a"}, {"task": object()}])
         assert list(tmp_path.iterdir()) == []
 
     def test_write_to_pipe(self, tmp_path):
@@ -109,10 +124,38 @@ class TestPlanAndSummaryCodec:
         got = []
         reader = threading.Thread(target=lambda: got.append(pipe.read_text()), daemon=True)
         reader.start()
-        fileio.write_summaries([{"task": "a"}], pipe)
+        artifacts.write_jsonl(pipe, [{"task": "a"}])
         reader.join(timeout=10)
         assert got == ['{"task": "a"}\n']
         assert stat.S_ISFIFO(os.stat(pipe).st_mode)
+
+
+class TestArtifacts:
+    def test_failed_body_keeps_target(self, tmp_path):
+        new, old = tmp_path / "new.txt", tmp_path / "old.txt"
+        old.write_text("old\n")
+        for path in (new, old):
+            with pytest.raises(RuntimeError):
+                with artifacts.atomic_write(path) as fh:
+                    fh.write("partial")
+                    raise RuntimeError("body failed")
+        assert not new.exists()
+        assert old.read_bytes() == b"old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["old.txt"]
+
+    def test_undecodable_bytes_are_parse_errors(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"task": "a"}\n{"task": "caf\xe9"}\n')
+        with pytest.raises(ParseError, match=":2: bad record"):
+            artifacts.read_jsonl(path, dict, "record")
+        with pytest.raises(ParseError, match="latin1.json"):
+            artifacts.read_json(path)
+
+    def test_one_module_owns_the_formats(self):
+        package = Path(artifacts.__file__).parent
+        for needle in ("atomic_write(", "json.dump(", "json.load(", "JSONDecodeError"):
+            owners = sorted(p.name for p in package.glob("*.py") if needle in p.read_text())
+            assert owners == ["artifacts.py"], (needle, owners)
 
 
 class TestEmitReport:
@@ -306,6 +349,21 @@ class TestCli:
 
     def test_metrics_missing_file_exits_one(self, capsys):
         assert cli.main(["metrics", "--matrix", "/nonexistent.csv"]) == 1
+
+    @pytest.mark.parametrize("command", ["allocate", "metrics"])
+    def test_output_path_is_a_directory_exits_one(self, tmp_path, capsys, command):
+        target = tmp_path / "a-directory"
+        target.mkdir()
+        if command == "allocate":
+            argv = ["allocate", "--strategy", "equal", "--alpha", "3", "--tasks", "a,b",
+                    "--out-file", str(target)]
+        else:
+            matrix = tmp_path / "matrix.csv"
+            fileio.write_matrix(SHARED_MATRIX, matrix)
+            argv = ["metrics", "--matrix", str(matrix), "--out-json", str(target)]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and str(target) in err[0], err
 
     def test_run_seq_layout(self, run_dir, capsys):
         out = run_dir / "out"

@@ -13,7 +13,6 @@ from rgdlab.clmetrics import (
     forgetting_rate,
     fwt,
     per_task_forgetting,
-    rouge_l,
 )
 from rgdlab.errors import InputError, MetricUndefinedError
 
@@ -61,25 +60,6 @@ class TestAnswerAccuracy:
     def test_percentage(self):
         preds = [["[RESULT]", "yes"], ["[RESULT]", "no"], ["[RESULT]", "no"], ["nope"]]
         assert answer_accuracy(preds, ["yes", "yes", "no", "no"]) == 50.0
-
-
-class TestRougeL:
-    def test_identical(self):
-        assert rouge_l(list("abcd"), list("abcd")) == pytest.approx(1.0)
-
-    def test_disjoint(self):
-        assert rouge_l(["a", "b"], ["c", "d"]) == 0.0
-
-    def test_hand_lcs(self):
-        # LCS("a b c", "a c") = 2; P = 2/3, R = 1, F = 0.8
-        assert rouge_l(["a", "b", "c"], ["a", "c"]) == pytest.approx(0.8, rel=1e-12)
-
-    def test_empty_prediction(self):
-        assert rouge_l([], ["a"]) == 0.0
-
-    def test_empty_reference_rejected(self):
-        with pytest.raises(InputError):
-            rouge_l(["a"], [])
 
 
 class TestMetricFormulas:
