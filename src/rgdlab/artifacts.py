@@ -21,8 +21,10 @@ def atomic_write(path):
     """Text handle on a temporary file next to ``path``, renamed onto it on success.
 
     If the body raises, the temporary file is removed and ``path`` keeps its
-    previous state: absent, or with its old content.  A target that exists
-    but is not a regular file (``/dev/stdout``, a pipe) is written directly.
+    previous state: absent, or with its old content.  An ``OSError`` on the
+    temporary file (a missing directory, say) is raised naming ``path``.  A
+    target that exists but is not a regular file (``/dev/stdout``, a pipe) is
+    written directly.
     """
     path = os.fspath(path)
     if os.path.exists(path) and not os.path.isfile(path):
@@ -34,9 +36,11 @@ def atomic_write(path):
         with open(tmp, "x", encoding="utf-8") as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as err:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
+        if isinstance(err, OSError) and err.filename == tmp:
+            raise type(err)(err.errno, err.strerror, path) from None
         raise
 
 

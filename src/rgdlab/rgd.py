@@ -58,24 +58,29 @@ def rgd_score(ppl_cond: float, ppl_uncond: float) -> float:
 
 
 def rgd_records(model: tinylm.ModelState, examples) -> list[tuple[PplRecord, float]]:
-    """Score examples against one model snapshot.
+    """Score examples against one model snapshot with one ``tinylm.batch_nll`` call.
 
     ``PPL(r)`` does not depend on the instruction, so it is computed once per
     distinct rationale and shared by every example that has it.
     """
     vocab = model.vocab
-    uncond_by_rationale: dict[tuple[int, ...], tinylm.NllResult] = {}
-    out = []
+    examples = list(examples)
+    cond_pairs = []
+    keys = []
+    uncond_row: dict[tuple[int, ...], int] = {}     # rationale ids -> its unconditional row
     for ex in examples:
         if len(ex.rationale) == 0:
             raise InputError(f"example {ex.id} has an empty rationale")
         x_ids = vocab.encode(ex.instruction)
         r_ids = vocab.encode(ex.rationale)
-        cond = tinylm.sequence_nll(model, x_ids, r_ids)
-        key = tuple(r_ids)
-        if key not in uncond_by_rationale:
-            uncond_by_rationale[key] = tinylm.sequence_nll(model, [], r_ids)
-        uncond = uncond_by_rationale[key]
+        cond_pairs.append((x_ids, r_ids))
+        keys.append(tuple(r_ids))
+        uncond_row.setdefault(keys[-1], len(uncond_row))
+    nlls = tinylm.batch_nll(model, cond_pairs + [([], list(key)) for key in uncond_row])
+    uncond_nlls = nlls[len(cond_pairs):]
+    out = []
+    for ex, cond, key in zip(examples, nlls, keys):
+        uncond = uncond_nlls[uncond_row[key]]
         record = PplRecord(
             task_id=ex.task_id,
             example_id=ex.id,

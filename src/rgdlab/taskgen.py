@@ -372,6 +372,8 @@ def make_warmup_corpus(n_examples: int, seed: int,
     if not 0.0 <= uncond_fraction <= 1.0:
         raise ConfigError("uncond_fraction must be in [0, 1]")
     lexicon = label_lexicon()
+    phrase = tuple(_WARMUP_PHRASE.split())
+    rationales = [tuple(f"{SCAFFOLD_BODY.format(feature=f)} .".split()) for f in GLOBAL_FEATURES]
     rng = np.random.default_rng(seed)
     examples = []
     for i in range(n_examples):
@@ -382,19 +384,18 @@ def make_warmup_corpus(n_examples: int, seed: int,
         while second == first:
             second = lexicon[int(rng.integers(0, len(lexicon)))]
         answer = (first, second)[pick]
-        words = [CONTENT_POOL[j] for j in rng.integers(0, len(CONTENT_POOL), size=INPUT_LEN)]
+        words = rng.integers(0, len(CONTENT_POOL), size=INPUT_LEN).tolist()
         if rng.random() < uncond_fraction:
             instruction: tuple[str, ...] = ()
         else:
-            instruction = tuple(
-                (f"{_WARMUP_PHRASE} , hint {feature} , options {first} or {second} "
-                 f": {' '.join(words)}").split())
-        rationale = f"{SCAFFOLD_BODY.format(feature=feature)} ."
+            # every word here is one token, so this is the rendered sentence split on spaces
+            instruction = phrase + (",", "hint", feature, ",", "options", first, "or", second,
+                                    ":") + tuple(CONTENT_POOL[j] for j in words)
         examples.append(Example(
             task_id=WARMUP_TASK_ID,
             id=f"{WARMUP_TASK_ID}-{i:04d}",
             instruction=instruction,
-            rationale=tuple(rationale.split()),
+            rationale=rationales[pick],
             answer=answer,
         ))
     return tuple(examples)

@@ -9,6 +9,14 @@ context) is simply an all-BOS window.
 Everything is float64 and every source of randomness is an explicit seed fed
 to numpy's PCG64 generator (``np.random.default_rng``), so identical inputs
 give bit-identical outputs.
+
+Training allocates per ``train`` call, not per step: each batch is gathered
+into one workspace sized for the largest batch, every matrix product writes
+into it, and parameters, velocities and gradients each live in one flat
+buffer with a view per parameter.  Fresh batch-sized arrays on every step
+were handed back to the kernel and faulted in again (about 280k minor page
+faults per base-model warmup).  Every product keeps its operands and shape,
+so the results are bit-identical to a step with fresh arrays.
 """
 
 from __future__ import annotations
@@ -188,51 +196,139 @@ def _check_ids(model: ModelState, ids, what: str):
             raise InvalidTokenError(f"{what} id {i} out of range for |V|={v}")
 
 
-def _target_windows(model: ModelState, context, target) -> np.ndarray:
-    """One window per target token: the last context_len tokens before it."""
+def _pair_windows(model: ModelState, pairs, empty_target: Exception):
+    """Windows and target ids of a nonempty list of (context, target) pairs, concatenated.
+
+    Row k of a pair's windows holds the last ``context_len`` tokens before its
+    target token k, BOS-padded on the left.  Also returns each pair's target
+    count.  Pairs are checked in order: the first empty target raises
+    ``empty_target``, the first out-of-range id ``InvalidTokenError``.
+    """
     c = model.context_len
-    full = [BOS] * c
-    full += context
-    full += target
-    start = len(context)
-    rows = np.arange(start, start + len(target))
-    return np.asarray(full, dtype=np.int64)[np.add.outer(rows, np.arange(c))]
+    pad = [BOS] * c
+    tokens: list[int] = []
+    first = []                  # where each pair's first window starts in tokens
+    lens = []
+    for context, target in pairs:
+        first.append(len(tokens) + len(context))
+        lens.append(len(target))
+        tokens += pad
+        tokens += context
+        tokens += target
+    if min(lens) == 0 or min(tokens) < 0 or max(tokens) >= len(model.vocab):
+        for context, target in pairs:
+            if len(target) == 0:
+                raise empty_target
+            _check_ids(model, context, "context")
+            _check_ids(model, target, "target")
+    lens = np.asarray(lens, dtype=np.int64)
+    offsets = np.cumsum(lens) - lens
+    starts = np.repeat(np.asarray(first, dtype=np.int64) - offsets, lens)
+    starts += np.arange(len(starts))
+    seq = np.asarray(tokens, dtype=np.int64)
+    windows = np.lib.stride_tricks.sliding_window_view(seq, c)[starts]
+    return windows, seq[starts + c], lens
 
 
-def _forward(model: ModelState, windows: np.ndarray):
-    """Logits for a batch of windows, with the activations kept for backprop."""
-    n = windows.shape[0]
-    x = model.embed.take(windows.ravel(), axis=0).reshape(n, -1)
-    hidden = x @ model.w_hidden
+class _Workspace:
+    """Activation buffers for batches of up to ``rows`` windows, reused by
+    every step of a ``train`` call (see the module docstring for why)."""
+
+    def __init__(self, model: ModelState, rows: int):
+        c, v, h = model.context_len, len(model.vocab), model.hidden_dim
+        self.rows = np.arange(rows)
+        self.windows = np.empty((rows, c), dtype=np.int64)
+        self.targets = np.empty(rows, dtype=np.int64)
+        self.x = np.empty((rows, c * model.embed_dim))     # x, then d_x
+        self.hidden = np.empty((rows, h))
+        self.d_hidden = np.empty((rows, h))
+        self.logits = np.empty((rows, v))
+        self.exp = np.empty((rows, v))
+        self.col = np.empty((rows, 1))
+
+
+def _flat_views(model: ModelState) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """One zeroed buffer for all parameters, with a view shaped like each."""
+    shapes = [(name, p.shape) for name, p in model.params()]
+    flat = np.zeros(sum(math.prod(shape) for _, shape in shapes))
+    views, lo = {}, 0
+    for name, shape in shapes:
+        size = math.prod(shape)
+        views[name] = flat[lo:lo + size].reshape(shape)
+        lo += size
+    return flat, views
+
+
+def _flat_copy(model: ModelState) -> tuple[np.ndarray, ModelState]:
+    """A copy of ``model`` whose parameters are views into one flat buffer."""
+    flat, views = _flat_views(model)
+    for name, p in model.params():
+        views[name][...] = p
+    return flat, replace(model, **views)
+
+
+def _forward(model: ModelState, windows: np.ndarray, ws: _Workspace, blocks=None):
+    """Logits for a batch of windows, with the activations kept for backprop.
+
+    All three results are views into ``ws``, valid until its next use.
+    ``blocks`` lists ``(lo, hi)`` row ranges that are multiplied separately
+    (default: all rows at once), so each block gets the logits it would get
+    alone: OpenBLAS's result for one row can depend on the row count of the
+    product it is part of.
+    """
+    n, c = windows.shape
+    blocks = blocks or [(0, n)]
+    x, hidden, logits = ws.x[:n], ws.hidden[:n], ws.logits[:n]
+    # Ids were range-checked on entry, so "clip" never clips; unlike the
+    # default mode it writes straight into ``out`` without a buffer.
+    model.embed.take(windows.ravel(), axis=0, out=x.reshape(n * c, model.embed_dim), mode="clip")
+    for lo, hi in blocks:
+        np.matmul(x[lo:hi], model.w_hidden, out=hidden[lo:hi])
     hidden += model.b_hidden
     np.tanh(hidden, out=hidden)
-    logits = hidden @ model.w_out
+    for lo, hi in blocks:
+        np.matmul(hidden[lo:hi], model.w_out, out=logits[lo:hi])
     logits += model.b_out
     return x, hidden, logits
 
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
+def _log_softmax(logits: np.ndarray, ws: _Workspace) -> np.ndarray:
     """Row-wise log-softmax, computed in place: ``logits`` is overwritten."""
-    logits -= logits.max(axis=1, keepdims=True)
-    logits -= np.log(np.exp(logits).sum(axis=1, keepdims=True))
+    n = len(logits)
+    col = ws.col[:n]
+    logits -= np.max(logits, axis=1, keepdims=True, out=col)
+    np.sum(np.exp(logits, out=ws.exp[:n]), axis=1, keepdims=True, out=col)
+    logits -= np.log(col, out=col)
     return logits
+
+
+def batch_nll(model: ModelState, pairs) -> list[NllResult]:
+    """Exact per-token NLL of each ``(context, target)`` pair (teacher forcing).
+
+    All pairs share one gather, one log-softmax and one workspace; each
+    result is bit-identical to what the pair scored alone would give.
+    """
+    if not pairs:
+        return []
+    windows, targets, lens = _pair_windows(model, pairs,
+                                           EmptyTargetError("target must be nonempty"))
+    ends = np.cumsum(lens).tolist()
+    blocks = list(zip([0] + ends[:-1], ends))
+    ws = _Workspace(model, len(targets))
+    _, _, logits = _forward(model, windows, ws, blocks)
+    logp = _log_softmax(logits, ws)
+    per_token = -logp[ws.rows, targets]
+    out = []
+    for lo, hi in blocks:
+        seq = per_token[lo:hi]
+        out.append(NllResult(sum_nll=float(seq.sum()), n_tokens=hi - lo,
+                             per_token=tuple(seq.tolist())))
+    return out
 
 
 def sequence_nll(model: ModelState, context, target) -> NllResult:
     """Exact per-token NLL of ``target`` after ``context`` (teacher forcing)."""
-    if len(target) == 0:
-        raise EmptyTargetError("target must be nonempty")
-    _check_ids(model, context, "context")
-    _check_ids(model, target, "target")
-    windows = _target_windows(model, context, target)
-    _, _, logits = _forward(model, windows)
-    logp = _log_softmax(logits)
-    per_token = -logp[np.arange(len(target)), np.asarray(target, dtype=np.int64)]
-    return NllResult(
-        sum_nll=float(per_token.sum()),
-        n_tokens=len(target),
-        per_token=tuple(float(t) for t in per_token),
-    )
+    return batch_nll(model, [(context, target)])[0]
 
 
 def perplexity(nll: NllResult) -> float:
@@ -243,41 +339,41 @@ def perplexity(nll: NllResult) -> float:
         return float(np.exp(nll.sum_nll / nll.n_tokens))
 
 
-def _batch_grads(model: ModelState, windows, targets):
-    """Mean-per-token CE loss and its gradients for one batch of windows."""
+def _batch_grads(model: ModelState, ws: _Workspace, windows, targets, grads) -> float:
+    """Mean-per-token CE loss of one batch of windows; gradients go into ``grads``.
+
+    ``grads`` maps each parameter name to an array of its shape, which is
+    overwritten.  Every intermediate lives in ``ws``.
+    """
     n = windows.shape[0]
-    x, hidden, logits = _forward(model, windows)
-    logp = _log_softmax(logits)
-    loss = float(-logp[np.arange(n), targets].mean())
+    x, hidden, logits = _forward(model, windows, ws)
+    logp = _log_softmax(logits, ws)
+    rows = ws.rows[:n]
+    loss = float(-logp[rows, targets].mean())
 
     d_logits = np.exp(logp, out=logp)
-    d_logits[np.arange(n), targets] -= 1.0
+    d_logits[rows, targets] -= 1.0
     d_logits /= n
 
-    g_w_out = hidden.T @ d_logits
-    g_b_out = d_logits.sum(axis=0)
-    d_hidden = d_logits @ model.w_out.T
+    np.matmul(hidden.T, d_logits, out=grads["w_out"])
+    np.sum(d_logits, axis=0, out=grads["b_out"])
+    d_hidden = np.matmul(d_logits, model.w_out.T, out=ws.d_hidden[:n])
     d_tanh = np.multiply(hidden, hidden, out=hidden)      # hidden is not used below
     np.subtract(1.0, d_tanh, out=d_tanh)
     d_hidden *= d_tanh
-    g_w_hidden = x.T @ d_hidden
-    g_b_hidden = d_hidden.sum(axis=0)
-    d_x = d_hidden @ model.w_hidden.T
-    # Scatter-add of d_x into the rows of the embedding table.  Each element
-    # (v, e) sums its terms in window order, as np.add.at would, so the
-    # result is bit-identical to it.
+    np.matmul(x.T, d_hidden, out=grads["w_hidden"])
+    np.sum(d_hidden, axis=0, out=grads["b_hidden"])
+    d_x = np.matmul(d_hidden, model.w_hidden.T, out=x)    # x is not used below
+    # Scatter-add of d_x into the rows of the embedding table, one column at
+    # a time.  Each element (v, e) sums its terms in window order, as
+    # np.add.at would, so the result is bit-identical to it.
     v, e = model.embed.shape
-    flat = (windows * e)[..., None] + np.arange(e)
-    g_embed = np.bincount(flat.ravel(), weights=d_x.ravel(), minlength=v * e).reshape(v, e)
-
-    grads = {
-        "embed": g_embed,
-        "w_hidden": g_w_hidden,
-        "b_hidden": g_b_hidden,
-        "w_out": g_w_out,
-        "b_out": g_b_out,
-    }
-    return loss, grads
+    ids = windows.ravel()
+    d_x = d_x.reshape(-1, e)
+    g_embed = grads["embed"]
+    for j in range(e):
+        g_embed[:, j] = np.bincount(ids, weights=d_x[:, j], minlength=v)
+    return loss
 
 
 def train(model: ModelState, corpus, cfg: TrainConfig):
@@ -285,25 +381,24 @@ def train(model: ModelState, corpus, cfg: TrainConfig):
 
     Batches are whole pairs; the loss of a batch is the mean NLL over all
     target tokens it contains.  Returns a new state plus the per-epoch mean
-    loss trace; the input model is left untouched.
+    loss trace; the input model is left untouched.  Parameters, velocities
+    and gradients each live in one flat buffer, so the momentum update is
+    four ufunc calls over all parameters at once.
     """
     if not corpus:
         raise ConfigError("corpus must be nonempty")
-    for context, target in corpus:
-        if len(target) == 0:
-            raise ConfigError("corpus contains a pair with an empty target")
-        _check_ids(model, context, "context")
-        _check_ids(model, target, "target")
-
-    out = model.copy()
+    windows, targets, lens = _pair_windows(
+        model, corpus, ConfigError("corpus contains a pair with an empty target"))
+    params, out = _flat_copy(model)
     if cfg.epochs == 0:
         return out, []
 
-    windows = [_target_windows(model, ctx, tgt) for ctx, tgt in corpus]
-    targets = [np.asarray(tgt, dtype=np.int64) for _, tgt in corpus]
-
+    grad, grads = _flat_views(model)
+    velocity = np.zeros_like(params)
+    step = np.empty_like(params)
+    ws = _Workspace(model, int(np.sort(lens)[-cfg.batch_size:].sum()))
+    starts = np.cumsum(lens) - lens
     rng = np.random.default_rng(cfg.seed)
-    velocity = {name: np.zeros_like(p) for name, p in out.params()}
     trace = []
     n_pairs = len(corpus)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -313,18 +408,22 @@ def train(model: ModelState, corpus, cfg: TrainConfig):
             epoch_tokens = 0
             for lo in range(0, n_pairs, cfg.batch_size):
                 batch = order[lo:lo + cfg.batch_size]
-                w = np.concatenate([windows[i] for i in batch])
-                y = np.concatenate([targets[i] for i in batch])
-                loss, grads = _batch_grads(out, w, y)
+                counts = lens[batch]
+                n = int(counts.sum())
+                # Row indices of the batch's windows: each pair's rows, in batch order.
+                rows = np.repeat(starts[batch] - (np.cumsum(counts) - counts), counts)
+                rows += ws.rows[:n]
+                w = windows.take(rows, axis=0, out=ws.windows[:n], mode="clip")
+                y = targets.take(rows, out=ws.targets[:n], mode="clip")
+                loss = _batch_grads(out, ws, w, y, grads)
                 if not math.isfinite(loss) or loss > DIVERGENCE_NLL:
                     raise DivergenceError(f"diverged loss {loss} in epoch {epoch}")
-                epoch_nll += loss * len(y)
-                epoch_tokens += len(y)
-                for name, p in out.params():
-                    v = velocity[name]
-                    v *= cfg.momentum
-                    v += grads[name]
-                    p -= cfg.learning_rate * v
+                epoch_nll += loss * n
+                epoch_tokens += n
+                velocity *= cfg.momentum
+                velocity += grad
+                np.multiply(cfg.learning_rate, velocity, out=step)
+                params -= step
             mean = epoch_nll / epoch_tokens
             if not math.isfinite(mean) or mean > DIVERGENCE_NLL:
                 raise DivergenceError(f"diverged loss {mean} in epoch {epoch}")
@@ -349,22 +448,21 @@ def generate_batch(model: ModelState, prompts, max_len: int) -> list[list[int]]:
         tail = np.asarray(list(p), dtype=np.int64)[-c:]
         if len(tail):
             windows[i, c - len(tail):] = tail
-    outputs: list[list[int]] = [[] for _ in range(n)]
-    active = np.ones(n, dtype=bool)
-    for _ in range(max_len):
-        idx = np.flatnonzero(active)
-        if len(idx) == 0:
+    out = np.empty((n, max_len), dtype=np.int64)
+    lengths = np.zeros(n, dtype=np.int64)
+    active = np.arange(n)               # the prompt of each row of windows
+    ws = _Workspace(model, n)
+    for step in range(max_len):
+        if len(active) == 0:
             break
-        _, _, logits = _forward(model, windows[idx])
+        _, _, logits = _forward(model, windows, ws)
         nxt = logits.argmax(axis=1)
-        for row, tok in zip(idx, nxt):
-            if tok == EOS:
-                active[row] = False
-                continue
-            outputs[row].append(int(tok))
-            windows[row, :-1] = windows[row, 1:]
-            windows[row, -1] = tok
-    return outputs
+        going = nxt != EOS
+        active, nxt = active[going], nxt[going]
+        out[active, step] = nxt
+        lengths[active] = step + 1
+        windows = np.concatenate((windows[going, 1:], nxt[:, None]), axis=1)
+    return [out[i, :k].tolist() for i, k in enumerate(lengths.tolist())]
 
 
 def grad_check(model: ModelState, pair, epsilon: float, n_coords: int = 64) -> float:
@@ -375,42 +473,31 @@ def grad_check(model: ModelState, pair, epsilon: float, n_coords: int = 64) -> f
     """
     if not 1e-8 <= epsilon <= 1e-2:
         raise ConfigError("epsilon must be in [1e-8, 1e-2]")
-    context, target = pair
-    windows = _target_windows(model, context, target)
-    targets = np.asarray(target, dtype=np.int64)
+    windows, targets, _ = _pair_windows(model, [pair],
+                                        EmptyTargetError("target must be nonempty"))
+    params, work = _flat_copy(model)
+    grad, grads = _flat_views(model)
+    ws = _Workspace(model, len(targets))
+    _batch_grads(work, ws, windows, targets, grads)
 
-    work = model.copy()
-    _, grads = _batch_grads(work, windows, targets)
-
-    sizes = [(name, p.size) for name, p in work.params()]
-    total = sum(s for _, s in sizes)
     rng = np.random.default_rng(model.rng_seed)
-    coords = rng.choice(total, size=min(total, max(50, n_coords)), replace=False)
+    coords = rng.choice(params.size, size=min(params.size, max(50, n_coords)), replace=False)
 
     def loss_at() -> float:
-        _, _, logits = _forward(work, windows)
-        logp = _log_softmax(logits)
-        return float(-logp[np.arange(len(targets)), targets].mean())
-
-    flat_params = {name: p.reshape(-1) for name, p in work.params()}
-    flat_grads = {name: g.reshape(-1) for name, g in grads.items()}
+        _, _, logits = _forward(work, windows, ws)
+        logp = _log_softmax(logits, ws)
+        return float(-logp[ws.rows, targets].mean())
 
     worst = 0.0
     for coord in sorted(int(c) for c in coords):
-        offset = coord
-        for name, size in sizes:
-            if offset < size:
-                break
-            offset -= size
-        buf = flat_params[name]
-        orig = buf[offset]
-        buf[offset] = orig + epsilon
+        orig = params[coord]
+        params[coord] = orig + epsilon
         up = loss_at()
-        buf[offset] = orig - epsilon
+        params[coord] = orig - epsilon
         down = loss_at()
-        buf[offset] = orig
+        params[coord] = orig
         numeric = (up - down) / (2.0 * epsilon)
-        analytic = flat_grads[name][offset]
+        analytic = grad[coord]
         err = abs(analytic - numeric) / max(abs(analytic) + abs(numeric), 1e-12)
         worst = max(worst, err)
     return worst

@@ -365,6 +365,16 @@ class TestCli:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and str(target) in err[0], err
 
+    def test_missing_output_directory_names_target(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.json"
+        argv = ["allocate", "--strategy", "equal", "--alpha", "3", "--tasks", "a,b",
+                "--out-file", str(target)]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and str(target) in err[0], err
+        assert ".tmp" not in err[0]
+        assert not target.parent.exists()
+
     def test_run_seq_layout(self, run_dir, capsys):
         out = run_dir / "out"
         for rel in ("config.json", "report.csv", "report_raw.json", "singles.json",

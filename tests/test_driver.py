@@ -169,19 +169,21 @@ class TestScoreTaskRgd:
     def test_one_unconditional_nll_per_rationale(self, suite, base, monkeypatch):
         examples = [ex for spec in suite.specs for ex in suite.probe[spec.task_id]]
         calls = []
-        original = tinylm.sequence_nll
+        original = tinylm.batch_nll
 
-        def counting(model, context, target):
-            calls.append(tuple(context))
-            return original(model, context, target)
+        def counting(model, pairs):
+            calls.append([tuple(context) for context, _ in pairs])
+            return original(model, pairs)
 
-        monkeypatch.setattr(tinylm, "sequence_nll", counting)
+        monkeypatch.setattr(tinylm, "batch_nll", counting)
         for spec in suite.specs:
             driver.score_task_rgd(base, suite.probe[spec.task_id])
+        rows = [context for call in calls for context in call]
         distinct = {(ex.task_id, ex.rationale) for ex in examples}
         assert len(distinct) < len(examples)
-        assert len(calls) == len(examples) + len(distinct)
-        assert calls.count(()) == len(distinct)
+        assert len(calls) == len(suite.specs)               # one forward pass per task slice
+        assert len(rows) == len(examples) + len(distinct)
+        assert rows.count(()) == len(distinct)
 
 
 class TestReplayMitigates:

@@ -1,5 +1,6 @@
 """Unit and oracle tests for the window language model."""
 
+import itertools
 import math
 
 import numpy as np
@@ -182,16 +183,92 @@ def reference_batch_grads(model, windows, targets):
                   "b_out": d_logits.sum(axis=0)}
 
 
+def reference_windows(model, context, target):
+    """One window per target token, from a sliding view over the padded sequence."""
+    full = np.concatenate([np.full(model.context_len, BOS, dtype=np.int64),
+                           np.asarray(list(context) + list(target), dtype=np.int64)])
+    start = len(context)
+    return np.lib.stride_tricks.sliding_window_view(
+        full, model.context_len)[start:start + len(target)]
+
+
+def reference_train(model, corpus, cfg):
+    """The training loop as first written: fresh arrays on every step, one
+    momentum update per parameter, and each batch concatenated from lists."""
+    out = model.copy()
+    windows = [reference_windows(model, ctx, tgt) for ctx, tgt in corpus]
+    targets = [np.asarray(tgt, dtype=np.int64) for _, tgt in corpus]
+    rng = np.random.default_rng(cfg.seed)
+    velocity = {name: np.zeros_like(p) for name, p in out.params()}
+    trace = []
+    for _ in range(cfg.epochs):
+        order = rng.permutation(len(corpus)) if cfg.shuffle else np.arange(len(corpus))
+        epoch_nll, epoch_tokens = 0.0, 0
+        for lo in range(0, len(corpus), cfg.batch_size):
+            batch = order[lo:lo + cfg.batch_size]
+            w = np.concatenate([windows[i] for i in batch])
+            y = np.concatenate([targets[i] for i in batch])
+            loss, grads = reference_batch_grads(out, w, y)
+            epoch_nll += loss * len(y)
+            epoch_tokens += len(y)
+            for name, p in out.params():
+                v = velocity[name]
+                v *= cfg.momentum
+                v += grads[name]
+                p -= cfg.learning_rate * v
+        trace.append(epoch_nll / epoch_tokens)
+    return out, trace
+
+
+def reference_generate(model, prompts, max_len):
+    """Greedy decoding as first written: each active window shifted in a Python loop."""
+    c = model.context_len
+    windows = np.full((len(prompts), c), BOS, dtype=np.int64)
+    for i, p in enumerate(prompts):
+        tail = np.asarray(list(p), dtype=np.int64)[-c:]
+        if len(tail):
+            windows[i, c - len(tail):] = tail
+    outputs = [[] for _ in prompts]
+    active = np.ones(len(prompts), dtype=bool)
+    for _ in range(max_len):
+        idx = np.flatnonzero(active)
+        if len(idx) == 0:
+            break
+        x = model.embed[windows[idx]].reshape(len(idx), -1)
+        logits = np.tanh(x @ model.w_hidden + model.b_hidden) @ model.w_out + model.b_out
+        for row, tok in zip(idx, logits.argmax(axis=1)):
+            if tok == EOS:
+                active[row] = False
+                continue
+            outputs[row].append(int(tok))
+            windows[row, :-1] = windows[row, 1:]
+            windows[row, -1] = tok
+    return outputs
+
+
+def mixed_corpus(n_pairs, vocab_size, seed):
+    """Pairs with empty, short and longer-than-window contexts and uneven targets."""
+    rng = np.random.default_rng(seed)
+    corpus = []
+    for i in range(n_pairs):
+        context = rng.integers(4, vocab_size, size=(0, 2, 9)[i % 3]).tolist()
+        target = rng.integers(4, vocab_size, size=1 + i % 4).tolist() + [EOS]
+        corpus.append((context, target))
+    return corpus
+
+
 class TestExactKernels:
     """The rewritten hot-path kernels give the same bits as the plain numpy forms."""
 
     def test_batch_grads_match_add_at(self):
         m = init_model(make_vocab(12), 5, 6, 9, seed=4)
         pairs = [([4, 4, 5], [4, 6, 4, EOS]), ([], [7, 7, 7]), ([8, 9, 8, 9, 8, 9, 8], [9, 4])]
-        windows = np.concatenate([tinylm._target_windows(m, c, t) for c, t in pairs])
+        windows = np.concatenate([reference_windows(m, c, t) for c, t in pairs])
         targets = np.concatenate([np.asarray(t, dtype=np.int64) for _, t in pairs])
         assert len(np.unique(windows)) < windows.size      # ids repeat across and within rows
-        loss, grads = tinylm._batch_grads(m, windows, targets)
+        ws = tinylm._Workspace(m, len(targets) + 5)         # larger than the batch, as in train
+        _, grads = tinylm._flat_views(m)
+        loss = tinylm._batch_grads(m, ws, windows, targets, grads)
         ref_loss, ref_grads = reference_batch_grads(m, windows, targets)
         assert loss == ref_loss
         for name, g in ref_grads.items():
@@ -201,15 +278,61 @@ class TestExactKernels:
     @pytest.mark.parametrize("context", [[], [4, 5], [4, 5, 6, 7, 8, 9, 10, 11]])
     def test_target_windows_match_sliding_view(self, context):
         m = init_model(make_vocab(10), 4, 3, 5, seed=0)
-        target = [6, 7, 8]
-        full = np.concatenate([np.full(m.context_len, BOS, dtype=np.int64),
-                               np.asarray(context + target, dtype=np.int64)])
-        start = len(context)
-        expected = np.lib.stride_tricks.sliding_window_view(
-            full, m.context_len)[start:start + len(target)]
-        windows = tinylm._target_windows(m, context, target)
+        pairs = [(context, [6, 7, 8]), ([9], [5]), (context, [EOS])]
+        windows, targets, lens = tinylm._pair_windows(m, pairs, ValueError())
         assert windows.dtype == np.int64
-        assert np.array_equal(windows, expected)
+        assert lens.tolist() == [3, 1, 1]
+        assert np.array_equal(windows, np.concatenate([reference_windows(m, c, t) for c, t in pairs]))
+        assert targets.tolist() == [6, 7, 8, 5, EOS]
+
+    @pytest.mark.parametrize("shuffle, batch_size", [(True, 3), (False, 3), (True, 50)])
+    def test_train_matches_reference_loop(self, shuffle, batch_size):
+        m = init_model(make_vocab(12), 5, 6, 9, seed=4)
+        before = [p.copy() for _, p in m.params()]
+        corpus = mixed_corpus(11, len(m.vocab), seed=8)     # 11 pairs: the last batch of 3 is short
+        cfg = TrainConfig(learning_rate=0.3, epochs=4, batch_size=batch_size, momentum=0.9,
+                          seed=6, shuffle=shuffle)
+        trained, trace = train(m, corpus, cfg)
+        ref, ref_trace = reference_train(m, corpus, cfg)
+        assert trace == ref_trace
+        for (name, p), (_, q) in zip(trained.params(), ref.params()):
+            assert p.shape == q.shape
+            assert np.array_equal(p, q), name
+        for (_, p), b in zip(m.params(), before):
+            assert np.array_equal(p, b)
+
+    def test_train_results_share_no_memory(self):
+        m = init_model(make_vocab(8), 3, 4, 8, seed=5)
+        cfg = TrainConfig(learning_rate=0.2, epochs=2, batch_size=2, momentum=0.9, seed=9)
+        corpus = mixed_corpus(5, len(m.vocab), seed=1)
+        t1, _ = train(m, corpus, cfg)
+        t2, _ = train(m, corpus, cfg)
+        for x, y in [(m, t1), (m, t2), (t1, t2)]:
+            for (_, a), (_, b) in itertools.product(x.params(), y.params()):
+                assert not np.shares_memory(a, b)
+
+    def test_generate_matches_reference_loop(self):
+        m = init_model(make_vocab(10), 4, 8, 16, seed=1)
+        corpus = [([4, 5], [6, EOS]), ([7], [8, 9, 10, EOS]), ([10, 11], [EOS]),
+                  ([12, 13], [4, 5, 6, 7, 8, 9, 10, 11, 12])]
+        cfg = TrainConfig(learning_rate=0.1, epochs=80, batch_size=1, momentum=0.9, seed=2)
+        trained, _ = train(m, corpus, cfg)
+        prompts = [ctx for ctx, _ in corpus] + [[], [4, 5, 6, 7, 8, 9, 10, 11, 12, 13], [9]]
+        got = generate_batch(trained, prompts, max_len=6)
+        assert got == reference_generate(trained, prompts, max_len=6)
+        assert len({len(o) for o in got}) >= 3            # rows stop at different steps
+        assert got[2] == [] and len(got[3]) == 6
+
+    def test_batch_nll_matches_each_pair_alone(self):
+        # lab-sized dims, so the one batched GEMM takes BLAS's blocked and threaded paths
+        m = init_model(make_vocab(111), 28, 12, 128, seed=3)
+        rng = np.random.default_rng(2)
+        pairs = [(rng.integers(4, 115, size=int(rng.integers(0, 40))).tolist(),
+                  rng.integers(4, 115, size=int(rng.integers(1, 20))).tolist())
+                 for _ in range(40)]
+        batched = tinylm.batch_nll(m, pairs)
+        assert batched == [sequence_nll(m, c, t) for c, t in pairs]
+        assert tinylm.batch_nll(m, []) == []
 
     def test_encode_names_unknown_token(self):
         v = make_vocab(3)
