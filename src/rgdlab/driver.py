@@ -6,6 +6,13 @@ strategy, then evaluates every task seen so far on its held-out set.
 Difficulty summaries are recorded after every stage with that stage's
 checkpoint, so the allocation at stage i only ever sees statistics computed
 with the stage i-1 model.
+
+A stage's result depends on the run settings, the base model, the run seed,
+the order and the replay counts of every stage so far, never on the
+strategy that chose those counts.  Runs handed one ``stages`` dict train
+each distinct stage once and share its checkpoint, loss trace, accuracy row
+and RGD summaries; ``run_experiment`` shares stages within each (seed,
+order).  Stage checkpoints are read-only: copy one before changing it.
 """
 
 from __future__ import annotations
@@ -114,8 +121,8 @@ class RunResult:
     matrix: clmetrics.PerfMatrix
     summaries: list[dict[str, rgd.RgdSummary]]     # per stage, tasks seen so far
     plans: list[replay.AllocationPlan | None]      # per stage; None for stage 1
-    checkpoints: list[tinylm.ModelState]
-    loss_traces: list[list[float]]
+    checkpoints: list[tinylm.ModelState]           # may be shared with other runs
+    loss_traces: list[tuple[float, ...]]
 
 
 def build_model_vocab(suite: taskgen.Suite) -> tinylm.Vocab:
@@ -210,58 +217,80 @@ def _stage_plan(cfg: RunConfig, suite: taskgen.Suite, order, stage: int,
     return replay.fit_to_pools(plan, {t: len(suite.train[t]) for t in prev})
 
 
+def _run_stage(suite: taskgen.Suite, cfg: RunConfig, order, stage: int,
+               model: tinylm.ModelState, counts: tuple[int, ...]):
+    """Train ``model`` on the stage's task plus ``counts`` replay samples per
+    previous task, then evaluate and score every task seen so far."""
+    vocab = model.vocab
+    corpus = [training_pair(vocab, ex) for ex in suite.train[order[stage]]]
+    for j, (prev_task, count) in enumerate(zip(order[:stage], counts)):
+        picks = replay.sample_replay(suite.train[prev_task], count,
+                                     seed=derive_seed(cfg.run_seed, _SALT_REPLAY, stage, j))
+        corpus.extend(training_pair(vocab, ex) for ex in picks)
+    train_cfg = cfg.train.to_config(seed=derive_seed(cfg.run_seed, _SALT_STAGE, stage))
+    model, trace = tinylm.train(model, corpus, train_cfg)
+    for _, param in model.params():         # the checkpoint may be shared between runs
+        param.setflags(write=False)
+    row = tuple(evaluate_accuracy(model, suite.eval[order[j]], cfg.max_gen_len)
+                for j in range(stage + 1))
+    summary = {order[j]: score_task_rgd(model, suite.probe[order[j]], cfg.rgd_eval_size)
+               for j in range(stage + 1)}
+    return model, tuple(trace), row, summary
+
+
 def run_sequence(suite: taskgen.Suite, cfg: RunConfig,
                  a0: dict[str, float] | None = None,
                  base_model: tinylm.ModelState | None = None,
                  keep_checkpoints: bool = True,
-                 order: tuple[str, ...] | None = None) -> RunResult:
-    """One full sequential run; ``order`` overrides the suite's canonical one."""
+                 order: tuple[str, ...] | None = None,
+                 stages: dict | None = None) -> RunResult:
+    """One full sequential run; ``order`` overrides the suite's canonical one.
+
+    ``stages`` shares stages between runs over one suite and one
+    ``base_model``: a stage is keyed by the run settings, the base model,
+    the run seed, the order and the replay counts of every stage up to it
+    (``none`` replays zero of each), and is trained only if no run given
+    the same dict trained it before.  The returned checkpoints may then be
+    shared with other runs, so their parameter arrays are read-only.
+    """
     if order is None:
         order = suite.orders[cfg.order_index]
     else:
         order = tuple(order)
         for task in order:
             suite.spec(task)
-    model = base_model.copy() if base_model is not None else build_base_model(suite, cfg)
-    vocab = model.vocab
+    if stages is not None and base_model is None:
+        raise ConfigError("shared stages need the base model they start from")
+    model = base_model if base_model is not None else build_base_model(suite, cfg)
     if a0 is None:
         a0 = run_single_baselines(suite, cfg, base_model=model)
+    if stages is None:
+        stages = {}
+    key = (tuple(getattr(cfg, f.name) for f in fields(RunSettings)),
+           id(model), cfg.run_seed, order)
 
     rows: list[tuple[float, ...]] = []
     summaries: list[dict[str, rgd.RgdSummary]] = []
     plans: list[replay.AllocationPlan | None] = []
     checkpoints: list[tinylm.ModelState] = []
-    traces: list[list[float]] = []
+    traces: list[tuple[float, ...]] = []
     prev_summaries: dict[str, rgd.RgdSummary] = {}
 
-    for stage, task in enumerate(order):
-        corpus = [training_pair(vocab, ex) for ex in suite.train[task]]
+    for stage in range(len(order)):
         plan = None
         if stage > 0 and cfg.strategy != "none":
             plan = _stage_plan(cfg, suite, order, stage, prev_summaries)
-            for j, prev_task in enumerate(order[:stage]):
-                picks = replay.sample_replay(
-                    suite.train[prev_task], plan.counts[prev_task],
-                    seed=derive_seed(cfg.run_seed, _SALT_REPLAY, stage, j))
-                corpus.extend(training_pair(vocab, ex) for ex in picks)
         plans.append(plan)
-
-        train_cfg = cfg.train.to_config(seed=derive_seed(cfg.run_seed, _SALT_STAGE, stage))
-        model, trace = tinylm.train(model, corpus, train_cfg)
+        counts = tuple(plan.counts[t] if plan else 0 for t in order[:stage])
+        key += (counts,)
+        if key not in stages:
+            stages[key] = _run_stage(suite, cfg, order, stage, model, counts)
+        model, trace, row, prev_summaries = stages[key]
         traces.append(trace)
         if keep_checkpoints:
             checkpoints.append(model)
-
-        rows.append(tuple(
-            evaluate_accuracy(model, suite.eval[order[j]], cfg.max_gen_len)
-            for j in range(stage + 1)
-        ))
-        stage_summary = {
-            order[j]: score_task_rgd(model, suite.probe[order[j]], cfg.rgd_eval_size)
-            for j in range(stage + 1)
-        }
-        summaries.append(stage_summary)
-        prev_summaries = stage_summary
+        rows.append(row)
+        summaries.append(dict(prev_summaries))
 
     matrix = clmetrics.PerfMatrix(
         order=order, rows=tuple(rows), a0=tuple(a0[t] for t in order))
@@ -428,8 +457,14 @@ def run_experiment(suite: taskgen.Suite, plan: ExperimentPlan) -> ExperimentResu
 
     All runs share one base checkpoint; single-task baselines are computed
     once per run seed and reused across strategies and orders.  Runs execute
-    one after another in grid order, so BLAS gets every core; ``plan.threads``
-    is accepted for compatibility and does not change scheduling.
+    one after another, so BLAS gets every core; ``plan.threads`` is accepted
+    for compatibility and does not change scheduling.  The runs of one
+    (seed, order) execute together and share every stage whose replay
+    counts agree so far (see ``run_sequence``); the shared stages are
+    dropped after each group.  Checkpoints may be shared between runs and
+    are read-only; copy one before changing it.
+    ``runs`` lists the records in grid order: strategy, then seed, then
+    order.
     """
     base = build_base_model(suite, plan.run_config(plan.strategies[0], plan.run_seeds[0], 0))
     singles = {seed: run_single_baselines(suite, plan.run_config(plan.strategies[0], seed, 0),
@@ -439,19 +474,22 @@ def run_experiment(suite: taskgen.Suite, plan: ExperimentPlan) -> ExperimentResu
                                   base_model=base)
               for seed in plan.run_seeds}
 
-    grid = [(strategy, seed, order)
+    records = {}
+    for seed in plan.run_seeds:
+        for order in plan.order_indices:
+            stages: dict = {}
+            for strategy in plan.strategies:
+                cfg = plan.run_config(strategy, seed, order)
+                keep = plan.keep_checkpoints or (plan.run_probes and strategy == "none")
+                result = run_sequence(suite, cfg, a0=singles[seed], base_model=base,
+                                      keep_checkpoints=keep, stages=stages)
+                records[strategy, seed, order] = RunRecord(
+                    strategy=strategy, run_seed=seed, order_index=order,
+                    result=result, report=clmetrics.compute_report(result.matrix))
+    runs = [records[strategy, seed, order]
             for strategy in plan.strategies
             for seed in plan.run_seeds
             for order in plan.order_indices]
-
-    runs = []
-    for strategy, seed, order in grid:
-        cfg = plan.run_config(strategy, seed, order)
-        keep = plan.keep_checkpoints or (plan.run_probes and strategy == "none")
-        result = run_sequence(suite, cfg, a0=singles[seed], base_model=base,
-                              keep_checkpoints=keep)
-        runs.append(RunRecord(strategy=strategy, run_seed=seed, order_index=order,
-                              result=result, report=clmetrics.compute_report(result.matrix)))
 
     probes: list[ProbeRecord] = []
     if plan.run_probes:

@@ -69,12 +69,13 @@ def harness8():
     for seed in RUN_SEEDS_8:
         singles = driver.run_single_baselines(
             suite, _config("none", seed, 0, train=TRAIN8), base_model=base)
-        for strategy in ("equal", "rgd-mean"):
-            for order in (0, 1):
+        for order in (0, 1):
+            stages = {}             # the two strategies share stages while their plans agree
+            for strategy in ("equal", "rgd-mean"):
                 cfg = _config(strategy, seed, order, train=TRAIN8,
                               replay_budget=REPLAY_BUDGET_8)
                 result = driver.run_sequence(suite, cfg, a0=singles, base_model=base,
-                                             keep_checkpoints=False)
+                                             keep_checkpoints=False, stages=stages)
                 runs[(strategy, seed, order)] = driver.RunRecord(
                     strategy=strategy, run_seed=seed, order_index=order,
                     result=result, report=clmetrics.compute_report(result.matrix))

@@ -230,6 +230,112 @@ class TestExperiment:
             assert probe.tap.best_accuracy >= probe.tap.instruction_only
 
 
+def _stage_keys(record):
+    """(seed, order, replay counts of every stage so far) for each stage of a run."""
+    order, counts = record.result.order, ()
+    keys = []
+    for stage, plan in enumerate(record.result.plans):
+        counts += (tuple(plan.counts[t] if plan else 0 for t in order[:stage]),)
+        keys.append((record.run_seed, record.order_index, counts))
+    return keys
+
+
+def _assert_same_run(shared, lone):
+    assert shared.order == lone.order
+    assert shared.matrix == lone.matrix
+    assert shared.summaries == lone.summaries
+    assert [p and p.counts for p in shared.plans] == [p and p.counts for p in lone.plans]
+    assert shared.loss_traces == lone.loss_traces
+    assert len(shared.checkpoints) == len(lone.checkpoints) == len(shared.order)
+    for mine, theirs in zip(shared.checkpoints, lone.checkpoints):
+        assert [p.tobytes() for _, p in mine.params()] == [p.tobytes() for _, p in theirs.params()]
+
+
+def _counting_train(monkeypatch):
+    calls = []
+    original = tinylm.train
+
+    def counting(model, corpus, cfg):
+        calls.append(cfg.seed)
+        return original(model, corpus, cfg)
+
+    monkeypatch.setattr(tinylm, "train", counting)
+    return calls
+
+
+class TestSharedStages:
+    STRATEGIES = ("none", "equal", "inscl", "rgd-mean")
+
+    @pytest.fixture(scope="class")
+    def shared(self, suite):
+        """A grid whose replay strategies allocate alike, plus its train call count."""
+        plan = driver.ExperimentPlan(strategies=self.STRATEGIES, run_seeds=(7, 8),
+                                     order_indices=(0, 1), train=TINY_TRAIN,
+                                     warmup=TINY_WARM, warmup_examples=300,
+                                     replay_budget=6)
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _counting_train(mp)
+            result = driver.run_experiment(suite, plan)
+        return plan, result, len(calls)
+
+    def test_runs_equal_lone_runs(self, suite, base, shared):
+        plan, result, _ = shared
+        for record in result.runs:
+            cfg = plan.run_config(record.strategy, record.run_seed, record.order_index)
+            lone = driver.run_sequence(suite, cfg, a0=result.singles[record.run_seed],
+                                       base_model=base)
+            _assert_same_run(record.result, lone)
+            assert all(isinstance(trace, tuple) for trace in record.result.loss_traces)
+
+    def test_one_training_per_distinct_stage(self, suite, shared):
+        plan, result, train_calls = shared
+        keys = {key for record in result.runs for key in _stage_keys(record)}
+        replayed = {key for r in result.runs if r.strategy != "none" for key in _stage_keys(r)}
+        equal = {key for r in result.runs if r.strategy == "equal" for key in _stage_keys(r)}
+        assert replayed == equal                # the replay strategies' plans coincide
+        assert len(keys) < sum(len(r.result.order) for r in result.runs)
+        seeds = len(plan.run_seeds)
+        # base warmup + singles per seed and task + multitask per seed + distinct stages
+        assert train_calls == 1 + seeds * len(suite.specs) + seeds + len(keys)
+
+    def test_stage_one_is_shared_by_all_strategies(self, shared):
+        _, result, _ = shared
+        firsts = {(r.run_seed, r.order_index): r.result.checkpoints[0] for r in result.runs}
+        for record in result.runs:
+            assert record.result.checkpoints[0] is firsts[record.run_seed, record.order_index]
+        with pytest.raises(ValueError):
+            result.runs[0].result.checkpoints[0].embed[0, 0] = 0.0
+        copy = result.runs[0].result.checkpoints[0].copy()
+        copy.embed[0, 0] = 0.0
+
+    def test_runs_stay_in_grid_order(self, shared):
+        plan, result, _ = shared
+        assert [(r.strategy, r.run_seed, r.order_index) for r in result.runs] == [
+            (strategy, seed, order) for strategy in plan.strategies
+            for seed in plan.run_seeds for order in plan.order_indices]
+
+    def test_diverging_plans_share_only_their_prefix(self, suite, base, monkeypatch):
+        a0 = {s.task_id: 50.0 for s in suite.specs}
+        cfgs = [tiny_cfg(strategy, order=1, replay_budget=30) for strategy in ("equal", "rgd-mean")]
+        lone = [driver.run_sequence(suite, cfg, a0=a0, base_model=base) for cfg in cfgs]
+        assert lone[0].plans[1].counts == lone[1].plans[1].counts
+        assert lone[0].plans[2].counts != lone[1].plans[2].counts
+        calls = _counting_train(monkeypatch)
+        stages = {}
+        shared = [driver.run_sequence(suite, cfg, a0=a0, base_model=base, stages=stages)
+                  for cfg in cfgs]
+        assert len(calls) == 3 + 1              # all of equal's stages, rgd-mean's last
+        assert shared[0].checkpoints[1] is shared[1].checkpoints[1]
+        assert shared[0].checkpoints[2] is not shared[1].checkpoints[2]
+        for mine, theirs in zip(shared, lone):
+            _assert_same_run(mine, theirs)
+
+    def test_shared_stages_need_base_model(self, suite):
+        with pytest.raises(ConfigError):
+            driver.run_sequence(suite, tiny_cfg(), a0={s.task_id: 50.0 for s in suite.specs},
+                                stages={})
+
+
 class TestDeriveSeed:
     def test_stable_and_distinct(self):
         assert driver.derive_seed(1, 2, 3) == driver.derive_seed(1, 2, 3)
