@@ -9,6 +9,7 @@ raises ``ParseError`` naming the file, and for JSON-lines also the line.
 from __future__ import annotations
 
 import contextlib
+import io
 import json
 import os
 import uuid
@@ -49,10 +50,16 @@ def write_text(path, text: str) -> None:
         fh.write(text)
 
 
+def json_text(doc, sort_keys: bool = False) -> str:
+    """The text ``write_json`` writes, for writing one document to several files."""
+    text = io.StringIO()
+    json.dump(doc, text, indent=1, sort_keys=sort_keys)
+    text.write("\n")
+    return text.getvalue()
+
+
 def write_json(path, doc, sort_keys: bool = False) -> None:
-    with atomic_write(path) as fh:
-        json.dump(doc, fh, indent=1, sort_keys=sort_keys)
-        fh.write("\n")
+    write_text(path, json_text(doc, sort_keys))
 
 
 def write_jsonl(path, docs) -> None:

@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import artifacts, clmetrics, driver, fileio, replay, rgd, taskgen, tinylm
-from .errors import RgdLabError
+from .errors import InputError, RgdLabError
 
 
 def _write_suite(suite: taskgen.Suite, out_dir: str) -> None:
@@ -70,6 +70,9 @@ def _write_run_artifacts(result: driver.ExperimentResult, cfg: fileio.Experiment
     artifacts.write_json(os.path.join(root, "multis.json"),
                          {str(k): v for k, v in result.multis.items()})
 
+    # Runs share stage checkpoints (see driver.run_sequence): each distinct
+    # checkpoint is encoded once and written to every run that holds it.
+    checkpoints: dict[int, tuple[tinylm.ModelState, list[str]]] = {}
     for record in result.runs:
         run_dir = os.path.join(root, "runs", _run_dir_name(record))
         os.makedirs(run_dir, exist_ok=True)
@@ -84,7 +87,10 @@ def _write_run_artifacts(result: driver.ExperimentResult, cfg: fileio.Experiment
             ckpt_dir = os.path.join(run_dir, "checkpoints")
             os.makedirs(ckpt_dir, exist_ok=True)
             for i, model in enumerate(record.result.checkpoints):
-                tinylm.save_model(model, os.path.join(ckpt_dir, f"stage-{i + 1:02d}.json"))
+                checkpoints.setdefault(id(model), (model, []))[1].append(
+                    os.path.join(ckpt_dir, f"stage-{i + 1:02d}.json"))
+    for model, paths in checkpoints.values():
+        tinylm.save_model(model, *paths)
 
     if result.probes:
         partial_rows = [(p.task_id, k, acc) for p in result.probes for k, acc in p.partial]
@@ -115,11 +121,9 @@ def _cmd_run_seq(args) -> int:
 def _cmd_probe(args) -> int:
     cfg = fileio.load_experiment_config(args.config, output_dir=args.out or ".")
     suite = cfg.make_suite()
+    suite.spec(args.task)                   # unknown task: InputError
     model = tinylm.load_model(args.checkpoint)
-    examples = suite.eval.get(args.task)
-    if examples is None:
-        print(f"unknown task {args.task!r}", file=sys.stderr)
-        return 1
+    examples = suite.eval[args.task]
     os.makedirs(cfg.output_dir, exist_ok=True)
     wrote = []
     if args.kind in ("partial", "both"):
@@ -149,6 +153,10 @@ def _cmd_score_rgd(args) -> int:
         by_task: dict[str, list] = {}
         for r in records:
             by_task.setdefault(r.task_id, []).append(r)
+        if args.task:
+            if args.task not in by_task:
+                raise InputError(f"unknown task {args.task!r}")
+            by_task = {args.task: by_task[args.task]}
         docs = []
         for task in sorted(by_task):
             summary, scalar = rgd.task_rgd(by_task[task], aggregator=args.aggregator)
@@ -159,6 +167,8 @@ def _cmd_score_rgd(args) -> int:
             return 1
         cfg = fileio.load_experiment_config(args.config, output_dir=args.out or ".")
         suite = cfg.make_suite()
+        if args.task:
+            suite.spec(args.task)           # unknown task: InputError
         model = tinylm.load_model(args.checkpoint)
         docs = []
         for spec in suite.specs:

@@ -87,7 +87,7 @@ class RunSettings:
     warmup_examples: int = 2000               # 0 disables the base-skills phase
     replay_budget: int | None = None          # absolute per-stage budget
     replay_fraction: float = 0.05             # of cumulative previous train data
-    rgd_eval_size: int = 32                   # examples scored per task and stage
+    rgd_eval_size: int = 32                   # probe examples scored per task and stage; 0: all
     max_gen_len: int = 18
 
     def __post_init__(self):
@@ -95,6 +95,8 @@ class RunSettings:
             raise ConfigError("replay_budget must be nonnegative")
         if not 0 <= self.replay_fraction <= 1:
             raise ConfigError("replay_fraction must be in [0, 1]")
+        if self.rgd_eval_size < 0:
+            raise ConfigError("rgd_eval_size must be nonnegative (0 scores the whole probe slice)")
 
 
 @dataclass(frozen=True)

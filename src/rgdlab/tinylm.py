@@ -17,6 +17,17 @@ buffer with a view per parameter.  Fresh batch-sized arrays on every step
 were handed back to the kernel and faulted in again (about 280k minor page
 faults per base-model warmup).  Every product keeps its operands and shape,
 so the results are bit-identical to a step with fresh arrays.
+
+A step runs its forward and backward pass over the batch's distinct
+windows only.  A window that occurs ``m`` times in a batch gets
+``d_logits = (m * softmax - sum of its targets' one-hots) / n``, the sum of
+its ``m`` rows, so the loss and gradients are those of all ``n`` rows.  The
+distinct windows keep their first-occurrence order, so a batch with no
+repeated window runs exactly the plain step, bit for bit; a batch with
+repeats rounds differently.  The base-model warmup corpus repeats windows
+(its empty-context examples share one of two fixed rationales).  A corpus
+with no repeated window, such as every task corpus, pays one check per
+``train`` call and then runs the plain step.
 """
 
 from __future__ import annotations
@@ -339,25 +350,74 @@ def perplexity(nll: NllResult) -> float:
         return float(np.exp(nll.sum_nll / nll.n_tokens))
 
 
-def _batch_grads(model: ModelState, ws: _Workspace, windows, targets, grads) -> float:
+def _window_ids(model: ModelState, windows: np.ndarray) -> np.ndarray | None:
+    """An id per window, shared by equal windows; None when no window repeats.
+
+    Each window is packed into the smallest unsigned dtype that holds every
+    token id and compared as one byte string, so the key is exact and costs
+    ``context_len`` bytes a window instead of eight times that.
+    """
+    packed = windows.astype(np.min_scalar_type(len(model.vocab) - 1))
+    keys = packed.view(np.dtype((np.void, packed.strides[0]))).ravel()
+    distinct, ids = np.unique(keys, return_inverse=True)
+    return ids if len(distinct) < len(keys) else None
+
+
+def _distinct(ids: np.ndarray):
+    """``(first, where, counts)`` of the distinct values of ``ids`` in
+    first-occurrence order: where each occurs first, which of them each
+    entry is, and how often each occurs.  None when no value repeats."""
+    _, first, inverse, counts = np.unique(ids, return_index=True, return_inverse=True,
+                                          return_counts=True)
+    if len(first) == len(ids):
+        return None
+    order = np.argsort(first)
+    return first[order], np.argsort(order)[inverse], counts[order]
+
+
+def _step_grads(model: ModelState, ws: _Workspace, windows, targets, ids, rows, grads) -> float:
+    """``_batch_grads`` of the windows and targets at ``rows``, each distinct
+    window once; ``ids`` comes from ``_window_ids(windows)``."""
+    n = len(rows)
+    y = targets.take(rows, out=ws.targets[:n], mode="clip")
+    where = counts = None
+    repeats = None if ids is None else _distinct(ids[rows])
+    if repeats is not None:
+        first, where, counts = repeats
+        rows = rows[first]
+    w = windows.take(rows, axis=0, out=ws.windows[:len(rows)], mode="clip")
+    return _batch_grads(model, ws, w, y, grads, where, counts)
+
+
+def _batch_grads(model: ModelState, ws: _Workspace, windows, targets, grads,
+                 where=None, counts=None) -> float:
     """Mean-per-token CE loss of one batch of windows; gradients go into ``grads``.
 
-    ``grads`` maps each parameter name to an array of its shape, which is
-    overwritten.  Every intermediate lives in ``ws``.
+    Target ``targets[i]`` follows window ``where[i]``, and window ``u``
+    occurs ``counts[u]`` times in the batch; without them, target ``i``
+    follows window ``i``.  The loss and the gradients are those of the
+    ``len(targets)`` rows, each window with its target (see the module
+    docstring).  ``grads`` maps each parameter name to an array of its
+    shape, which is overwritten.  Every intermediate lives in ``ws``.
     """
-    n = windows.shape[0]
+    n, u = len(targets), windows.shape[0]
     x, hidden, logits = _forward(model, windows, ws)
     logp = _log_softmax(logits, ws)
-    rows = ws.rows[:n]
-    loss = float(-logp[rows, targets].mean())
+    if where is None:
+        where = ws.rows[:n]
+    loss = float(-logp[where, targets].mean())
 
     d_logits = np.exp(logp, out=logp)
-    d_logits[rows, targets] -= 1.0
+    if counts is None:
+        d_logits[where, targets] -= 1.0
+    else:
+        d_logits *= counts[:, None]
+        np.subtract.at(d_logits, (where, targets), 1.0)    # a window may repeat with one target
     d_logits /= n
 
     np.matmul(hidden.T, d_logits, out=grads["w_out"])
     np.sum(d_logits, axis=0, out=grads["b_out"])
-    d_hidden = np.matmul(d_logits, model.w_out.T, out=ws.d_hidden[:n])
+    d_hidden = np.matmul(d_logits, model.w_out.T, out=ws.d_hidden[:u])
     d_tanh = np.multiply(hidden, hidden, out=hidden)      # hidden is not used below
     np.subtract(1.0, d_tanh, out=d_tanh)
     d_hidden *= d_tanh
@@ -383,7 +443,8 @@ def train(model: ModelState, corpus, cfg: TrainConfig):
     target tokens it contains.  Returns a new state plus the per-epoch mean
     loss trace; the input model is left untouched.  Parameters, velocities
     and gradients each live in one flat buffer, so the momentum update is
-    four ufunc calls over all parameters at once.
+    four ufunc calls over all parameters at once.  A step computes each
+    distinct window of its batch once (see the module docstring).
     """
     if not corpus:
         raise ConfigError("corpus must be nonempty")
@@ -393,6 +454,7 @@ def train(model: ModelState, corpus, cfg: TrainConfig):
     if cfg.epochs == 0:
         return out, []
 
+    ids = _window_ids(model, windows)
     grad, grads = _flat_views(model)
     velocity = np.zeros_like(params)
     step = np.empty_like(params)
@@ -413,9 +475,7 @@ def train(model: ModelState, corpus, cfg: TrainConfig):
                 # Row indices of the batch's windows: each pair's rows, in batch order.
                 rows = np.repeat(starts[batch] - (np.cumsum(counts) - counts), counts)
                 rows += ws.rows[:n]
-                w = windows.take(rows, axis=0, out=ws.windows[:n], mode="clip")
-                y = targets.take(rows, out=ws.targets[:n], mode="clip")
-                loss = _batch_grads(out, ws, w, y, grads)
+                loss = _step_grads(out, ws, windows, targets, ids, rows, grads)
                 if not math.isfinite(loss) or loss > DIVERGENCE_NLL:
                     raise DivergenceError(f"diverged loss {loss} in epoch {epoch}")
                 epoch_nll += loss * n
@@ -469,7 +529,9 @@ def grad_check(model: ModelState, pair, epsilon: float, n_coords: int = 64) -> f
     """Max relative error between analytic and central-difference gradients.
 
     The mean per-token NLL of ``pair`` is the objective; coordinates are a
-    seeded random subset (at least 50 when the model has that many).
+    seeded random subset (at least 50 when the model has that many).  The
+    analytic gradient comes from the training step's kernel, repeated
+    windows weighted by their count; the numeric one runs every window.
     """
     if not 1e-8 <= epsilon <= 1e-2:
         raise ConfigError("epsilon must be in [1e-8, 1e-2]")
@@ -478,7 +540,7 @@ def grad_check(model: ModelState, pair, epsilon: float, n_coords: int = 64) -> f
     params, work = _flat_copy(model)
     grad, grads = _flat_views(model)
     ws = _Workspace(model, len(targets))
-    _batch_grads(work, ws, windows, targets, grads)
+    _step_grads(work, ws, windows, targets, _window_ids(model, windows), ws.rows, grads)
 
     rng = np.random.default_rng(model.rng_seed)
     coords = rng.choice(params.size, size=min(params.size, max(50, n_coords)), replace=False)
@@ -516,8 +578,12 @@ def _decode_array(d: dict) -> np.ndarray:
     return np.frombuffer(raw, dtype=np.float64).reshape(d["shape"]).copy()
 
 
-def save_model(model: ModelState, path) -> None:
-    """Bit-exact checkpoint: vocab, dims, seed and float64 parameter bytes."""
+def save_model(model: ModelState, path, *copies) -> None:
+    """Bit-exact checkpoint: vocab, dims, seed and float64 parameter bytes.
+
+    The checkpoint is encoded once and written to ``path`` and to every
+    path in ``copies``.
+    """
     doc = {
         "format": CHECKPOINT_FORMAT,
         "vocab": list(model.vocab.tokens),
@@ -527,7 +593,9 @@ def save_model(model: ModelState, path) -> None:
         "rng_seed": model.rng_seed,
         "params": {name: _encode_array(p) for name, p in model.params()},
     }
-    artifacts.write_json(path, doc, sort_keys=True)
+    text = artifacts.json_text(doc, sort_keys=True)
+    for target in (path, *copies):
+        artifacts.write_text(target, text)
 
 
 def load_model(path) -> ModelState:

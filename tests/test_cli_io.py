@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from rgdlab import artifacts, cli, fileio, replay, rgd, taskgen
+from rgdlab import artifacts, cli, fileio, replay, rgd, taskgen, tinylm
 from rgdlab.clmetrics import PerfMatrix
 from rgdlab.errors import ConfigError, InputError, ParseError
 
@@ -261,6 +261,7 @@ class TestExperimentConfig:
     ("model.hidden_dim", 1.5, "model.hidden_dim"),
     ("strategies", "none", "strategies"),
     ("train.learning_rate", 0, "train: learning_rate"),
+    ("rgd_eval_size", -4, "rgd_eval_size"),
 ])
 def test_bad_config_value_exits_one(tmp_path, capsys, key, value, named):
     doc = good_config()
@@ -324,6 +325,14 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert doc["mean"] == pytest.approx(0.5, rel=1e-9)
         assert doc["task"] == "q"
+        path.write_text(json.dumps(rec) + "\n" + json.dumps({**rec, "task": "r"}) + "\n")
+        assert cli.main(["score-rgd", "--from-records", str(path), "--task", "r"]) == 0
+        assert [json.loads(line)["task"] for line in capsys.readouterr().out.splitlines()] == ["r"]
+        out_file = tmp_path / "scores.jsonl"
+        assert cli.main(["score-rgd", "--from-records", str(path), "--task", "s",
+                         "--out-file", str(out_file)]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: unknown task 's'"]
+        assert not out_file.exists()
 
     def test_unknown_subcommand_exits_nonzero(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -406,6 +415,43 @@ class TestCli:
         a, b = run_dir / "threads-1", run_dir / "threads-2"
         for rel in trees[0]:
             assert filecmp.cmp(a / rel, b / rel, shallow=False), rel
+
+    def test_shared_checkpoints_encoded_once(self, run_dir, monkeypatch):
+        config = json.loads((run_dir / "config.json").read_text())
+        config["strategies"] = ["none", "equal"]
+        cfg_path = run_dir / "shared-config.json"
+        cfg_path.write_text(json.dumps(config))
+        saved = []
+        save = tinylm.save_model
+
+        def counting(model, path, *copies):
+            saved.append((path, *copies))
+            save(model, path, *copies)
+
+        monkeypatch.setattr(tinylm, "save_model", counting)
+        out = run_dir / "shared"
+        assert cli.main(["run-seq", "--config", str(cfg_path), "--out", str(out)]) == 0
+        files = sorted(out.glob("runs/*/checkpoints/*.json"))
+        assert sorted(Path(p) for paths in saved for p in paths) == files
+        assert len(files) == 4
+        # stage 1 never replays, so both runs hold one checkpoint for it
+        assert len(saved) == len({f.read_bytes() for f in files}) == 3
+        assert filecmp.cmp(out / "runs/none-o0-s3/checkpoints/stage-01.json",
+                           out / "runs/equal-o0-s3/checkpoints/stage-01.json", shallow=False)
+
+    def test_unknown_task_exits_one(self, run_dir, tmp_path, capsys):
+        ckpt = run_dir / "out/runs/none-o0-s3/checkpoints/stage-02.json"
+        out_file = tmp_path / "scores.jsonl"
+        probes = tmp_path / "probes"
+        for argv in (["score-rgd", "--out-file", str(out_file)],
+                     ["probe", "--out", str(probes)]):
+            rc = cli.main(argv + ["--config", str(run_dir / "config.json"),
+                                  "--checkpoint", str(ckpt), "--task", "no-such-task"])
+            assert rc == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.splitlines() == ["error: unknown task 'no-such-task'"]
+        assert not out_file.exists() and not probes.exists()
 
     def test_resolved_snapshot_loads_back(self, run_dir):
         original = fileio.load_experiment_config(run_dir / "config.json")

@@ -36,6 +36,15 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             tiny_cfg(strategy="rgd-mean", rgd_eval_size=0)
 
+    def test_negative_eval_size_rejected(self):
+        with pytest.raises(ConfigError, match="rgd_eval_size"):
+            tiny_cfg(rgd_eval_size=-4)
+
+    def test_zero_eval_size_scores_whole_slice(self, suite, base):
+        task = suite.specs[0].task_id
+        summary = driver.score_task_rgd(base, suite.probe[task], tiny_cfg(rgd_eval_size=0).rgd_eval_size)
+        assert summary.n == len(suite.probe[task])
+
     def test_fraction_bounds(self):
         with pytest.raises(ConfigError):
             tiny_cfg(replay_fraction=1.5)

@@ -194,8 +194,10 @@ def reference_windows(model, context, target):
 
 def reference_train(model, corpus, cfg):
     """The training loop as first written: fresh arrays on every step, one
-    momentum update per parameter, and each batch concatenated from lists."""
+    momentum update per parameter, and each batch concatenated from lists.
+    Also says whether some batch repeated a window."""
     out = model.copy()
+    repeated = False
     windows = [reference_windows(model, ctx, tgt) for ctx, tgt in corpus]
     targets = [np.asarray(tgt, dtype=np.int64) for _, tgt in corpus]
     rng = np.random.default_rng(cfg.seed)
@@ -208,6 +210,7 @@ def reference_train(model, corpus, cfg):
             batch = order[lo:lo + cfg.batch_size]
             w = np.concatenate([windows[i] for i in batch])
             y = np.concatenate([targets[i] for i in batch])
+            repeated |= len(np.unique(w, axis=0)) < len(w)
             loss, grads = reference_batch_grads(out, w, y)
             epoch_nll += loss * len(y)
             epoch_tokens += len(y)
@@ -217,7 +220,7 @@ def reference_train(model, corpus, cfg):
                 v += grads[name]
                 p -= cfg.learning_rate * v
         trace.append(epoch_nll / epoch_tokens)
-    return out, trace
+    return out, trace, repeated
 
 
 def reference_generate(model, prompts, max_len):
@@ -244,6 +247,27 @@ def reference_generate(model, prompts, max_len):
             windows[row, :-1] = windows[row, 1:]
             windows[row, -1] = tok
     return outputs
+
+
+def distinct_corpus(n_pairs, vocab_size, seed):
+    """Pairs with uneven targets and contexts that start with distinct ids, so
+    that (at the sizes used here) no window repeats."""
+    rng = np.random.default_rng(seed)
+    corpus = []
+    for i in range(n_pairs):
+        context = [4 + i] + rng.integers(4, vocab_size, size=(1, 4, 9)[i % 3]).tolist()
+        target = rng.integers(4, vocab_size, size=1 + i % 4).tolist() + [EOS]
+        corpus.append((context, target))
+    return corpus
+
+
+def assert_params(got, want, exact):
+    for (name, p), (_, q) in zip(got.params(), want.params()):
+        assert p.shape == q.shape
+        if exact:
+            assert np.array_equal(p, q), name
+        else:
+            np.testing.assert_allclose(p, q, rtol=1e-9, atol=1e-12, err_msg=name)
 
 
 def mixed_corpus(n_pairs, vocab_size, seed):
@@ -293,13 +317,75 @@ class TestExactKernels:
         cfg = TrainConfig(learning_rate=0.3, epochs=4, batch_size=batch_size, momentum=0.9,
                           seed=6, shuffle=shuffle)
         trained, trace = train(m, corpus, cfg)
-        ref, ref_trace = reference_train(m, corpus, cfg)
-        assert trace == ref_trace
-        for (name, p), (_, q) in zip(trained.params(), ref.params()):
-            assert p.shape == q.shape
-            assert np.array_equal(p, q), name
+        ref, ref_trace, repeated = reference_train(m, corpus, cfg)
+        # Two empty contexts in one batch share the all-BOS window, which train
+        # computes once, weighted by two: the same sums, rounded differently.
+        assert repeated == (shuffle or batch_size > 3)
+        if repeated:
+            np.testing.assert_allclose(trace, ref_trace, rtol=1e-12)
+        else:
+            assert trace == ref_trace
+        assert_params(trained, ref, exact=not repeated)
         for (_, p), b in zip(m.params(), before):
             assert np.array_equal(p, b)
+
+    @pytest.mark.parametrize("shuffle, batch_size", [(True, 3), (False, 4), (True, 50)])
+    def test_train_without_repeats_is_bit_exact(self, shuffle, batch_size):
+        m = init_model(make_vocab(12), 5, 6, 9, seed=4)
+        corpus = distinct_corpus(11, len(m.vocab), seed=8)
+        windows, _, _ = tinylm._pair_windows(m, corpus, ValueError())
+        assert tinylm._window_ids(m, windows) is None
+        cfg = TrainConfig(learning_rate=0.3, epochs=4, batch_size=batch_size, momentum=0.9,
+                          seed=6, shuffle=shuffle)
+        trained, trace = train(m, corpus, cfg)
+        ref, ref_trace, repeated = reference_train(m, corpus, cfg)
+        assert not repeated
+        assert trace == ref_trace
+        assert_params(trained, ref, exact=True)
+
+    def test_distinct_keeps_first_occurrence_order(self):
+        first, where, counts = tinylm._distinct(np.array([7, 2, 7, 9, 2, 7]))
+        assert first.tolist() == [0, 1, 3]
+        assert where.tolist() == [0, 1, 0, 2, 1, 0]
+        assert counts.tolist() == [3, 2, 1]
+        assert tinylm._distinct(np.array([5, 1, 3])) is None
+
+    def test_window_ids_are_exact(self):
+        m = init_model(make_vocab(300), 3, 2, 4, seed=0)   # ids need two bytes
+        windows = np.array([[1, 1, 300], [1, 1, 44], [1, 1, 300], [44, 1, 1]])
+        ids = tinylm._window_ids(m, windows).tolist()
+        assert ids[0] == ids[2] and len(set(ids)) == 3
+        assert tinylm._window_ids(m, windows[1:]) is None
+
+    def test_weighted_batch_grads_match_repeated_rows(self):
+        m = init_model(make_vocab(12), 2, 6, 9, seed=4)
+        pairs = [([], [5, 5, 5, 5]), ([4], [5, 6, EOS]), ([], [5, 5, 7]), ([], [5, 5, 5, 5])]
+        windows, targets, _ = tinylm._pair_windows(m, pairs, ValueError())
+        first, where, counts = tinylm._distinct(tinylm._window_ids(m, windows))
+        assert len(first) < len(windows) and counts.max() > 2
+        ws = tinylm._Workspace(m, len(targets))
+        _, plain = tinylm._flat_views(m)
+        plain_loss = tinylm._batch_grads(m, ws, windows, targets, plain)
+        _, weighted = tinylm._flat_views(m)
+        loss = tinylm._batch_grads(m, ws, windows[first], targets, weighted, where, counts)
+        assert loss == pytest.approx(plain_loss, rel=1e-12)
+        for name, g in plain.items():
+            np.testing.assert_allclose(weighted[name], g, rtol=1e-12, atol=1e-15, err_msg=name)
+
+    def test_weighted_batch_grads_without_repeats_are_plain(self):
+        m = init_model(make_vocab(12), 5, 6, 9, seed=4)
+        pairs = [([4, 4, 5], [4, 6, 4, EOS]), ([8, 9, 8, 9, 8, 9, 8], [9, 4])]
+        windows, targets, _ = tinylm._pair_windows(m, pairs, ValueError())
+        ws = tinylm._Workspace(m, len(targets))
+        _, plain = tinylm._flat_views(m)
+        plain_loss = tinylm._batch_grads(m, ws, windows, targets, plain)
+        _, weighted = tinylm._flat_views(m)
+        ones = np.ones(len(targets), dtype=np.int64)
+        loss = tinylm._batch_grads(m, ws, windows, targets, weighted,
+                                   np.arange(len(targets)), ones)
+        assert loss == plain_loss
+        for name, g in plain.items():
+            assert np.array_equal(weighted[name], g), name
 
     def test_train_results_share_no_memory(self):
         m = init_model(make_vocab(8), 3, 4, 8, seed=5)
@@ -464,6 +550,12 @@ class TestGradCheck:
         err = grad_check(m, ([4, 5], [5, 4, 5]), epsilon=1e-5)
         assert err < 1e-4
 
+    def test_repeated_windows_use_the_weighted_kernel(self):
+        m = init_model(make_vocab(4), 2, 4, 4, seed=3)
+        windows, _, _ = tinylm._pair_windows(m, [([], [5, 5, 5, 5])], ValueError())
+        assert tinylm._window_ids(m, windows) is not None      # [5, 5] precedes two targets
+        assert grad_check(m, ([], [5, 5, 5, 5]), epsilon=1e-5) < 1e-4
+
     def test_deterministic(self):
         m = init_model(make_vocab(4), 2, 3, 4, seed=8)
         pair = ([4, 5, 6], [7, 6, 5])
@@ -488,6 +580,14 @@ class TestCheckpoint:
         assert loaded.rng_seed == 42
         for (_, pa), (_, pb) in zip(m.params(), loaded.params()):
             assert pa.tobytes() == pb.tobytes()
+
+    def test_copies_get_the_same_bytes(self, tmp_path):
+        m = init_model(make_vocab(9), 3, 5, 7, seed=42)
+        save_model(m, tmp_path / "a.json", tmp_path / "b.json", tmp_path / "c.json")
+        save_model(m, tmp_path / "alone.json")
+        alone = (tmp_path / "alone.json").read_bytes()
+        for name in ("a", "b", "c"):
+            assert (tmp_path / f"{name}.json").read_bytes() == alone
 
     def test_save_is_deterministic(self, tmp_path):
         m = init_model(make_vocab(5), 2, 4, 4, seed=0)
