@@ -8,7 +8,6 @@ or validation problems print a message and exit nonzero.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -108,11 +107,8 @@ def _write_run_artifacts(result: driver.ExperimentResult, cfg: fileio.Experiment
 
 def _cmd_run_seq(args) -> int:
     cfg = fileio.load_experiment_config(args.config, output_dir=args.out)
-    plan = cfg.plan
-    if args.threads is not None:
-        plan = dataclasses.replace(plan, threads=args.threads)
     suite = cfg.make_suite()
-    result = driver.run_experiment(suite, plan)
+    result = driver.run_experiment(suite, cfg.plan)
     _write_run_artifacts(result, cfg)
     print(f"experiment artifacts written to {cfg.output_dir}")
     return 0
@@ -259,8 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run-seq", help="run the full sequential experiment grid")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None, help="overrides config output_dir")
-    p.add_argument("--threads", type=int, default=None,
-                   help="accepted for compatibility; runs execute serially")
     p.set_defaults(func=_cmd_run_seq)
 
     p = sub.add_parser("probe", help="probe a checkpoint on one task")

@@ -127,10 +127,6 @@ class RunResult:
     loss_traces: list[tuple[float, ...]]
 
 
-def build_model_vocab(suite: taskgen.Suite) -> tinylm.Vocab:
-    return tinylm.Vocab.build(taskgen.suite_tokens(suite))
-
-
 def build_base_model(suite: taskgen.Suite, cfg: RunConfig) -> tinylm.ModelState:
     """Fresh init plus the base-skills warmup phase.
 
@@ -139,7 +135,7 @@ def build_base_model(suite: taskgen.Suite, cfg: RunConfig) -> tinylm.ModelState:
     analogue of fine-tuning runs all starting from the same pretrained
     model.  With warmup_examples=0 this is just a seeded init.
     """
-    vocab = build_model_vocab(suite)
+    vocab = tinylm.Vocab.build(taskgen.suite_tokens(suite))
     model = tinylm.init_model(vocab, cfg.dims.context_len, cfg.dims.embed_dim,
                               cfg.dims.hidden_dim, seed=derive_seed(suite.seed, _SALT_INIT))
     if cfg.warmup_examples == 0:
@@ -192,8 +188,7 @@ def evaluate_accuracy(model: tinylm.ModelState, examples, max_gen_len: int = 18)
 def score_task_rgd(model: tinylm.ModelState, examples, limit: int | None = None) -> rgd.RgdSummary:
     """Difficulty summary of a task's probe slice under one checkpoint."""
     chosen = list(examples)[:limit] if limit else list(examples)
-    records = [record for record, _ in rgd.rgd_records(model, chosen)]
-    summary, _ = rgd.task_rgd(records)
+    summary, _ = rgd.task_rgd(rgd.rgd_records(model, chosen))
     return summary
 
 
@@ -240,14 +235,13 @@ def _run_stage(suite: taskgen.Suite, cfg: RunConfig, order, stage: int,
     return model, tuple(trace), row, summary
 
 
-def run_sequence(suite: taskgen.Suite, cfg: RunConfig,
-                 a0: dict[str, float] | None = None,
-                 base_model: tinylm.ModelState | None = None,
-                 keep_checkpoints: bool = True,
-                 order: tuple[str, ...] | None = None,
+def run_sequence(suite: taskgen.Suite, cfg: RunConfig, a0: dict[str, float],
+                 base_model: tinylm.ModelState, keep_checkpoints: bool = True,
                  stages: dict | None = None) -> RunResult:
-    """One full sequential run; ``order`` overrides the suite's canonical one.
+    """One full sequential run over the suite order ``cfg.order_index``.
 
+    Every stage starts from ``base_model`` or the previous stage's
+    checkpoint; ``a0`` holds the single-task baselines of the FWT column.
     ``stages`` shares stages between runs over one suite and one
     ``base_model``: a stage is keyed by the run settings, the base model,
     the run seed, the order and the replay counts of every stage up to it
@@ -255,17 +249,8 @@ def run_sequence(suite: taskgen.Suite, cfg: RunConfig,
     the same dict trained it before.  The returned checkpoints may then be
     shared with other runs, so their parameter arrays are read-only.
     """
-    if order is None:
-        order = suite.orders[cfg.order_index]
-    else:
-        order = tuple(order)
-        for task in order:
-            suite.spec(task)
-    if stages is not None and base_model is None:
-        raise ConfigError("shared stages need the base model they start from")
-    model = base_model if base_model is not None else build_base_model(suite, cfg)
-    if a0 is None:
-        a0 = run_single_baselines(suite, cfg, base_model=model)
+    order = suite.orders[cfg.order_index]
+    model = base_model
     if stages is None:
         stages = {}
     key = (tuple(getattr(cfg, f.name) for f in fields(RunSettings)),
@@ -301,10 +286,8 @@ def run_sequence(suite: taskgen.Suite, cfg: RunConfig,
 
 
 def run_single_baselines(suite: taskgen.Suite, cfg: RunConfig,
-                         base_model: tinylm.ModelState | None = None) -> dict[str, float]:
+                         base_model: tinylm.ModelState) -> dict[str, float]:
     """Per-task score of a base model trained on that task alone."""
-    if base_model is None:
-        base_model = build_base_model(suite, cfg)
     vocab = base_model.vocab
     out = {}
     for i, spec in enumerate(suite.specs):
@@ -316,10 +299,8 @@ def run_single_baselines(suite: taskgen.Suite, cfg: RunConfig,
 
 
 def run_multitask(suite: taskgen.Suite, cfg: RunConfig,
-                  base_model: tinylm.ModelState | None = None) -> dict[str, float]:
+                  base_model: tinylm.ModelState) -> dict[str, float]:
     """Per-task score of one model trained on the union of all train sets."""
-    if base_model is None:
-        base_model = build_base_model(suite, cfg)
     vocab = base_model.vocab
     corpus = []
     for spec in suite.specs:
@@ -355,12 +336,11 @@ class TapResult:
 
 def probe_tap(model: tinylm.ModelState, examples, demo_pool,
               demo_counts=DEFAULT_DEMO_COUNTS, draws: int = DEFAULT_DEMO_DRAWS,
-              seed: int = 0, context_template: str = taskgen.DEFAULT_TAP_TEMPLATE,
-              max_gen_len: int = 18) -> TapResult:
+              seed: int = 0, max_gen_len: int = 18) -> TapResult:
     """Grid search over demo counts and seeded demo draws.
 
-    The zero-demo arm is always evaluated and uses the bare instruction (no
-    context template), so the search can never fall below instruction-only
+    The zero-demo arm is always evaluated and uses the bare instruction
+    (no ``taskgen.tap_prompt`` context), so the search can never fall below instruction-only
     accuracy; ties prefer fewer demos, then the earlier draw.
     """
     examples = list(examples)
@@ -379,7 +359,7 @@ def probe_tap(model: tinylm.ModelState, examples, demo_pool,
         for draw in range(draws):
             demos = replay.sample_replay(
                 demo_pool, count, seed=derive_seed(seed, _SALT_DEMOS, count, draw))
-            prompts = [taskgen.tap_prompt(ex, demos, context_template) for ex in examples]
+            prompts = [taskgen.tap_prompt(ex, demos) for ex in examples]
             acc = _decoded_accuracy(model, prompts, examples, max_gen_len)
             grid.append((count, draw, acc))
             if acc > best[2]:

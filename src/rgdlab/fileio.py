@@ -65,16 +65,6 @@ def read_examples(path) -> list[taskgen.Example]:
 
 # ------------------------------------------------------------- PPL records
 
-def export_ppl_records(records, path) -> None:
-    artifacts.write_jsonl(path, ({
-        "task": r.task_id,
-        "id": r.example_id,
-        "nll_cond_sum": r.nll_cond_sum,
-        "nll_uncond_sum": r.nll_uncond_sum,
-        "n_rationale_tokens": r.n_rationale_tokens,
-    } for r in records))
-
-
 def import_ppl_records(path) -> list[rgd.PplRecord]:
     """All-or-nothing load; malformed lines are reported with their number."""
     return artifacts.read_jsonl(path, lambda doc: rgd.PplRecord(

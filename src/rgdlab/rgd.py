@@ -57,8 +57,9 @@ def rgd_score(ppl_cond: float, ppl_uncond: float) -> float:
     return ppl_cond / ppl_uncond
 
 
-def rgd_records(model: tinylm.ModelState, examples) -> list[tuple[PplRecord, float]]:
-    """Score examples against one model snapshot with one ``tinylm.batch_nll`` call.
+def rgd_records(model: tinylm.ModelState, examples) -> list[PplRecord]:
+    """NLL record of each example under one model snapshot, from one
+    ``tinylm.batch_nll`` call; ``PplRecord.rgd`` is the example's score.
 
     ``PPL(r)`` does not depend on the instruction, so it is computed once per
     distinct rationale and shared by every example that has it.
@@ -78,22 +79,14 @@ def rgd_records(model: tinylm.ModelState, examples) -> list[tuple[PplRecord, flo
         uncond_row.setdefault(keys[-1], len(uncond_row))
     nlls = tinylm.batch_nll(model, cond_pairs + [([], list(key)) for key in uncond_row])
     uncond_nlls = nlls[len(cond_pairs):]
-    out = []
-    for ex, cond, key in zip(examples, nlls, keys):
-        uncond = uncond_nlls[uncond_row[key]]
-        record = PplRecord(
-            task_id=ex.task_id,
-            example_id=ex.id,
-            nll_cond_sum=cond.sum_nll,
-            nll_uncond_sum=uncond.sum_nll,
-            n_rationale_tokens=cond.n_tokens,
-        )
-        out.append((record, rgd_score(tinylm.perplexity(cond), tinylm.perplexity(uncond))))
-    return out
+    return [PplRecord(task_id=ex.task_id, example_id=ex.id, nll_cond_sum=cond.sum_nll,
+                      nll_uncond_sum=uncond_nlls[uncond_row[key]].sum_nll,
+                      n_rationale_tokens=cond.n_tokens)
+            for ex, cond, key in zip(examples, nlls, keys)]
 
 
-def rgd_from_model(model: tinylm.ModelState, ex: Example) -> tuple[PplRecord, float]:
-    """Score one example against a model snapshot."""
+def rgd_from_model(model: tinylm.ModelState, ex: Example) -> PplRecord:
+    """NLL record of one example against a model snapshot."""
     return rgd_records(model, [ex])[0]
 
 

@@ -350,8 +350,7 @@ def label_lexicon() -> tuple[str, ...]:
     return tuple(words)
 
 
-def make_warmup_corpus(n_examples: int, seed: int,
-                       uncond_fraction: float = 0.5) -> tuple[Example, ...]:
+def make_warmup_corpus(n_examples: int, seed: int) -> tuple[Example, ...]:
     """Base-skills corpus: hint-guided rationale completion.
 
     Each example names one of the two global feature words as a hint, lists
@@ -363,14 +362,12 @@ def make_warmup_corpus(n_examples: int, seed: int,
     triggers stay unlearned.  The option slots sit at the same distance from
     the input as in task instructions.
 
-    A seeded fraction of the corpus consists of the same chains with an
+    A seeded half of the corpus consists of the same chains with an
     empty instruction: standalone reasoning text that puts the start-of-text
     windows in distribution, anchoring unconditional rationale perplexity.
     """
     if n_examples <= 0:
         raise ConfigError("n_examples must be positive")
-    if not 0.0 <= uncond_fraction <= 1.0:
-        raise ConfigError("uncond_fraction must be in [0, 1]")
     lexicon = label_lexicon()
     phrase = tuple(_WARMUP_PHRASE.split())
     rationales = [tuple(f"{SCAFFOLD_BODY.format(feature=f)} .".split()) for f in GLOBAL_FEATURES]
@@ -385,7 +382,7 @@ def make_warmup_corpus(n_examples: int, seed: int,
             second = lexicon[int(rng.integers(0, len(lexicon)))]
         answer = (first, second)[pick]
         words = rng.integers(0, len(CONTENT_POOL), size=INPUT_LEN).tolist()
-        if rng.random() < uncond_fraction:
+        if rng.random() < 0.5:
             instruction: tuple[str, ...] = ()
         else:
             # every word here is one token, so this is the rendered sentence split on spaces
@@ -414,9 +411,9 @@ def partial_rationale_prompt(ex: Example, k: float) -> tuple[str, ...]:
     return ex.instruction + ex.rationale[:n]
 
 
-def tap_prompt(ex: Example, demos, context_template: str = DEFAULT_TAP_TEMPLATE) -> tuple[str, ...]:
+def tap_prompt(ex: Example, demos) -> tuple[str, ...]:
     """Context template, fully rendered unrelated demos, then the instruction."""
-    tokens = tuple(context_template.split())
+    tokens = tuple(DEFAULT_TAP_TEMPLATE.split())
     for demo in demos:
         if demo.task_id == ex.task_id:
             raise ConfigError(

@@ -342,14 +342,6 @@ def sequence_nll(model: ModelState, context, target) -> NllResult:
     return batch_nll(model, [(context, target)])[0]
 
 
-def perplexity(nll: NllResult) -> float:
-    """exp of the mean per-token NLL in nats."""
-    if nll.n_tokens == 0:
-        raise EmptyTargetError("perplexity undefined for zero tokens")
-    with np.errstate(over="ignore"):
-        return float(np.exp(nll.sum_nll / nll.n_tokens))
-
-
 def _window_ids(model: ModelState, windows: np.ndarray) -> np.ndarray | None:
     """An id per window, shared by equal windows; None when no window repeats.
 
@@ -525,11 +517,11 @@ def generate_batch(model: ModelState, prompts, max_len: int) -> list[list[int]]:
     return [out[i, :k].tolist() for i, k in enumerate(lengths.tolist())]
 
 
-def grad_check(model: ModelState, pair, epsilon: float, n_coords: int = 64) -> float:
+def grad_check(model: ModelState, pair, epsilon: float) -> float:
     """Max relative error between analytic and central-difference gradients.
 
     The mean per-token NLL of ``pair`` is the objective; coordinates are a
-    seeded random subset (at least 50 when the model has that many).  The
+    seeded random subset of 64 (all of them when the model has fewer).  The
     analytic gradient comes from the training step's kernel, repeated
     windows weighted by their count; the numeric one runs every window.
     """
@@ -543,7 +535,7 @@ def grad_check(model: ModelState, pair, epsilon: float, n_coords: int = 64) -> f
     _step_grads(work, ws, windows, targets, _window_ids(model, windows), ws.rows, grads)
 
     rng = np.random.default_rng(model.rng_seed)
-    coords = rng.choice(params.size, size=min(params.size, max(50, n_coords)), replace=False)
+    coords = rng.choice(params.size, size=min(params.size, 64), replace=False)
 
     def loss_at() -> float:
         _, _, logits = _forward(work, windows, ws)

@@ -70,7 +70,10 @@ class TestPplRecordCodec:
         records = [rgd.PplRecord("t", f"e{i}", 1.5 * i, 2.0 * i + 0.25, i + 1)
                    for i in range(5)]
         path = tmp_path / "records.jsonl"
-        fileio.export_ppl_records(records, path)
+        artifacts.write_jsonl(path, ({
+            "task": r.task_id, "id": r.example_id, "nll_cond_sum": r.nll_cond_sum,
+            "nll_uncond_sum": r.nll_uncond_sum, "n_rationale_tokens": r.n_rationale_tokens,
+        } for r in records))
         assert fileio.import_ppl_records(path) == records
 
 
@@ -396,25 +399,26 @@ class TestCli:
         assert snapshot["resolved"]["train"]["epochs"] == 2
 
     def test_threads_do_not_change_results(self, run_dir):
-        """``threads`` is kept for old configs: the artifacts do not depend on it."""
+        """``threads`` is kept for old configs: no artifact but the config
+        snapshot, which records the given value, depends on it."""
         config = json.loads((run_dir / "config.json").read_text())
         config.update(strategies=["none", "equal"], run_probes=True, replay={"budget": 6},
                       probes={"k_grid": [0.0, 1.0], "demo_counts": [1], "demo_draws": 1,
                               "top_forgotten": 1})
-        cfg_path = run_dir / "threads-config.json"
-        cfg_path.write_text(json.dumps(config))
         trees = []
         for threads in (1, 2):
+            cfg_path = run_dir / f"threads-{threads}-config.json"
+            cfg_path.write_text(json.dumps({**config, "threads": threads}))
             out = run_dir / f"threads-{threads}"
-            assert cli.main(["run-seq", "--config", str(cfg_path), "--out", str(out),
-                             "--threads", str(threads)]) == 0
+            assert cli.main(["run-seq", "--config", str(cfg_path), "--out", str(out)]) == 0
             trees.append(sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file()))
         assert trees[0] == trees[1]
         assert not [p for p in trees[0] if p.suffix == ".tmp"]
         assert "runs/none-o0-s3/checkpoints/stage-02.json" in {str(p) for p in trees[0]}
         a, b = run_dir / "threads-1", run_dir / "threads-2"
         for rel in trees[0]:
-            assert filecmp.cmp(a / rel, b / rel, shallow=False), rel
+            if str(rel) != "config.json":
+                assert filecmp.cmp(a / rel, b / rel, shallow=False), rel
 
     def test_shared_checkpoints_encoded_once(self, run_dir, monkeypatch):
         config = json.loads((run_dir / "config.json").read_text())

@@ -60,17 +60,6 @@ class TestRunSequence:
         assert len(res.summaries) == 3
         assert res.plans == [None, None, None]
 
-    def test_single_task_order(self, suite, base):
-        task = suite.specs[0].task_id
-        res = driver.run_sequence(suite, tiny_cfg(), a0={task: 50.0},
-                                  base_model=base, order=(task,))
-        assert res.matrix.num_tasks == 1
-        assert res.plans == [None]
-
-    def test_unknown_order_task(self, suite, base):
-        with pytest.raises(InputError):
-            driver.run_sequence(suite, tiny_cfg(), base_model=base, order=("nope",))
-
     def test_deterministic(self, suite, base):
         a0 = {s.task_id: 50.0 for s in suite.specs}
         r1 = driver.run_sequence(suite, tiny_cfg(strategy="equal"), a0=a0, base_model=base)
@@ -172,7 +161,7 @@ class TestProbes:
 class TestScoreTaskRgd:
     def test_matches_per_example_records(self, suite, base):
         examples = suite.probe[suite.specs[0].task_id]
-        expected, _ = rgd.task_rgd([rgd.rgd_from_model(base, ex)[0] for ex in examples[:6]])
+        expected, _ = rgd.task_rgd([rgd.rgd_from_model(base, ex) for ex in examples[:6]])
         assert driver.score_task_rgd(base, examples, 6) == expected
 
     def test_one_unconditional_nll_per_rationale(self, suite, base, monkeypatch):
@@ -338,11 +327,6 @@ class TestSharedStages:
         assert shared[0].checkpoints[2] is not shared[1].checkpoints[2]
         for mine, theirs in zip(shared, lone):
             _assert_same_run(mine, theirs)
-
-    def test_shared_stages_need_base_model(self, suite):
-        with pytest.raises(ConfigError):
-            driver.run_sequence(suite, tiny_cfg(), a0={s.task_id: 50.0 for s in suite.specs},
-                                stages={})
 
 
 class TestDeriveSeed:

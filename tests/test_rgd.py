@@ -64,8 +64,7 @@ class TestRgdFromModel:
         model = init_model(vocab, 3, 4, 4, seed=0)
         ex = Example(task_id="t", id="e", instruction=(),
                      rationale=("alpha", "beta"), answer="alpha")
-        _, score = rgd_from_model(model, ex)
-        assert score == 1.0
+        assert rgd_from_model(model, ex).rgd() == 1.0
 
     def test_context_blind_model_gives_one(self):
         # zero hidden weights: the context cannot move the prediction
@@ -74,8 +73,7 @@ class TestRgdFromModel:
         model.w_hidden[:] = 0.0
         ex = Example(task_id="t", id="e", instruction=("row", "row"),
                      rationale=("alpha", "beta"), answer="alpha")
-        _, score = rgd_from_model(model, ex)
-        assert score == pytest.approx(1.0, rel=1e-12)
+        assert rgd_from_model(model, ex).rgd() == pytest.approx(1.0, rel=1e-12)
 
     def test_memorized_quarter(self):
         # one-hot saturated model: p(r|x) ~ 1, unconditional uniform over the
@@ -94,8 +92,8 @@ class TestRgdFromModel:
         model.w_out[tinylm.BOS, 4:] = 50.0            # uniform over content from BOS
         ex = Example(task_id="t", id="e", instruction=("a",),
                      rationale=("b",), answer="a")
-        rec, score = rgd_from_model(model, ex)
-        assert score == pytest.approx(0.25, rel=1e-9)
+        rec = rgd_from_model(model, ex)
+        assert rec.rgd() == pytest.approx(0.25, rel=1e-9)
         assert rec.n_rationale_tokens == 1
 
     def test_record_carries_sums(self):
@@ -103,7 +101,10 @@ class TestRgdFromModel:
         model = init_model(vocab, 2, 4, 4, seed=1)
         ex = Example(task_id="t", id="e", instruction=("a", "c"),
                      rationale=("b", "a", "c"), answer="a")
-        rec, score = rgd_from_model(model, ex)
+        rec = rgd_from_model(model, ex)
+        cond = tinylm.sequence_nll(model, vocab.encode(ex.instruction), vocab.encode(ex.rationale))
+        uncond = tinylm.sequence_nll(model, [], vocab.encode(ex.rationale))
+        score = rgd_score(math.exp(cond.sum_nll / 3), math.exp(uncond.sum_nll / 3))
         assert rec.rgd() == pytest.approx(score, rel=1e-12)
         assert rec.task_id == "t" and rec.example_id == "e"
 

@@ -7,6 +7,7 @@ import pytest
 from rgdlab import taskgen
 from rgdlab.errors import ConfigError, InputError
 from rgdlab.taskgen import (
+    DEFAULT_TAP_TEMPLATE,
     GLOBAL_FEATURES,
     RESULT_MARKER,
     Example,
@@ -161,8 +162,8 @@ class TestPartialRationalePrompt:
 class TestTapPrompt:
     def test_empty_demos(self, suite):
         ex = suite.eval[suite.specs[0].task_id][0]
-        prompt = tap_prompt(ex, [], "use the pattern")
-        assert prompt == ("use", "the", "pattern") + ex.instruction
+        prompt = tap_prompt(ex, [])
+        assert prompt == tuple(DEFAULT_TAP_TEMPLATE.split()) + ex.instruction
 
     def test_demos_fully_rendered_and_ordered(self, suite):
         ex = suite.eval[suite.specs[0].task_id][0]
@@ -194,9 +195,3 @@ class TestWarmupCorpus:
             first, second = ex.instruction[opts_at + 1], ex.instruction[opts_at + 3]
             assert ex.answer == (first, second)[GLOBAL_FEATURES.index(hint)]
             assert hint in ex.rationale
-
-    def test_uncond_fraction(self):
-        all_uncond = make_warmup_corpus(40, seed=1, uncond_fraction=1.0)
-        assert all(ex.instruction == () for ex in all_uncond)
-        all_cond = make_warmup_corpus(40, seed=1, uncond_fraction=0.0)
-        assert all(ex.instruction != () for ex in all_cond)

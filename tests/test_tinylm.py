@@ -23,7 +23,6 @@ from rgdlab.tinylm import (
     grad_check,
     init_model,
     load_model,
-    perplexity,
     save_model,
     sequence_nll,
     train,
@@ -431,30 +430,6 @@ class TestExactKernels:
             sequence_nll(m, [4, -1, 99], [5])
         with pytest.raises(InvalidTokenError, match="target id 99 out of range"):
             sequence_nll(m, [4], [5, 99, -1])
-
-
-class TestPerplexity:
-    def test_constant_per_token(self):
-        nll = NllResult(sum_nll=2 * math.log(2), n_tokens=2,
-                        per_token=(math.log(2), math.log(2)))
-        assert perplexity(nll) == pytest.approx(2.0, rel=1e-12)
-
-    def test_certainty(self):
-        nll = NllResult(sum_nll=0.0, n_tokens=3, per_token=(0.0, 0.0, 0.0))
-        assert perplexity(nll) == pytest.approx(1.0)
-
-    def test_geometric_mean(self):
-        nll = NllResult(sum_nll=math.log(2) + math.log(8), n_tokens=2,
-                        per_token=(math.log(2), math.log(8)))
-        assert perplexity(nll) == pytest.approx(4.0, rel=1e-12)
-
-    def test_zero_tokens_rejected(self):
-        with pytest.raises(EmptyTargetError):
-            perplexity(NllResult(sum_nll=0.0, n_tokens=0, per_token=()))
-
-    def test_monotone_in_sum_nll(self):
-        values = [perplexity(NllResult(s, 4, ())) for s in (0.5, 1.0, 2.0, 4.0)]
-        assert values == sorted(values)
 
 
 class TestTrain:
