@@ -149,23 +149,10 @@ def build_base_model(suite: taskgen.Suite, cfg: RunConfig) -> tinylm.ModelState:
 
 
 def training_pair(vocab: tinylm.Vocab, ex: taskgen.Example) -> tuple[list[int], list[int]]:
-    """Teacher-forcing pair; prompts carry the document prefix.
-
-    Examples with an empty instruction (standalone reasoning text from the
-    warmup corpus) keep an empty context so they train the start-of-text
-    windows.
-    """
-    context = vocab.encode(prompt_tokens(ex.instruction))
+    """Teacher-forcing pair: the rendered prompt, then target tokens and EOS."""
+    context = vocab.encode(taskgen.render_prompt(ex.instruction))
     target = vocab.encode(taskgen.training_target_tokens(ex)) + [tinylm.EOS]
     return context, target
-
-
-def prompt_tokens(instruction) -> tuple[str, ...]:
-    """Document prefix plus the instruction; empty instructions stay empty."""
-    instruction = tuple(instruction)
-    if not instruction:
-        return ()
-    return taskgen.PROMPT_PREFIX + instruction
 
 
 def _decoded_accuracy(model: tinylm.ModelState, prompts, examples, max_gen_len: int) -> float:
@@ -181,7 +168,7 @@ def evaluate_accuracy(model: tinylm.ModelState, examples, max_gen_len: int = 18)
     examples = list(examples)
     if not examples:
         raise InputError("no examples to evaluate")
-    return _decoded_accuracy(model, [prompt_tokens(ex.instruction) for ex in examples],
+    return _decoded_accuracy(model, [taskgen.render_prompt(ex.instruction) for ex in examples],
                              examples, max_gen_len)
 
 
@@ -319,7 +306,8 @@ def probe_partial_rationale(model: tinylm.ModelState, examples, k_grid=DEFAULT_K
         raise InputError("no examples to probe")
     results = []
     for k in k_grid:
-        prompts = [prompt_tokens(taskgen.partial_rationale_prompt(ex, k)) for ex in examples]
+        prompts = [taskgen.render_prompt(taskgen.partial_rationale_prompt(ex, k))
+                   for ex in examples]
         results.append((float(k), _decoded_accuracy(model, prompts, examples, max_gen_len)))
     return results
 
@@ -350,7 +338,7 @@ def probe_tap(model: tinylm.ModelState, examples, demo_pool,
     if not demo_pool:
         raise ConfigError("demo pool is empty after removing same-task examples")
     instruction_only = _decoded_accuracy(
-        model, [prompt_tokens(ex.instruction) for ex in examples], examples, max_gen_len)
+        model, [taskgen.render_prompt(ex.instruction) for ex in examples], examples, max_gen_len)
     grid: list[tuple[int, int, float]] = [(0, 0, instruction_only)]
     best = (0, 0, instruction_only, ())
     for count in demo_counts:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from . import tinylm
 from .errors import InputError, InvalidPplError
-from .taskgen import Example
+from .taskgen import Example, render_prompt
 
 SCALAR_FLOOR = 1e-6
 
@@ -61,7 +61,8 @@ def rgd_records(model: tinylm.ModelState, examples) -> list[PplRecord]:
     """NLL record of each example under one model snapshot, from one
     ``tinylm.batch_nll`` call; ``PplRecord.rgd`` is the example's score.
 
-    ``PPL(r)`` does not depend on the instruction, so it is computed once per
+    ``PPL(r|x)`` conditions on ``x`` rendered by ``taskgen.render_prompt``,
+    as in training.  ``PPL(r)`` does not depend on the instruction, so it is computed once per
     distinct rationale and shared by every example that has it.
     """
     vocab = model.vocab
@@ -72,7 +73,7 @@ def rgd_records(model: tinylm.ModelState, examples) -> list[PplRecord]:
     for ex in examples:
         if len(ex.rationale) == 0:
             raise InputError(f"example {ex.id} has an empty rationale")
-        x_ids = vocab.encode(ex.instruction)
+        x_ids = vocab.encode(render_prompt(ex.instruction))
         r_ids = vocab.encode(ex.rationale)
         cond_pairs.append((x_ids, r_ids))
         keys.append(tuple(r_ids))

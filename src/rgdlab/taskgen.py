@@ -34,6 +34,20 @@ MAX_TASKS = 15
 # base-skills corpus and unconditional rationale perplexity stays anchored.
 PROMPT_PREFIX = ("a", "new", "row", "of", "words", "arrives", ",", "work", "it", "out", ":")
 
+
+def render_prompt(instruction) -> tuple[str, ...]:
+    """The prompt a model sees: document prefix plus the instruction.
+
+    Training, evaluation, both probes and RGD scoring all render through
+    here.  Empty instructions (standalone reasoning text from the warmup
+    corpus) stay empty, so they train the start-of-text windows.
+    """
+    instruction = tuple(instruction)
+    if not instruction:
+        return ()
+    return PROMPT_PREFIX + instruction
+
+
 DEFAULT_TAP_TEMPLATE = "here are some solved rows , use the same pattern for the last one ."
 
 CONTENT_GROUPS = {

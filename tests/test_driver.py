@@ -164,6 +164,21 @@ class TestScoreTaskRgd:
         expected, _ = rgd.task_rgd([rgd.rgd_from_model(base, ex) for ex in examples[:6]])
         assert driver.score_task_rgd(base, examples, 6) == expected
 
+    def test_scores_the_prompt_the_model_trained_on(self, suite, base, monkeypatch):
+        examples = suite.probe[suite.specs[0].task_id]
+        calls = []
+        original = tinylm.batch_nll
+
+        def recording(model, pairs):
+            calls.append([list(context) for context, _ in pairs])
+            return original(model, pairs)
+
+        monkeypatch.setattr(tinylm, "batch_nll", recording)
+        rgd.rgd_records(base, examples)
+        contexts = [driver.training_pair(base.vocab, ex)[0] for ex in examples]
+        assert calls[0][:len(examples)] == contexts
+        assert all(context for context in contexts)
+
     def test_one_unconditional_nll_per_rationale(self, suite, base, monkeypatch):
         examples = [ex for spec in suite.specs for ex in suite.probe[spec.task_id]]
         calls = []

@@ -15,7 +15,7 @@ from rgdlab.rgd import (
     summary_scalar,
     task_rgd,
 )
-from rgdlab.taskgen import Example
+from rgdlab.taskgen import PROMPT_PREFIX, Example, render_prompt
 from rgdlab.tinylm import Vocab, init_model
 
 
@@ -68,7 +68,7 @@ class TestRgdFromModel:
 
     def test_context_blind_model_gives_one(self):
         # zero hidden weights: the context cannot move the prediction
-        vocab = Vocab.build(["alpha", "beta", "row"])
+        vocab = Vocab.build(["alpha", "beta", "row", *PROMPT_PREFIX])
         model = init_model(vocab, 3, 4, 4, seed=0)
         model.w_hidden[:] = 0.0
         ex = Example(task_id="t", id="e", instruction=("row", "row"),
@@ -77,11 +77,13 @@ class TestRgdFromModel:
 
     def test_memorized_quarter(self):
         # one-hot saturated model: p(r|x) ~ 1, unconditional uniform over the
-        # four content tokens, so the score is exactly 1/4.
-        vocab = Vocab.build(["a", "b", "c", "d"])
+        # four content tokens, so the score is exactly 1/4.  With a one-token
+        # context the rendered prompt ends in the instruction's "a".
+        vocab = Vocab.build(["a", "b", "c", "d", *PROMPT_PREFIX])
         v = len(vocab)
         model = init_model(vocab, 1, v, v, seed=0)
         a, b = vocab.id("a"), vocab.id("b")
+        content = [vocab.id(t) for t in "abcd"]
         model.embed[:] = 0.0
         np.fill_diagonal(model.embed, 50.0)
         model.w_hidden[:] = np.eye(v)
@@ -89,7 +91,7 @@ class TestRgdFromModel:
         model.w_out[:] = 0.0
         model.b_out[:] = 0.0
         model.w_out[a, b] = 100.0                     # after "a", "b" is certain
-        model.w_out[tinylm.BOS, 4:] = 50.0            # uniform over content from BOS
+        model.w_out[tinylm.BOS, content] = 50.0       # uniform over a-d from BOS
         ex = Example(task_id="t", id="e", instruction=("a",),
                      rationale=("b",), answer="a")
         rec = rgd_from_model(model, ex)
@@ -97,12 +99,13 @@ class TestRgdFromModel:
         assert rec.n_rationale_tokens == 1
 
     def test_record_carries_sums(self):
-        vocab = Vocab.build(["a", "b", "c"])
+        vocab = Vocab.build(["a", "b", "c", *PROMPT_PREFIX])
         model = init_model(vocab, 2, 4, 4, seed=1)
         ex = Example(task_id="t", id="e", instruction=("a", "c"),
                      rationale=("b", "a", "c"), answer="a")
         rec = rgd_from_model(model, ex)
-        cond = tinylm.sequence_nll(model, vocab.encode(ex.instruction), vocab.encode(ex.rationale))
+        cond = tinylm.sequence_nll(model, vocab.encode(render_prompt(ex.instruction)),
+                                   vocab.encode(ex.rationale))
         uncond = tinylm.sequence_nll(model, [], vocab.encode(ex.rationale))
         score = rgd_score(math.exp(cond.sum_nll / 3), math.exp(uncond.sum_nll / 3))
         assert rec.rgd() == pytest.approx(score, rel=1e-12)

@@ -1,6 +1,7 @@
 """Tests for the synthetic task suite and probing prompts."""
 
 import math
+from pathlib import Path
 
 import pytest
 
@@ -9,12 +10,14 @@ from rgdlab.errors import ConfigError, InputError
 from rgdlab.taskgen import (
     DEFAULT_TAP_TEMPLATE,
     GLOBAL_FEATURES,
+    PROMPT_PREFIX,
     RESULT_MARKER,
     Example,
     make_suite,
     make_warmup_corpus,
     partial_rationale_prompt,
     render_example,
+    render_prompt,
     scan_answer_leak,
     tap_prompt,
     training_target_tokens,
@@ -180,6 +183,20 @@ class TestTapPrompt:
         ex = suite.eval[task][0]
         with pytest.raises(ConfigError):
             tap_prompt(ex, [suite.train[task][0]])
+
+
+class TestRenderPrompt:
+    def test_prefix_then_instruction(self, suite):
+        ex = suite.train[suite.specs[0].task_id][0]
+        assert render_prompt(ex.instruction) == PROMPT_PREFIX + ex.instruction
+
+    def test_empty_instruction_stays_empty(self):
+        assert render_prompt(()) == ()
+
+    def test_one_module_renders_prompts(self):
+        package = Path(taskgen.__file__).parent
+        owners = sorted(p.name for p in package.glob("*.py") if "PROMPT_PREFIX" in p.read_text())
+        assert owners == ["taskgen.py"]
 
 
 class TestWarmupCorpus:
