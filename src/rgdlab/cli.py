@@ -181,35 +181,42 @@ def _cmd_score_rgd(args) -> int:
     return 0
 
 
-def _parse_kv(text: str) -> dict[str, float]:
+def _parse_kv(flag: str, text: str, convert) -> dict:
+    """``task=value,...`` pairs of ``flag``, each value read by ``convert`` (float or int)."""
     out = {}
     for part in text.split(","):
         if not part:
             continue
-        key, _, value = part.partition("=")
-        if not _:
-            raise RgdLabError(f"expected task=value, got {part!r}")
-        out[key] = float(value)
+        key, sep, value = part.partition("=")
+        try:
+            if not sep:
+                raise ValueError
+            out[key] = convert(value)
+        except ValueError:
+            kind = "integer" if convert is int else "number"
+            raise InputError(f"{flag}: expected task={kind}, got {part!r}") from None
     if not out:
-        raise RgdLabError("no task=value pairs given")
+        raise InputError(f"{flag}: no task=value pairs given")
     return out
 
 
+# The flag that carries each allocation strategy's input.
+_ALLOCATE_INPUT = {"equal": "--tasks", "rgd": "--scores", "inscl": "--distances"}
+
+
 def _cmd_allocate(args) -> int:
+    flag = _ALLOCATE_INPUT[args.strategy]
+    text = getattr(args, flag[2:])
+    if not text:
+        raise InputError(f"{args.strategy} allocation needs {flag}")
     if args.strategy == "equal":
-        if not args.tasks:
-            print("equal allocation needs --tasks", file=sys.stderr)
-            return 1
-        plan = replay.allocate_equal(args.tasks.split(","), args.alpha)
+        plan = replay.allocate_equal(text.split(","), args.alpha)
     elif args.strategy == "rgd":
-        plan = replay.allocate_rgd(_parse_kv(args.scores), args.alpha)
-    elif args.strategy == "inscl":
-        plan = replay.allocate_inscl(_parse_kv(args.distances), args.alpha)
+        plan = replay.allocate_rgd(_parse_kv(flag, text, float), args.alpha)
     else:
-        print(f"unknown strategy {args.strategy!r}", file=sys.stderr)
-        return 1
+        plan = replay.allocate_inscl(_parse_kv(flag, text, float), args.alpha)
     if args.pools:
-        plan = replay.fit_to_pools(plan, {k: int(v) for k, v in _parse_kv(args.pools).items()})
+        plan = replay.fit_to_pools(plan, _parse_kv("--pools", args.pools, int))
     doc = fileio.plan_doc(plan)
     if args.out_file:
         artifacts.write_json(args.out_file, doc)
@@ -277,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_score_rgd)
 
     p = sub.add_parser("allocate", help="compute a replay allocation plan")
-    p.add_argument("--strategy", choices=("equal", "rgd", "inscl"), required=True)
+    p.add_argument("--strategy", choices=tuple(_ALLOCATE_INPUT), required=True)
     p.add_argument("--alpha", type=int, required=True)
     p.add_argument("--tasks", default=None, help="comma-separated ids (equal)")
     p.add_argument("--scores", default=None, help="task=score,... (rgd)")

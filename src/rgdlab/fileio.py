@@ -125,7 +125,10 @@ def write_matrix(m: clmetrics.PerfMatrix, path) -> None:
 
 def read_matrix(path) -> clmetrics.PerfMatrix:
     with open(path, encoding="utf-8") as fh:
-        reader = list(csv.reader(fh))
+        try:
+            reader = list(csv.reader(fh))
+        except (UnicodeDecodeError, csv.Error) as err:
+            raise ParseError(f"{path}: not a CSV matrix: {err}") from None
     if not reader or reader[0][:1] != ["stage"]:
         raise ParseError(f"{path}: missing matrix header")
     order = tuple(reader[0][1:])

@@ -31,6 +31,8 @@ def largest_remainder(weights, total: int) -> list[int]:
     if total < 0:
         raise ConfigError("total must be nonnegative")
     weights = [float(w) for w in weights]
+    if not all(math.isfinite(w) for w in weights):
+        raise InputError(f"weights must be finite, got {weights}")
     if any(w < 0 for w in weights):
         raise InputError("weights must be nonnegative")
     s = sum(weights)

@@ -507,6 +507,37 @@ class TestCli:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and named in err[0], err
 
+    @pytest.mark.parametrize("argv, named", [
+        (["--strategy", "rgd", "--scores", "a=x"], "--scores: expected task=number, got 'a=x'"),
+        (["--strategy", "rgd", "--scores", "a"], "--scores: expected task=number, got 'a'"),
+        (["--strategy", "rgd", "--scores", "a=1", "--pools", "a=x"], "--pools"),
+        (["--strategy", "rgd", "--scores", "a=1", "--pools", "a=1.5"],
+         "--pools: expected task=integer, got 'a=1.5'"),
+        (["--strategy", "rgd"], "rgd allocation needs --scores"),
+        (["--strategy", "inscl"], "inscl allocation needs --distances"),
+        (["--strategy", "equal"], "equal allocation needs --tasks"),
+        (["--strategy", "rgd", "--scores", "a=nan,b=1"], "finite"),
+        (["--strategy", "inscl", "--distances", "a=inf,b=1"], "finite"),
+    ], ids=["score-not-a-number", "score-without-value", "pool-not-a-number",
+            "pool-not-an-integer", "rgd-without-scores", "inscl-without-distances",
+            "equal-without-tasks", "nan-score", "inf-distance"])
+    def test_allocate_bad_input_exits_one(self, tmp_path, capsys, argv, named):
+        out_file = tmp_path / "plan.json"
+        assert cli.main(["allocate", "--alpha", "5", *argv, "--out-file", str(out_file)]) == 1
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and named in err[0], err
+        assert captured.out == "" and not out_file.exists()
+
+    def test_metrics_non_utf8_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"stage,caf\xe9\n1,50.0\na0,50.0\n")
+        with pytest.raises(ParseError, match="latin1.csv"):
+            fileio.read_matrix(path)
+        assert cli.main(["metrics", "--matrix", str(path)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "latin1.csv" in err[0], err
+
     def test_allocate_with_pools(self, capsys):
         rc = cli.main(["allocate", "--strategy", "rgd", "--alpha", "10",
                        "--scores", "a=1,b=1", "--pools", "a=2,b=100"])

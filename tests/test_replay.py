@@ -1,5 +1,7 @@
 """Tests for allocation strategies, transport distance and replay sampling."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,11 @@ class TestAllocateRgd:
         with pytest.raises(InputError):
             allocate_rgd({"a": 0.0}, 10)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_score_rejected(self, bad):
+        with pytest.raises(InputError, match="finite"):
+            allocate_rgd({"a": bad, "b": 1.0}, 5)
+
 
 class TestAllocateInscl:
     def test_proportional_to_distance(self):
@@ -98,6 +105,10 @@ class TestAllocateInscl:
     def test_negative_distance_rejected(self):
         with pytest.raises(InputError):
             allocate_inscl({"a": -0.1}, 4)
+
+    def test_nan_distance_rejected(self):
+        with pytest.raises(InputError, match="finite"):
+            allocate_inscl({"a": math.nan, "b": 0.5}, 5)
 
 
 class TestInstructionDistance:
@@ -204,3 +215,8 @@ class TestLargestRemainder:
     def test_all_zero_weights_rejected(self):
         with pytest.raises(InputError):
             largest_remainder([0.0, 0.0], 5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_weights_rejected(self, bad):
+        with pytest.raises(InputError, match="finite"):
+            largest_remainder([1.0, bad], 5)
