@@ -327,8 +327,8 @@ def probe_tap(model: tinylm.ModelState, examples, demo_pool,
               seed: int = 0, max_gen_len: int = 18) -> TapResult:
     """Grid search over demo counts and seeded demo draws.
 
-    The zero-demo arm is always evaluated and uses the bare instruction
-    (no ``taskgen.tap_prompt`` context), so the search can never fall below instruction-only
+    The zero-demo arm is always evaluated and uses the bare instruction (no
+    context template), so the search can never fall below instruction-only
     accuracy; ties prefer fewer demos, then the earlier draw.
     """
     examples = list(examples)

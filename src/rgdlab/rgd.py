@@ -62,8 +62,9 @@ def rgd_records(model: tinylm.ModelState, examples) -> list[PplRecord]:
     ``tinylm.batch_nll`` call; ``PplRecord.rgd`` is the example's score.
 
     ``PPL(r|x)`` conditions on ``x`` rendered by ``taskgen.render_prompt``,
-    as in training.  ``PPL(r)`` does not depend on the instruction, so it is computed once per
-    distinct rationale and shared by every example that has it.
+    exactly as in training.  ``PPL(r)`` does not depend on the instruction,
+    so it is computed once per distinct rationale and shared by every
+    example that has it.
     """
     vocab = model.vocab
     examples = list(examples)
