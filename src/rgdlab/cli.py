@@ -153,27 +153,20 @@ def _cmd_score_rgd(args) -> int:
             if args.task not in by_task:
                 raise InputError(f"unknown task {args.task!r}")
             by_task = {args.task: by_task[args.task]}
-        docs = []
-        for task in sorted(by_task):
-            summary, scalar = rgd.task_rgd(by_task[task], aggregator=args.aggregator)
-            docs.append({**fileio.summary_doc(summary), "scalar": scalar})
+        summaries = [rgd.task_rgd(by_task[task]) for task in sorted(by_task)]
     else:
         if not (args.checkpoint and args.config):
-            print("need --from-records, or --checkpoint with --config", file=sys.stderr)
-            return 1
+            raise InputError("need --from-records, or --checkpoint with --config")
         cfg = fileio.load_experiment_config(args.config, output_dir=args.out or ".")
         suite = cfg.make_suite()
         if args.task:
             suite.spec(args.task)           # unknown task: InputError
         model = tinylm.load_model(args.checkpoint)
-        docs = []
-        for spec in suite.specs:
-            if args.task and spec.task_id != args.task:
-                continue
-            summary = driver.score_task_rgd(model, suite.probe[spec.task_id],
-                                            cfg.plan.rgd_eval_size)
-            docs.append({**fileio.summary_doc(summary),
-                         "scalar": rgd.summary_scalar(summary, args.aggregator)})
+        summaries = [driver.score_task_rgd(model, suite.probe[spec.task_id],
+                                           cfg.plan.rgd_eval_size)
+                     for spec in suite.specs if not args.task or spec.task_id == args.task]
+    docs = [{**fileio.summary_doc(s), "scalar": rgd.summary_scalar(s, args.aggregator)}
+            for s in summaries]
     if args.out_file:
         artifacts.write_jsonl(args.out_file, docs)
     for doc in docs:
@@ -188,6 +181,10 @@ def _parse_kv(flag: str, text: str, convert) -> dict:
         if not part:
             continue
         key, sep, value = part.partition("=")
+        if not key:
+            raise InputError(f"{flag}: empty task id in {part!r}")
+        if key in out:
+            raise InputError(f"{flag}: task {key!r} is given twice")
         try:
             if not sep:
                 raise ValueError

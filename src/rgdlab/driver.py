@@ -47,33 +47,14 @@ def derive_seed(*parts: int) -> int:
     return int(ss.generate_state(1, np.uint32)[0])
 
 
+TrainSettings = tinylm.TrainSettings      # config files and callers name it here
+
+
 @dataclass(frozen=True)
 class ModelDims:
     context_len: int = 28
     embed_dim: int = 12
     hidden_dim: int = 128
-
-
-@dataclass(frozen=True)
-class TrainSettings:
-    learning_rate: float = 0.15
-    epochs: int = 10
-    batch_size: int = 16
-    momentum: float = 0.9
-    shuffle: bool = True
-
-    def __post_init__(self):
-        self.to_config(seed=0)      # tinylm.TrainConfig checks the bounds
-
-    def to_config(self, seed: int) -> tinylm.TrainConfig:
-        return tinylm.TrainConfig(
-            learning_rate=self.learning_rate,
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-            momentum=self.momentum,
-            seed=seed,
-            shuffle=self.shuffle,
-        )
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -142,9 +123,7 @@ def build_base_model(suite: taskgen.Suite, cfg: RunConfig) -> tinylm.ModelState:
         return model
     warmup = taskgen.make_warmup_corpus(
         cfg.warmup_examples, seed=derive_seed(suite.seed, _SALT_WARMUP))
-    corpus = [training_pair(vocab, ex) for ex in warmup]
-    train_cfg = cfg.warmup.to_config(seed=derive_seed(suite.seed, _SALT_WARMUP, 1))
-    model, _ = tinylm.train(model, corpus, train_cfg)
+    model, _ = _train(model, warmup, cfg.warmup, derive_seed(suite.seed, _SALT_WARMUP, 1))
     return model
 
 
@@ -153,6 +132,13 @@ def training_pair(vocab: tinylm.Vocab, ex: taskgen.Example) -> tuple[list[int], 
     context = vocab.encode(taskgen.render_prompt(ex.instruction))
     target = vocab.encode(taskgen.training_target_tokens(ex)) + [tinylm.EOS]
     return context, target
+
+
+def _train(model: tinylm.ModelState, examples, settings: TrainSettings, seed: int):
+    """``tinylm.train`` on the teacher-forcing pairs of ``examples``: the one
+    place a training phase's settings and seed become a ``TrainConfig``."""
+    corpus = [training_pair(model.vocab, ex) for ex in examples]
+    return tinylm.train(model, corpus, tinylm.TrainConfig(**vars(settings), seed=seed))
 
 
 def _decoded_accuracy(model: tinylm.ModelState, prompts, examples, max_gen_len: int) -> float:
@@ -175,8 +161,7 @@ def evaluate_accuracy(model: tinylm.ModelState, examples, max_gen_len: int = 18)
 def score_task_rgd(model: tinylm.ModelState, examples, limit: int | None = None) -> rgd.RgdSummary:
     """Difficulty summary of a task's probe slice under one checkpoint."""
     chosen = list(examples)[:limit] if limit else list(examples)
-    summary, _ = rgd.task_rgd(rgd.rgd_records(model, chosen))
-    return summary
+    return rgd.task_rgd(rgd.rgd_records(model, chosen))
 
 
 def _stage_plan(cfg: RunConfig, suite: taskgen.Suite, order, stage: int,
@@ -205,14 +190,11 @@ def _run_stage(suite: taskgen.Suite, cfg: RunConfig, order, stage: int,
                model: tinylm.ModelState, counts: tuple[int, ...]):
     """Train ``model`` on the stage's task plus ``counts`` replay samples per
     previous task, then evaluate and score every task seen so far."""
-    vocab = model.vocab
-    corpus = [training_pair(vocab, ex) for ex in suite.train[order[stage]]]
+    examples = list(suite.train[order[stage]])
     for j, (prev_task, count) in enumerate(zip(order[:stage], counts)):
-        picks = replay.sample_replay(suite.train[prev_task], count,
-                                     seed=derive_seed(cfg.run_seed, _SALT_REPLAY, stage, j))
-        corpus.extend(training_pair(vocab, ex) for ex in picks)
-    train_cfg = cfg.train.to_config(seed=derive_seed(cfg.run_seed, _SALT_STAGE, stage))
-    model, trace = tinylm.train(model, corpus, train_cfg)
+        examples += replay.sample_replay(suite.train[prev_task], count,
+                                         seed=derive_seed(cfg.run_seed, _SALT_REPLAY, stage, j))
+    model, trace = _train(model, examples, cfg.train, derive_seed(cfg.run_seed, _SALT_STAGE, stage))
     for _, param in model.params():         # the checkpoint may be shared between runs
         param.setflags(write=False)
     row = tuple(evaluate_accuracy(model, suite.eval[order[j]], cfg.max_gen_len)
@@ -275,12 +257,10 @@ def run_sequence(suite: taskgen.Suite, cfg: RunConfig, a0: dict[str, float],
 def run_single_baselines(suite: taskgen.Suite, cfg: RunConfig,
                          base_model: tinylm.ModelState) -> dict[str, float]:
     """Per-task score of a base model trained on that task alone."""
-    vocab = base_model.vocab
     out = {}
     for i, spec in enumerate(suite.specs):
-        corpus = [training_pair(vocab, ex) for ex in suite.train[spec.task_id]]
-        train_cfg = cfg.train.to_config(seed=derive_seed(cfg.run_seed, _SALT_SINGLE, i))
-        model, _ = tinylm.train(base_model, corpus, train_cfg)
+        model, _ = _train(base_model, suite.train[spec.task_id], cfg.train,
+                          derive_seed(cfg.run_seed, _SALT_SINGLE, i))
         out[spec.task_id] = evaluate_accuracy(model, suite.eval[spec.task_id], cfg.max_gen_len)
     return out
 
@@ -288,12 +268,8 @@ def run_single_baselines(suite: taskgen.Suite, cfg: RunConfig,
 def run_multitask(suite: taskgen.Suite, cfg: RunConfig,
                   base_model: tinylm.ModelState) -> dict[str, float]:
     """Per-task score of one model trained on the union of all train sets."""
-    vocab = base_model.vocab
-    corpus = []
-    for spec in suite.specs:
-        corpus.extend(training_pair(vocab, ex) for ex in suite.train[spec.task_id])
-    train_cfg = cfg.train.to_config(seed=derive_seed(cfg.run_seed, _SALT_MULTI))
-    model, _ = tinylm.train(base_model, corpus, train_cfg)
+    examples = [ex for spec in suite.specs for ex in suite.train[spec.task_id]]
+    model, _ = _train(base_model, examples, cfg.train, derive_seed(cfg.run_seed, _SALT_MULTI))
     return {spec.task_id: evaluate_accuracy(model, suite.eval[spec.task_id], cfg.max_gen_len)
             for spec in suite.specs}
 

@@ -1,10 +1,12 @@
 """Replay budget allocation across previous tasks, plus replay sampling.
 
-Three allocators share largest-remainder rounding (floor the real shares,
-hand the leftover units to the largest fractional parts, earlier task wins
-ties), so every plan hits its budget exactly.  `fit_to_pools` caps counts at
-what each task's pool can actually supply, redistributing the surplus over
-the remaining tasks and recording any clamping as shortfalls.
+Each allocator is a weight function: it turns its input into one weight per
+previous task, and `_apportion` splits the budget in proportion with
+largest-remainder rounding (floor the real shares, hand the leftover units
+to the largest fractional parts, earlier task wins ties), so every plan hits
+its budget exactly.  `fit_to_pools` caps counts at what each task's pool can
+actually supply, redistributing the surplus over the remaining tasks by the
+same weights and recording any clamping as shortfalls.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ class AllocationPlan:
     budget: int
     strategy: str
     counts: dict[str, int]
+    weights: dict[str, float]                  # allocator inputs; not serialized
     shortfalls: dict[str, int] = field(default_factory=dict)
-    weights: dict[str, float] | None = None    # allocator inputs; not serialized
 
 
 def largest_remainder(weights, total: int) -> list[int]:
@@ -47,63 +49,58 @@ def largest_remainder(weights, total: int) -> list[int]:
     return base
 
 
+def _apportion(strategy: str, weights: dict[str, float], alpha: int) -> AllocationPlan:
+    """The plan that splits budget ``alpha`` over the tasks in proportion to ``weights``."""
+    if alpha < 0:
+        raise ConfigError("budget must be nonnegative")
+    counts = largest_remainder(weights.values(), alpha)
+    return AllocationPlan(budget=alpha, strategy=strategy,
+                          counts=dict(zip(weights, counts)), weights=weights)
+
+
 def allocate_equal(prev_tasks, alpha: int) -> AllocationPlan:
-    """Floor split of the budget; the remainder goes to the earliest tasks."""
+    """Unit weights: the budget's floor split, the remainder to the earliest tasks."""
     tasks = list(prev_tasks)
     if not tasks:
         raise InputError("prev_tasks must be nonempty")
-    if alpha < 0:
-        raise ConfigError("budget must be nonnegative")
-    n = len(tasks)
-    counts = {t: alpha // n + (1 if i < alpha % n else 0) for i, t in enumerate(tasks)}
-    return AllocationPlan(budget=alpha, strategy="equal", counts=counts,
-                          weights={t: 1.0 for t in tasks})
+    for i, task in enumerate(tasks):
+        if not task:
+            raise InputError(f"task id {task!r} is empty")
+        if task in tasks[:i]:
+            raise InputError(f"task {task!r} is given twice")
+    return _apportion("equal", dict.fromkeys(tasks, 1.0), alpha)
 
 
 def allocate_rgd(scores, alpha: int) -> AllocationPlan:
-    """Counts proportional to each previous task's difficulty scalar."""
+    """Each previous task's difficulty scalar is its weight."""
     scores = dict(scores)
     if not scores:
         raise InputError("scores must be nonempty")
-    if alpha < 0:
-        raise ConfigError("budget must be nonnegative")
     for task, score in scores.items():
         if score is None:
             raise InputError(f"missing score for task {task!r}")
         if score <= 0:
             raise InputError(f"score for task {task!r} must be positive")
-    tasks = list(scores)
-    alloc = largest_remainder([scores[t] for t in tasks], alpha)
-    return AllocationPlan(budget=alpha, strategy="rgd",
-                          counts=dict(zip(tasks, alloc)),
-                          weights={t: float(scores[t]) for t in tasks})
+    return _apportion("rgd", {t: float(s) for t, s in scores.items()}, alpha)
 
 
 def allocate_inscl(distances, alpha: int) -> AllocationPlan:
-    """Counts proportional to instruction-distribution distance.
+    """Each task's instruction-distribution distance is its weight.
 
-    More different tasks replay more; if every distance is zero the plan
-    falls back to an equal split.
+    More different tasks replay more; if every distance is zero the weights
+    are all one, an equal split.
     """
     distances = dict(distances)
     if not distances:
         raise InputError("distances must be nonempty")
-    if alpha < 0:
-        raise ConfigError("budget must be nonnegative")
     for task, d in distances.items():
         if d is None:
             raise InputError(f"missing distance for task {task!r}")
         if d < 0:
             raise InputError(f"distance for task {task!r} must be nonnegative")
-    tasks = list(distances)
-    if all(distances[t] == 0 for t in tasks):
-        plan = allocate_equal(tasks, alpha)
-        return AllocationPlan(budget=alpha, strategy="inscl", counts=plan.counts,
-                              weights={t: 1.0 for t in tasks})
-    alloc = largest_remainder([distances[t] for t in tasks], alpha)
-    return AllocationPlan(budget=alpha, strategy="inscl",
-                          counts=dict(zip(tasks, alloc)),
-                          weights={t: float(distances[t]) for t in tasks})
+    if not any(distances.values()):
+        distances = dict.fromkeys(distances, 1.0)
+    return _apportion("inscl", {t: float(d) for t, d in distances.items()}, alpha)
 
 
 def fit_to_pools(plan: AllocationPlan, pool_sizes) -> AllocationPlan:
@@ -119,17 +116,15 @@ def fit_to_pools(plan: AllocationPlan, pool_sizes) -> AllocationPlan:
             raise InputError(f"no pool size for task {task!r}")
         if pools[task] < 0:
             raise InputError(f"pool size for task {task!r} must be nonnegative")
-    weights = plan.weights or {t: float(c) for t, c in plan.counts.items()}
-
     target = min(plan.budget, sum(pools[t] for t in plan.counts))
     capped: dict[str, int] = {}
     active = [t for t in plan.counts]
     remaining = target
     while active and remaining > 0:
-        positive = [t for t in active if weights[t] > 0]
+        positive = [t for t in active if plan.weights[t] > 0]
         share_tasks = positive if positive else active
         alloc = largest_remainder(
-            [weights[t] if positive else 1.0 for t in share_tasks], remaining)
+            [plan.weights[t] if positive else 1.0 for t in share_tasks], remaining)
         assignment = dict(zip(share_tasks, alloc))
         for t in active:
             assignment.setdefault(t, 0)
@@ -149,7 +144,7 @@ def fit_to_pools(plan: AllocationPlan, pool_sizes) -> AllocationPlan:
     shortfalls = {t: plan.counts[t] - pools[t]
                   for t in plan.counts if plan.counts[t] > pools[t]}
     return AllocationPlan(budget=plan.budget, strategy=plan.strategy,
-                          counts=capped, shortfalls=shortfalls, weights=plan.weights)
+                          counts=capped, weights=plan.weights, shortfalls=shortfalls)
 
 
 def instruction_distance(task_a_instructions, task_b_instructions) -> float:

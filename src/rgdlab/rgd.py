@@ -92,14 +92,8 @@ def rgd_from_model(model: tinylm.ModelState, ex: Example) -> PplRecord:
     return rgd_records(model, [ex])[0]
 
 
-def task_rgd(records, aggregator: str = "mean") -> tuple[RgdSummary, float]:
-    """Mean and population std of per-record scores, plus the allocator scalar.
-
-    The scalar is the mean (default) or mean minus std, floored at a small
-    positive epsilon so downstream proportional allocation stays defined.
-    """
-    if aggregator not in AGGREGATORS:
-        raise InputError(f"aggregator must be one of {AGGREGATORS}")
+def task_rgd(records) -> RgdSummary:
+    """Mean and population std of per-record scores of one task."""
     records = list(records)
     if not records:
         raise InputError("records must be nonempty")
@@ -110,12 +104,12 @@ def task_rgd(records, aggregator: str = "mean") -> tuple[RgdSummary, float]:
     n = len(scores)
     mean = sum(scores) / n
     var = sum((s - mean) ** 2 for s in scores) / n
-    std = math.sqrt(var)
-    summary = RgdSummary(task_id=records[0].task_id, mean=mean, std=std, n=n)
-    return summary, summary_scalar(summary, aggregator)
+    return RgdSummary(task_id=records[0].task_id, mean=mean, std=math.sqrt(var), n=n)
 
 
 def summary_scalar(summary: RgdSummary, aggregator: str = "mean") -> float:
+    """The allocator scalar: the mean (default) or mean minus std, floored at a
+    small positive epsilon so proportional allocation stays defined."""
     if aggregator not in AGGREGATORS:
         raise InputError(f"aggregator must be one of {AGGREGATORS}")
     value = summary.mean if aggregator == "mean" else summary.mean - summary.std

@@ -151,12 +151,13 @@ class NllResult:
 
 
 @dataclass(frozen=True)
-class TrainConfig:
-    learning_rate: float
-    epochs: int
-    batch_size: int
-    momentum: float
-    seed: int
+class TrainSettings:
+    """Optimizer settings of one training phase, as a config file gives them."""
+
+    learning_rate: float = 0.15
+    epochs: int = 10
+    batch_size: int = 16
+    momentum: float = 0.9
     shuffle: bool = True
 
     def __post_init__(self):
@@ -168,6 +169,13 @@ class TrainConfig:
             raise ConfigError("batch_size must be positive")
         if not 0 <= self.momentum < 1:
             raise ConfigError("momentum must be in [0, 1)")
+
+
+@dataclass(frozen=True, kw_only=True)
+class TrainConfig(TrainSettings):
+    """The settings of one ``train`` call: a phase's settings plus its seed."""
+
+    seed: int
 
 
 def init_model(vocab: Vocab, context_len: int, embed_dim: int, hidden_dim: int,

@@ -358,6 +358,9 @@ class TestCli:
         path.write_text("not json\n")
         assert cli.main(["score-rgd", "--from-records", str(path)]) == 1
         assert "error" in capsys.readouterr().err
+        assert cli.main(["score-rgd"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: need --from-records, or --checkpoint with --config"]
 
     def test_metrics_missing_file_exits_one(self, capsys):
         assert cli.main(["metrics", "--matrix", "/nonexistent.csv"]) == 1
@@ -518,9 +521,16 @@ class TestCli:
         (["--strategy", "equal"], "equal allocation needs --tasks"),
         (["--strategy", "rgd", "--scores", "a=nan,b=1"], "finite"),
         (["--strategy", "inscl", "--distances", "a=inf,b=1"], "finite"),
+        (["--strategy", "equal", "--tasks", "a,a"], "task 'a' is given twice"),
+        (["--strategy", "equal", "--tasks", "a,,b"], "task id '' is empty"),
+        (["--strategy", "rgd", "--scores", "a=1,a=5,b=1"], "--scores: task 'a' is given twice"),
+        (["--strategy", "rgd", "--scores", "=1,b=1"], "--scores: empty task id in '=1'"),
+        (["--strategy", "rgd", "--scores", "a=1", "--pools", "a=1,a=2"],
+         "--pools: task 'a' is given twice"),
     ], ids=["score-not-a-number", "score-without-value", "pool-not-a-number",
             "pool-not-an-integer", "rgd-without-scores", "inscl-without-distances",
-            "equal-without-tasks", "nan-score", "inf-distance"])
+            "equal-without-tasks", "nan-score", "inf-distance", "repeated-task",
+            "empty-task", "repeated-score", "empty-score-task", "repeated-pool"])
     def test_allocate_bad_input_exits_one(self, tmp_path, capsys, argv, named):
         out_file = tmp_path / "plan.json"
         assert cli.main(["allocate", "--alpha", "5", *argv, "--out-file", str(out_file)]) == 1

@@ -1,5 +1,9 @@
 """Functional tests for the sequential-run driver at miniature scale."""
 
+import ast
+import inspect
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -122,6 +126,19 @@ class TestBaselines:
         assert one == two
         assert set(one) == {s.task_id for s in suite.specs}
 
+    def test_one_function_trains(self):
+        package = Path(driver.__file__).parent
+        calls = []
+        for path in sorted(package.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    callee = getattr(node.func, "attr", getattr(node.func, "id", None))
+                    if callee in ("train", "TrainConfig"):
+                        calls.append((path.name, callee))
+        assert sorted(calls) == [("driver.py", "TrainConfig"), ("driver.py", "train")]
+        source = inspect.getsource(driver._train)
+        assert "tinylm.train(" in source and "tinylm.TrainConfig(" in source
+
 
 class TestProbes:
     def test_partial_grid_shape_and_boundary(self, suite, base):
@@ -161,7 +178,7 @@ class TestProbes:
 class TestScoreTaskRgd:
     def test_matches_per_example_records(self, suite, base):
         examples = suite.probe[suite.specs[0].task_id]
-        expected, _ = rgd.task_rgd([rgd.rgd_from_model(base, ex) for ex in examples[:6]])
+        expected = rgd.task_rgd([rgd.rgd_from_model(base, ex) for ex in examples[:6]])
         assert driver.score_task_rgd(base, examples, 6) == expected
 
     def test_scores_the_prompt_the_model_trained_on(self, suite, base, monkeypatch):

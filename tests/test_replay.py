@@ -37,6 +37,14 @@ class TestAllocateEqual:
         with pytest.raises(ConfigError):
             allocate_equal(["a"], -1)
 
+    def test_matches_floor_split_formula(self):
+        # reference: the floor split, with the remainder to the earliest tasks
+        for n in range(1, 16):
+            tasks = [f"t{i}" for i in range(n)]
+            for alpha in range(3001):
+                expected = [alpha // n + (i < alpha % n) for i in range(n)]
+                assert list(allocate_equal(tasks, alpha).counts.values()) == expected
+
 
 class TestAllocateRgd:
     def test_exact_proportionality(self):

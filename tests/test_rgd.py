@@ -115,29 +115,29 @@ class TestRgdFromModel:
 class TestTaskRgd:
     def test_mean_and_population_std(self):
         records = [record(v, rid=str(i)) for i, v in enumerate((0.5, 1.0, 1.5))]
-        summary, scalar = task_rgd(records)
+        summary = task_rgd(records)
         assert summary.mean == pytest.approx(1.0, rel=1e-9)
         assert summary.std == pytest.approx(math.sqrt(1 / 6), rel=1e-9)
         assert summary.n == 3
-        assert scalar == pytest.approx(1.0, rel=1e-9)
+        assert summary_scalar(summary) == pytest.approx(1.0, rel=1e-9)
 
     def test_single_record(self):
-        summary, scalar = task_rgd([record(0.7)])
+        summary = task_rgd([record(0.7)])
         assert summary.mean == pytest.approx(0.7, rel=1e-9)
         assert summary.std == 0.0
-        assert scalar == pytest.approx(0.7, rel=1e-9)
+        assert summary_scalar(summary) == pytest.approx(0.7, rel=1e-9)
 
     def test_mean_minus_std(self):
         records = [record(v, rid=str(i)) for i, v in enumerate((0.5, 1.0, 1.5))]
-        _, scalar = task_rgd(records, aggregator="mean_minus_std")
+        scalar = summary_scalar(task_rgd(records), "mean_minus_std")
         assert scalar == pytest.approx(1.0 - math.sqrt(1 / 6), abs=1e-4)
 
     def test_scalar_floor(self):
         # a heavy outlier pushes mean - std negative; the scalar stays positive
         records = [record(v, rid=str(i)) for i, v in enumerate((0.1, 0.1, 30.0))]
-        summary, scalar = task_rgd(records, aggregator="mean_minus_std")
+        summary = task_rgd(records)
         assert summary.mean - summary.std < 0
-        assert scalar == pytest.approx(1e-6)
+        assert summary_scalar(summary, "mean_minus_std") == pytest.approx(1e-6)
 
     def test_empty_rejected(self):
         with pytest.raises(InputError):
@@ -151,12 +151,10 @@ class TestTaskRgd:
         values = [0.5, 0.9, 1.3, 2.0]
         fwd = task_rgd([record(v, rid=str(i)) for i, v in enumerate(values)])
         rev = task_rgd([record(v, rid=str(i)) for i, v in enumerate(reversed(values))])
-        assert fwd[0].mean == pytest.approx(rev[0].mean, rel=1e-12)
-        assert fwd[0].std == pytest.approx(rev[0].std, rel=1e-12)
+        assert fwd.mean == pytest.approx(rev.mean, rel=1e-12)
+        assert fwd.std == pytest.approx(rev.std, rel=1e-12)
 
     def test_bad_aggregator(self):
-        with pytest.raises(InputError):
-            task_rgd([record(1.0)], aggregator="median")
         with pytest.raises(InputError):
             summary_scalar(RgdSummary("t", 1.0, 0.0, 1), "median")
 
