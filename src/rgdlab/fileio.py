@@ -50,19 +50,6 @@ def write_examples(examples, path) -> None:
     } for ex in examples))
 
 
-def _example(doc: dict) -> taskgen.Example:
-    ex = taskgen.Example(task_id=doc["task"], id=doc["id"],
-                         instruction=tuple(doc["instruction"].split()),
-                         rationale=tuple(doc["rationale"].split()), answer=doc["answer"])
-    if not ex.rationale:
-        raise InputError("empty rationale")
-    return ex
-
-
-def read_examples(path) -> list[taskgen.Example]:
-    return artifacts.read_jsonl(path, _example, "example record")
-
-
 # ------------------------------------------------------------- PPL records
 
 def import_ppl_records(path) -> list[rgd.PplRecord]:

@@ -6,8 +6,17 @@ layer, and projected to a softmax over the vocabulary.  Windows shorter than
 ``context_len`` are left-padded with BOS, so the unconditional case (empty
 context) is simply an all-BOS window.
 
-Everything is float64 and every source of randomness is an explicit seed fed
-to numpy's PCG64 generator (``np.random.default_rng``), so identical inputs
+``train`` runs in float32; everything else is float64.  A ``ModelState``,
+and so every checkpoint, holds float64 parameters; ``train`` copies them
+into float32 buffers, runs every step there and hands back float64 arrays
+whose values are float32 numbers.  A step's six matrix products take
+about half as long in float32, which makes a base-model warmup step about a
+third cheaper.  Scoring (``batch_nll``), greedy decoding and ``grad_check``
+stay float64: exact NLL and RGD values, and central differences at epsilon
+1e-5, need the wider type.  Because a trained model holds float32 values,
+its checkpoint round-trips bit-exactly and the next ``train`` call enters
+without rounding.  Every source of randomness is an explicit seed fed to
+numpy's PCG64 generator (``np.random.default_rng``), so identical inputs
 give bit-identical outputs.
 
 Training allocates per ``train`` call, not per step: each batch is gathered
@@ -52,10 +61,14 @@ RESERVED = ("<pad>", "<bos>", "<eos>", "<unk>")
 
 CHECKPOINT_FORMAT = "tinylm-checkpoint-v1"
 
-# A mean NLL beyond this means some assigned probability underflowed float64
-# (exp(-745) is the smallest positive double), so training has diverged even
-# though the arithmetic stayed finite.
-DIVERGENCE_NLL = 745.0
+# The dtype of every training step (see the module docstring).
+_TRAIN_DTYPE = np.float32
+
+# A mean training NLL beyond this means some assigned probability underflowed
+# the training dtype (about 103.3 for float32, whose smallest positive value
+# is exp(-103.28)), so training has diverged even though the arithmetic
+# stayed finite.
+DIVERGENCE_NLL = -math.log(np.finfo(_TRAIN_DTYPE).smallest_subnormal)
 
 
 @dataclass(frozen=True)
@@ -251,25 +264,27 @@ def _pair_windows(model: ModelState, pairs, empty_target: Exception):
 
 class _Workspace:
     """Activation buffers for batches of up to ``rows`` windows, reused by
-    every step of a ``train`` call (see the module docstring for why)."""
+    every step of a ``train`` call (see the module docstring for why).  They
+    have the dtype of ``model``'s parameters."""
 
     def __init__(self, model: ModelState, rows: int):
         c, v, h = model.context_len, len(model.vocab), model.hidden_dim
+        dtype = model.embed.dtype
         self.rows = np.arange(rows)
         self.windows = np.empty((rows, c), dtype=np.int64)
         self.targets = np.empty(rows, dtype=np.int64)
-        self.x = np.empty((rows, c * model.embed_dim))     # x, then d_x
-        self.hidden = np.empty((rows, h))
-        self.d_hidden = np.empty((rows, h))
-        self.logits = np.empty((rows, v))
-        self.exp = np.empty((rows, v))
-        self.col = np.empty((rows, 1))
+        self.x = np.empty((rows, c * model.embed_dim), dtype)     # x, then d_x
+        self.hidden = np.empty((rows, h), dtype)
+        self.d_hidden = np.empty((rows, h), dtype)
+        self.logits = np.empty((rows, v), dtype)
+        self.exp = np.empty((rows, v), dtype)
+        self.col = np.empty((rows, 1), dtype)
 
 
-def _flat_views(model: ModelState) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """One zeroed buffer for all parameters, with a view shaped like each."""
+def _flat_views(model: ModelState, dtype) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """One zeroed ``dtype`` buffer for all parameters, with a view shaped like each."""
     shapes = [(name, p.shape) for name, p in model.params()]
-    flat = np.zeros(sum(math.prod(shape) for _, shape in shapes))
+    flat = np.zeros(sum(math.prod(shape) for _, shape in shapes), dtype)
     views, lo = {}, 0
     for name, shape in shapes:
         size = math.prod(shape)
@@ -278,9 +293,9 @@ def _flat_views(model: ModelState) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     return flat, views
 
 
-def _flat_copy(model: ModelState) -> tuple[np.ndarray, ModelState]:
-    """A copy of ``model`` whose parameters are views into one flat buffer."""
-    flat, views = _flat_views(model)
+def _flat_copy(model: ModelState, dtype) -> tuple[np.ndarray, ModelState]:
+    """A ``dtype`` copy of ``model`` whose parameters are views into one flat buffer."""
+    flat, views = _flat_views(model, dtype)
     for name, p in model.params():
         views[name][...] = p
     return flat, replace(model, **views)
@@ -425,8 +440,9 @@ def _batch_grads(model: ModelState, ws: _Workspace, windows, targets, grads,
     np.sum(d_hidden, axis=0, out=grads["b_hidden"])
     d_x = np.matmul(d_hidden, model.w_hidden.T, out=x)    # x is not used below
     # Scatter-add of d_x into the rows of the embedding table, one column at
-    # a time.  Each element (v, e) sums its terms in window order, as
-    # np.add.at would, so the result is bit-identical to it.
+    # a time.  Each element (v, e) sums its terms in window order in float64,
+    # then takes the table's dtype, so the result is bit-identical to
+    # np.add.at into a float64 table cast to that dtype.
     v, e = model.embed.shape
     ids = windows.ravel()
     d_x = d_x.reshape(-1, e)
@@ -440,25 +456,28 @@ def train(model: ModelState, corpus, cfg: TrainConfig):
     """Minibatch SGD with momentum over (context, target) pairs.
 
     Batches are whole pairs; the loss of a batch is the mean NLL over all
-    target tokens it contains.  Returns a new state plus the per-epoch mean
-    loss trace; the input model is left untouched.  Parameters, velocities
-    and gradients each live in one flat buffer, so the momentum update is
-    four ufunc calls over all parameters at once.  A step computes each
-    distinct window of its batch once (see the module docstring).
+    target tokens it contains.  Returns a new float64 state plus the
+    per-epoch mean loss trace; the input model is left untouched.  Every
+    step runs in float32, so the returned parameters are float32 values
+    (with zero epochs, an exact copy of the input's).  Parameters,
+    velocities and gradients each live in one flat buffer, so the momentum
+    update is four ufunc calls over all parameters at once.  A step
+    computes each distinct window of its batch once (see the module
+    docstring).
     """
     if not corpus:
         raise ConfigError("corpus must be nonempty")
     windows, targets, lens = _pair_windows(
         model, corpus, ConfigError("corpus contains a pair with an empty target"))
-    params, out = _flat_copy(model)
     if cfg.epochs == 0:
-        return out, []
+        return model.copy(), []
 
+    params, out = _flat_copy(model, _TRAIN_DTYPE)
     ids = _window_ids(model, windows)
-    grad, grads = _flat_views(model)
+    grad, grads = _flat_views(model, _TRAIN_DTYPE)
     velocity = np.zeros_like(params)
     step = np.empty_like(params)
-    ws = _Workspace(model, int(np.sort(lens)[-cfg.batch_size:].sum()))
+    ws = _Workspace(out, int(np.sort(lens)[-cfg.batch_size:].sum()))
     starts = np.cumsum(lens) - lens
     rng = np.random.default_rng(cfg.seed)
     trace = []
@@ -488,7 +507,7 @@ def train(model: ModelState, corpus, cfg: TrainConfig):
             if not math.isfinite(mean) or mean > DIVERGENCE_NLL:
                 raise DivergenceError(f"diverged loss {mean} in epoch {epoch}")
             trace.append(mean)
-    return out, trace
+    return _flat_copy(out, np.float64)[1], trace
 
 
 def generate_batch(model: ModelState, prompts, max_len: int) -> list[list[int]]:
@@ -532,13 +551,15 @@ def grad_check(model: ModelState, pair, epsilon: float) -> float:
     seeded random subset of 64 (all of them when the model has fewer).  The
     analytic gradient comes from the training step's kernel, repeated
     windows weighted by their count; the numeric one runs every window.
+    Both run in float64, not in the training dtype: central differences at
+    epsilon 1e-5 need its precision.
     """
     if not 1e-8 <= epsilon <= 1e-2:
         raise ConfigError("epsilon must be in [1e-8, 1e-2]")
     windows, targets, _ = _pair_windows(model, [pair],
                                         EmptyTargetError("target must be nonempty"))
-    params, work = _flat_copy(model)
-    grad, grads = _flat_views(model)
+    params, work = _flat_copy(model, np.float64)
+    grad, grads = _flat_views(model, np.float64)
     ws = _Workspace(model, len(targets))
     _step_grads(work, ws, windows, targets, _window_ids(model, windows), ws.rows, grads)
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -161,8 +162,14 @@ class TestNormalization:
             assert np.all(probs >= 0)
 
 
+def float32_copy(model):
+    """``model`` with its parameters rounded to float32, the dtype ``train`` steps in."""
+    return replace(model, **{name: p.astype(np.float32) for name, p in model.params()})
+
+
 def reference_batch_grads(model, windows, targets):
-    """The training step as first written, scattering with np.add.at."""
+    """The training step as first written, in the dtype of ``model``'s
+    parameters, scattering with np.add.at into float64 and then casting."""
     n = windows.shape[0]
     x = model.embed[windows].reshape(n, -1)
     hidden = np.tanh(x @ model.w_hidden + model.b_hidden)
@@ -175,9 +182,9 @@ def reference_batch_grads(model, windows, targets):
     d_logits /= n
     d_hidden = (d_logits @ model.w_out.T) * (1.0 - hidden * hidden)
     d_x = (d_hidden @ model.w_hidden.T).reshape(n, model.context_len, model.embed_dim)
-    g_embed = np.zeros_like(model.embed)
+    g_embed = np.zeros(model.embed.shape)
     np.add.at(g_embed, windows, d_x)
-    return loss, {"embed": g_embed, "w_hidden": x.T @ d_hidden,
+    return loss, {"embed": g_embed.astype(model.embed.dtype), "w_hidden": x.T @ d_hidden,
                   "b_hidden": d_hidden.sum(axis=0), "w_out": hidden.T @ d_logits,
                   "b_out": d_logits.sum(axis=0)}
 
@@ -193,9 +200,10 @@ def reference_windows(model, context, target):
 
 def reference_train(model, corpus, cfg):
     """The training loop as first written: fresh arrays on every step, one
-    momentum update per parameter, and each batch concatenated from lists.
-    Also says whether some batch repeated a window."""
-    out = model.copy()
+    momentum update per parameter, and each batch concatenated from lists,
+    all in float32, as ``train`` steps.  Also says whether some batch
+    repeated a window."""
+    out = float32_copy(model)
     repeated = False
     windows = [reference_windows(model, ctx, tgt) for ctx, tgt in corpus]
     targets = [np.asarray(tgt, dtype=np.int64) for _, tgt in corpus]
@@ -260,13 +268,21 @@ def distinct_corpus(n_pairs, vocab_size, seed):
     return corpus
 
 
+# Relative and absolute tolerance of a float32 training run against the
+# reference loop when some batch repeats a window: the two round that
+# window's sums in a different order, about one float32 ulp per step (at
+# most 1 ulp of the parameters and 0.73 ulp of the trace were measured over
+# the 16 steps of these tests), so 64 ulps leave a wide margin.
+REPEATS_TOL = 64 * float(np.finfo(np.float32).eps)
+
+
 def assert_params(got, want, exact):
     for (name, p), (_, q) in zip(got.params(), want.params()):
         assert p.shape == q.shape
         if exact:
             assert np.array_equal(p, q), name
         else:
-            np.testing.assert_allclose(p, q, rtol=1e-9, atol=1e-12, err_msg=name)
+            np.testing.assert_allclose(p, q, rtol=REPEATS_TOL, atol=REPEATS_TOL, err_msg=name)
 
 
 def mixed_corpus(n_pairs, vocab_size, seed):
@@ -289,14 +305,15 @@ class TestExactKernels:
         windows = np.concatenate([reference_windows(m, c, t) for c, t in pairs])
         targets = np.concatenate([np.asarray(t, dtype=np.int64) for _, t in pairs])
         assert len(np.unique(windows)) < windows.size      # ids repeat across and within rows
-        ws = tinylm._Workspace(m, len(targets) + 5)         # larger than the batch, as in train
-        _, grads = tinylm._flat_views(m)
-        loss = tinylm._batch_grads(m, ws, windows, targets, grads)
-        ref_loss, ref_grads = reference_batch_grads(m, windows, targets)
-        assert loss == ref_loss
-        for name, g in ref_grads.items():
-            assert grads[name].shape == g.shape
-            assert np.array_equal(grads[name], g), name
+        for model in (m, float32_copy(m)):                  # grad_check's dtype and train's
+            ws = tinylm._Workspace(model, len(targets) + 5)     # larger than the batch, as in train
+            _, grads = tinylm._flat_views(model, model.embed.dtype)
+            loss = tinylm._batch_grads(model, ws, windows, targets, grads)
+            ref_loss, ref_grads = reference_batch_grads(model, windows, targets)
+            assert loss == ref_loss
+            for name, g in ref_grads.items():
+                assert grads[name].shape == g.shape and grads[name].dtype == g.dtype
+                assert np.array_equal(grads[name], g), name
 
     @pytest.mark.parametrize("context", [[], [4, 5], [4, 5, 6, 7, 8, 9, 10, 11]])
     def test_target_windows_match_sliding_view(self, context):
@@ -321,7 +338,7 @@ class TestExactKernels:
         # computes once, weighted by two: the same sums, rounded differently.
         assert repeated == (shuffle or batch_size > 3)
         if repeated:
-            np.testing.assert_allclose(trace, ref_trace, rtol=1e-12)
+            np.testing.assert_allclose(trace, ref_trace, rtol=REPEATS_TOL)
         else:
             assert trace == ref_trace
         assert_params(trained, ref, exact=not repeated)
@@ -363,9 +380,9 @@ class TestExactKernels:
         first, where, counts = tinylm._distinct(tinylm._window_ids(m, windows))
         assert len(first) < len(windows) and counts.max() > 2
         ws = tinylm._Workspace(m, len(targets))
-        _, plain = tinylm._flat_views(m)
+        _, plain = tinylm._flat_views(m, np.float64)
         plain_loss = tinylm._batch_grads(m, ws, windows, targets, plain)
-        _, weighted = tinylm._flat_views(m)
+        _, weighted = tinylm._flat_views(m, np.float64)
         loss = tinylm._batch_grads(m, ws, windows[first], targets, weighted, where, counts)
         assert loss == pytest.approx(plain_loss, rel=1e-12)
         for name, g in plain.items():
@@ -376,9 +393,9 @@ class TestExactKernels:
         pairs = [([4, 4, 5], [4, 6, 4, EOS]), ([8, 9, 8, 9, 8, 9, 8], [9, 4])]
         windows, targets, _ = tinylm._pair_windows(m, pairs, ValueError())
         ws = tinylm._Workspace(m, len(targets))
-        _, plain = tinylm._flat_views(m)
+        _, plain = tinylm._flat_views(m, np.float64)
         plain_loss = tinylm._batch_grads(m, ws, windows, targets, plain)
-        _, weighted = tinylm._flat_views(m)
+        _, weighted = tinylm._flat_views(m, np.float64)
         ones = np.ones(len(targets), dtype=np.int64)
         loss = tinylm._batch_grads(m, ws, windows, targets, weighted,
                                    np.arange(len(targets)), ones)
@@ -448,20 +465,32 @@ class TestTrain:
         trained, trace = train(m, [([4], [5])], cfg)
         assert trace == []
         for (_, pa), (_, pb) in zip(m.params(), trained.params()):
-            assert np.array_equal(pa, pb)
+            assert pb.dtype == np.float64 and pa.tobytes() == pb.tobytes()
+            assert not np.shares_memory(pa, pb)
 
     def test_input_model_untouched(self):
         m = init_model(make_vocab(6), 3, 4, 4, seed=1)
-        before = m.embed.copy()
+        before = m.copy()
         cfg = TrainConfig(learning_rate=0.5, epochs=3, batch_size=1, momentum=0.5, seed=0)
         train(m, [([4], [5, EOS])], cfg)
-        assert np.array_equal(m.embed, before)
+        for (name, p), (_, q) in zip(m.params(), before.params()):
+            assert p.dtype == np.float64 and p.tobytes() == q.tobytes(), name
 
     def test_huge_learning_rate_diverges(self):
         m = init_model(make_vocab(6), 3, 4, 4, seed=1)
         cfg = TrainConfig(learning_rate=1e6, epochs=20, batch_size=1, momentum=0.9, seed=0)
         with pytest.raises(DivergenceError, match="epoch"):
             train(m, [([4], [5, 4, 5, EOS])], cfg)
+
+    def test_underflowed_target_probability_diverges(self):
+        # A finite loss of 200 nats: the target's probability exp(-200) is
+        # below the smallest float32, the training dtype.
+        m = zeroed(init_model(make_vocab(6), 3, 4, 4, seed=1))
+        m.b_out[4] = 200.0
+        cfg = TrainConfig(learning_rate=0.1, epochs=1, batch_size=1, momentum=0.0, seed=0)
+        assert tinylm.DIVERGENCE_NLL < 200.0 < np.finfo(np.float32).max
+        with pytest.raises(DivergenceError, match="diverged loss 200.0 in epoch 0"):
+            train(m, [([4], [5])], cfg)
 
     def test_empty_corpus_rejected(self):
         m = init_model(make_vocab(6), 3, 4, 4, seed=1)
@@ -484,6 +513,51 @@ class TestTrain:
             TrainConfig(learning_rate=0.0, epochs=1, batch_size=1, momentum=0.0, seed=0)
         with pytest.raises(ConfigError):
             TrainConfig(learning_rate=0.1, epochs=1, batch_size=1, momentum=1.0, seed=0)
+
+
+class TestTrainPrecision:
+    """``train`` steps in float32; its results, checkpoints, scoring, decoding
+    and ``grad_check`` are float64."""
+
+    CFG = TrainConfig(learning_rate=0.2, epochs=3, batch_size=2, momentum=0.9, seed=9)
+
+    def test_returns_float64_holding_float32_values(self):
+        m = init_model(make_vocab(8), 3, 4, 8, seed=5)
+        trained, _ = train(m, mixed_corpus(7, len(m.vocab), seed=1), self.CFG)
+        for name, p in trained.params():
+            assert p.dtype == np.float64, name
+            assert np.array_equal(p.astype(np.float32), p), name
+            assert not np.array_equal(p, getattr(m, name)), name
+
+    def test_training_a_loaded_checkpoint_matches_training_in_memory(self, tmp_path):
+        m = init_model(make_vocab(8), 3, 4, 8, seed=5)
+        corpus = mixed_corpus(7, len(m.vocab), seed=1)
+        first, _ = train(m, corpus, self.CFG)
+        save_model(first, tmp_path / "model.json")
+        cfg = replace(self.CFG, seed=10)
+        loaded, loaded_trace = train(load_model(tmp_path / "model.json"), corpus, cfg)
+        kept, kept_trace = train(first, corpus, cfg)
+        assert loaded_trace == kept_trace
+        for (name, p), (_, q) in zip(loaded.params(), kept.params()):
+            assert p.tobytes() == q.tobytes(), name
+
+    def test_only_train_steps_in_float32(self, monkeypatch):
+        dtypes = []
+
+        class Recorded(tinylm._Workspace):
+            def __init__(self, model, rows):
+                super().__init__(model, rows)
+                dtypes.append(self.x.dtype)
+
+        monkeypatch.setattr(tinylm, "_Workspace", Recorded)
+        m = init_model(make_vocab(4), 2, 4, 4, seed=3)
+        pair = ([4, 5], [5, 4, 5])
+        trained, _ = train(m, [pair], self.CFG)
+        assert dtypes == [np.float32]
+        grad_check(trained, pair, epsilon=1e-5)
+        tinylm.batch_nll(trained, [pair])
+        generate_batch(trained, [[4]], max_len=2)
+        assert dtypes == [np.float32] + [np.float64] * 3
 
 
 class TestGenerate:
