@@ -145,6 +145,8 @@ def _cmd_probe(args) -> int:
 
 def _cmd_score_rgd(args) -> int:
     if args.from_records:
+        if args.checkpoint or args.config:
+            raise InputError("--from-records cannot be combined with --checkpoint or --config")
         records = fileio.import_ppl_records(args.from_records)
         by_task: dict[str, list] = {}
         for r in records:

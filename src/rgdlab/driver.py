@@ -303,8 +303,9 @@ def probe_tap(model: tinylm.ModelState, examples, demo_pool,
               seed: int = 0, max_gen_len: int = 18) -> TapResult:
     """Grid search over demo counts and seeded demo draws.
 
-    The zero-demo arm is always evaluated and uses the bare instruction (no
-    context template), so the search can never fall below instruction-only
+    Every arm goes through ``taskgen.render_prompt``.  The zero-demo arm is
+    always evaluated and is the rendered instruction (no context template
+    or demos), so the search can never fall below instruction-only
     accuracy; ties prefer fewer demos, then the earlier draw.
     """
     examples = list(examples)
@@ -318,12 +319,11 @@ def probe_tap(model: tinylm.ModelState, examples, demo_pool,
     grid: list[tuple[int, int, float]] = [(0, 0, instruction_only)]
     best = (0, 0, instruction_only, ())
     for count in demo_counts:
-        if count <= 0:
-            continue
         for draw in range(draws):
             demos = replay.sample_replay(
                 demo_pool, count, seed=derive_seed(seed, _SALT_DEMOS, count, draw))
-            prompts = [taskgen.tap_prompt(ex, demos) for ex in examples]
+            prompts = [taskgen.render_prompt(taskgen.tap_prompt(ex, demos))
+                       for ex in examples]
             acc = _decoded_accuracy(model, prompts, examples, max_gen_len)
             grid.append((count, draw, acc))
             if acc > best[2]:
@@ -360,6 +360,18 @@ class ExperimentPlan(RunSettings):
             raise ConfigError("at least one run seed is required")
         if not self.order_indices or any(o not in (0, 1) for o in self.order_indices):
             raise ConfigError("order indices must be a nonempty list of 0 and 1")
+        for values, what in ((self.strategies, "strategy"), (self.run_seeds, "run seed"),
+                             (self.order_indices, "order index")):
+            if len(set(values)) != len(values):
+                raise ConfigError(f"each {what} may appear once, got {list(values)}")
+        if any(not 0 <= k <= 1 for k in self.k_grid):
+            raise ConfigError(f"k_grid values must be in [0, 1], got {list(self.k_grid)}")
+        if any(count < 1 for count in self.demo_counts):
+            raise ConfigError(f"demo_counts must be >= 1, got {list(self.demo_counts)}")
+        if self.demo_draws < 1:
+            raise ConfigError("demo_draws must be >= 1")
+        if self.top_forgotten < 1:
+            raise ConfigError("top_forgotten must be >= 1")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
         for strategy in self.strategies:        # checks the shared settings too

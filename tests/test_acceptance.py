@@ -15,8 +15,6 @@ import pytest
 
 from rgdlab import cli, clmetrics, driver, fileio, replay, rgd, tinylm
 
-from conftest import RUN_SEEDS, RUN_SEEDS_8
-
 
 def check(ok: bool, label: str) -> None:
     print(("PASS " if ok else "FAIL ") + label)
@@ -127,10 +125,12 @@ def test_criterion_03_gradient_correctness():
 
 def test_criterion_04_forgetting_occurs(harness5):
     f_ra = mean_over_runs(harness5, "none", "f_ra")
+    plan = harness5.result.plan
     within_budget = harness5.elapsed < 300.0
     check(f_ra >= 10.0 and within_budget,
           f"criterion 4: no-replay F.Ra {f_ra:.2f} >= 10 over "
-          f"{len(RUN_SEEDS)} seeds x 2 orders, harness {harness5.elapsed:.0f}s < 300s")
+          f"{len(plan.run_seeds)} seeds x {len(plan.order_indices)} orders, "
+          f"harness {harness5.elapsed:.0f}s < 300s")
 
 
 def test_criterion_05_replay_mitigates(harness5):
@@ -142,9 +142,10 @@ def test_criterion_05_replay_mitigates(harness5):
 
 
 def test_criterion_06_rgd_allocation_vs_equal(harness8):
+    plan = harness8.result.plan
     diffs = []
-    for seed in RUN_SEEDS_8:
-        for order in (0, 1):
+    for seed in plan.run_seeds:
+        for order in plan.order_indices:
             rgd_fap = harness8.runs[("rgd-mean", seed, order)].report.fap
             eq_fap = harness8.runs[("equal", seed, order)].report.fap
             diffs.append(rgd_fap - eq_fap)
@@ -156,9 +157,10 @@ def test_criterion_06_rgd_allocation_vs_equal(harness8):
 
 
 def test_criterion_07_rgd_rises_with_forgetting(harness5):
+    plan = harness5.result.plan
     rises = []
-    for seed in RUN_SEEDS:
-        for order in (0, 1):
+    for seed in plan.run_seeds:
+        for order in plan.order_indices:
             record = harness5.runs[("none", seed, order)]
             for task in driver.most_forgotten_tasks(record.report):
                 own_stage = record.result.order.index(task)
@@ -172,7 +174,7 @@ def test_criterion_07_rgd_rises_with_forgetting(harness5):
 
 
 def test_criterion_08_partial_rationale_recovery(harness5):
-    k_grid = list(driver.DEFAULT_K_GRID)
+    k_grid = list(harness5.result.plan.k_grid)
     gaps, rhos = [], []
     for probe in harness5.result.probes:
         accs = [acc for _, acc in probe.partial]

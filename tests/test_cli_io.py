@@ -250,6 +250,13 @@ class TestExperimentConfig:
                 os.environ["RGDLAB_OUT"] = old
 
 
+@pytest.mark.parametrize("path", sorted(Path(__file__).parent.parent.glob("configs/*.json")),
+                         ids=lambda path: path.name)
+def test_checked_in_config_loads(path, tmp_path):
+    cfg = fileio.load_experiment_config(path, output_dir=tmp_path)
+    assert cfg.output_dir == str(tmp_path)
+
+
 @pytest.mark.parametrize("key, value, named", [
     ("run_seeds", ["x"], "run_seeds[0]"),
     ("run_probes", "false", "run_probes"),
@@ -259,6 +266,14 @@ class TestExperimentConfig:
     ("strategies", "none", "strategies"),
     ("train.learning_rate", 0, "train: learning_rate"),
     ("rgd_eval_size", -4, "rgd_eval_size"),
+    ("strategies", ["none", "none"], "each strategy may appear once"),
+    ("run_seeds", [5, 5], "each run seed may appear once"),
+    ("orders", [0, 0], "each order index may appear once"),
+    ("probes.k_grid", [0.0, 1.5], "k_grid"),
+    ("probes.k_grid", [-0.1], "k_grid"),
+    ("probes.demo_counts", [0, 1], "demo_counts"),
+    ("probes.demo_draws", 0, "demo_draws"),
+    ("probes.top_forgotten", 0, "top_forgotten"),
 ])
 def test_bad_config_value_exits_one(tmp_path, capsys, key, value, named):
     doc = good_config()
@@ -330,6 +345,14 @@ class TestCli:
                          "--out-file", str(out_file)]) == 1
         assert capsys.readouterr().err.splitlines() == ["error: unknown task 's'"]
         assert not out_file.exists()
+        for flag in ("--checkpoint", "--config"):
+            assert cli.main(["score-rgd", "--from-records", str(path), flag, str(path),
+                             "--out-file", str(out_file)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.splitlines() == [
+                "error: --from-records cannot be combined with --checkpoint or --config"]
+            assert not out_file.exists()
 
     def test_unknown_subcommand_exits_nonzero(self, capsys):
         with pytest.raises(SystemExit) as err:

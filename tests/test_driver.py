@@ -158,6 +158,22 @@ class TestProbes:
         assert tap.best_accuracy >= tap.instruction_only
         assert len(tap.grid) == 1 + 2 * 2
 
+    def test_tap_prompts_are_rendered(self, suite, base, monkeypatch):
+        task = suite.specs[0].task_id
+        pool = [ex for s in suite.specs if s.task_id != task for ex in suite.train[s.task_id]]
+        prompts = []
+        original = driver._decoded_accuracy
+
+        def recording(model, batch, examples, max_gen_len):
+            prompts.extend(batch)
+            return original(model, batch, examples, max_gen_len)
+
+        monkeypatch.setattr(driver, "_decoded_accuracy", recording)
+        driver.probe_tap(base, suite.eval[task], pool, demo_counts=(1, 2), draws=2, seed=3)
+        assert len(prompts) == len(suite.eval[task]) * (1 + 2 * 2)
+        prefix = taskgen.PROMPT_PREFIX
+        assert all(tuple(prompt[:len(prefix)]) == prefix for prompt in prompts)
+
     def test_tap_deterministic(self, suite, base):
         task = suite.specs[1].task_id
         pool = [ex for s in suite.specs if s.task_id != task for ex in suite.train[s.task_id]]
