@@ -37,6 +37,22 @@ repeats rounds differently.  The base-model warmup corpus repeats windows
 (its empty-context examples share one of two fixed rationales).  A corpus
 with no repeated window, such as every task corpus, pays one check per
 ``train`` call and then runs the plain step.
+
+``train`` plans each epoch before its first step (``_plan``).  For every
+batch the plan holds the corpus rows of its distinct windows in
+first-occurrence order, its target ids, which of those windows each target
+follows, and each window's count in the training dtype, or None when the
+batch repeats no window.  A few passes over the whole epoch build it (one
+``np.unique`` over (batch, window id) keys finds the repeats of every
+batch), so a step only slices the plan, gathers its windows and runs the
+math; per-batch index work took about a tenth of a warmup step.  The plan
+holds indices only, about 0.4 MB per warmup epoch; the epoch's distinct
+windows themselves would take 2.2 MB.  The step picks each target's
+log-probability, and subtracts its one-hot, through one flat index
+``where * |V| + target`` into the (windows, |V|) block, and casts the counts
+to the block's dtype before scaling it: the same bits as a two-dimensional
+index and integer counts, which widen the block to float64, at a fraction
+of the cost.  ``grad_check`` plans its one batch the same way.
 """
 
 from __future__ import annotations
@@ -116,7 +132,12 @@ class Vocab:
             raise InvalidTokenError(f"unknown token {err.args[0]!r}") from None
 
     def decode(self, ids) -> list[str]:
-        return [self.token(i) for i in ids]
+        """The tokens of a sequence of ids; the first id out of range raises."""
+        tokens = self.tokens
+        if len(ids) and not (min(ids) >= 0 and max(ids) < len(tokens)):
+            for i in ids:
+                self.token(i)
+        return [tokens[i] for i in ids]
 
 
 @dataclass
@@ -272,7 +293,6 @@ class _Workspace:
         dtype = model.embed.dtype
         self.rows = np.arange(rows)
         self.windows = np.empty((rows, c), dtype=np.int64)
-        self.targets = np.empty(rows, dtype=np.int64)
         self.x = np.empty((rows, c * model.embed_dim), dtype)     # x, then d_x
         self.hidden = np.empty((rows, h), dtype)
         self.d_hidden = np.empty((rows, h), dtype)
@@ -378,30 +398,43 @@ def _window_ids(model: ModelState, windows: np.ndarray) -> np.ndarray | None:
     return ids if len(distinct) < len(keys) else None
 
 
-def _distinct(ids: np.ndarray):
-    """``(first, where, counts)`` of the distinct values of ``ids`` in
-    first-occurrence order: where each occurs first, which of them each
-    entry is, and how often each occurs.  None when no value repeats."""
-    _, first, inverse, counts = np.unique(ids, return_index=True, return_inverse=True,
-                                          return_counts=True)
-    if len(first) == len(ids):
-        return None
-    order = np.argsort(first)
-    return first[order], np.argsort(order)[inverse], counts[order]
+def _plan(rows: np.ndarray, sizes: np.ndarray, targets: np.ndarray, ids, dtype):
+    """Yields the steps of one epoch, as ``(rows, targets, where, counts)`` per batch.
 
-
-def _step_grads(model: ModelState, ws: _Workspace, windows, targets, ids, rows, grads) -> float:
-    """``_batch_grads`` of the windows and targets at ``rows``, each distinct
-    window once; ``ids`` comes from ``_window_ids(windows)``."""
-    n = len(rows)
-    y = targets.take(rows, out=ws.targets[:n], mode="clip")
-    where = counts = None
-    repeats = None if ids is None else _distinct(ids[rows])
-    if repeats is not None:
-        first, where, counts = repeats
-        rows = rows[first]
-    w = windows.take(rows, axis=0, out=ws.windows[:len(rows)], mode="clip")
-    return _batch_grads(model, ws, w, y, grads, where, counts)
+    The epoch visits the corpus rows ``rows`` in order, and batch ``b`` takes
+    the next ``sizes[b]`` of them.  A step gets the rows of its batch's
+    distinct windows in first-occurrence order, its target ids, which of
+    those windows each target follows, and how often each window occurs, in
+    ``dtype``.  A batch that repeats no window gets ``where`` and ``counts``
+    None, the plain step.  ``ids`` comes from ``_window_ids`` (None: no
+    window repeats in the corpus).  A few passes over the whole epoch build
+    the plan before the first step, and it holds indices only: a step slices
+    it and gathers its windows itself.
+    """
+    ends = np.cumsum(sizes).tolist()
+    targets = targets[rows]
+    d_ends, where, counts = ends, None, None
+    if ids is not None:
+        # Equal windows in one batch share a key; np.unique's first indices
+        # are first occurrences, and sorting them restores batch order.
+        batch = np.repeat(np.arange(len(sizes)), sizes)
+        key = batch * (int(ids.max()) + 1) + ids[rows]
+        _, first, inverse, counts = np.unique(key, return_index=True, return_inverse=True,
+                                              return_counts=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        first, counts = first[order], counts[order].astype(dtype)
+        n_distinct = np.bincount(batch[first], minlength=len(sizes))
+        d_ends = np.cumsum(n_distinct)
+        where = rank[inverse] - np.repeat(d_ends - n_distinct, sizes)
+        rows, d_ends = rows[first], d_ends.tolist()
+    lo, d_lo = 0, 0
+    for hi, d_hi in zip(ends, d_ends):
+        repeats = d_hi - d_lo < hi - lo
+        yield (rows[d_lo:d_hi], targets[lo:hi], where[lo:hi] if repeats else None,
+               counts[d_lo:d_hi] if repeats else None)
+        lo, d_lo = hi, d_hi
 
 
 def _batch_grads(model: ModelState, ws: _Workspace, windows, targets, grads,
@@ -420,14 +453,17 @@ def _batch_grads(model: ModelState, ws: _Workspace, windows, targets, grads,
     logp = _log_softmax(logits, ws)
     if where is None:
         where = ws.rows[:n]
-    loss = float(-logp[where, targets].mean())
+    # Each target's element of the contiguous (u, |V|) block, as a flat index.
+    hit = where * logp.shape[1] + targets
+    flat = logp.reshape(-1)
+    loss = float(-flat[hit].mean())
 
     d_logits = np.exp(logp, out=logp)
-    if counts is None:
-        d_logits[where, targets] -= 1.0
-    else:
-        d_logits *= counts[:, None]
-        np.subtract.at(d_logits, (where, targets), 1.0)    # a window may repeat with one target
+    if counts is not None:
+        # In the block's dtype: an integer count would widen the product to
+        # float64, which rounds back to the same bits at twice the cost.
+        d_logits *= counts.astype(d_logits.dtype, copy=False)[:, None]
+    np.subtract.at(flat, hit, d_logits.dtype.type(1.0))    # a window may repeat with one target
     d_logits /= n
 
     np.matmul(hidden.T, d_logits, out=grads["w_out"])
@@ -461,9 +497,9 @@ def train(model: ModelState, corpus, cfg: TrainConfig):
     step runs in float32, so the returned parameters are float32 values
     (with zero epochs, an exact copy of the input's).  Parameters,
     velocities and gradients each live in one flat buffer, so the momentum
-    update is four ufunc calls over all parameters at once.  A step
-    computes each distinct window of its batch once (see the module
-    docstring).
+    update is four ufunc calls over all parameters at once.  Each epoch is
+    planned before its first step, and a step computes each distinct window
+    of its batch once (see the module docstring).
     """
     if not corpus:
         raise ConfigError("corpus must be nonempty")
@@ -479,22 +515,24 @@ def train(model: ModelState, corpus, cfg: TrainConfig):
     step = np.empty_like(params)
     ws = _Workspace(out, int(np.sort(lens)[-cfg.batch_size:].sum()))
     starts = np.cumsum(lens) - lens
+    all_rows = np.arange(len(targets))
     rng = np.random.default_rng(cfg.seed)
     trace = []
     n_pairs = len(corpus)
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.epochs):
             order = rng.permutation(n_pairs) if cfg.shuffle else np.arange(n_pairs)
+            pair_lens = lens[order]
+            # The epoch's rows: each pair's rows, in the order of its pairs.
+            rows = np.repeat(starts[order] - (np.cumsum(pair_lens) - pair_lens), pair_lens)
+            rows += all_rows
+            sizes = np.add.reduceat(pair_lens, np.arange(0, n_pairs, cfg.batch_size))
             epoch_nll = 0.0
             epoch_tokens = 0
-            for lo in range(0, n_pairs, cfg.batch_size):
-                batch = order[lo:lo + cfg.batch_size]
-                counts = lens[batch]
-                n = int(counts.sum())
-                # Row indices of the batch's windows: each pair's rows, in batch order.
-                rows = np.repeat(starts[batch] - (np.cumsum(counts) - counts), counts)
-                rows += ws.rows[:n]
-                loss = _step_grads(out, ws, windows, targets, ids, rows, grads)
+            for distinct, y, where, counts in _plan(rows, sizes, targets, ids, _TRAIN_DTYPE):
+                n = len(y)
+                w = windows.take(distinct, axis=0, out=ws.windows[:len(distinct)], mode="clip")
+                loss = _batch_grads(out, ws, w, y, grads, where, counts)
                 if not math.isfinite(loss) or loss > DIVERGENCE_NLL:
                     raise DivergenceError(f"diverged loss {loss} in epoch {epoch}")
                 epoch_nll += loss * n
@@ -561,7 +599,9 @@ def grad_check(model: ModelState, pair, epsilon: float) -> float:
     params, work = _flat_copy(model, np.float64)
     grad, grads = _flat_views(model, np.float64)
     ws = _Workspace(model, len(targets))
-    _step_grads(work, ws, windows, targets, _window_ids(model, windows), ws.rows, grads)
+    (distinct, y, where, counts), = _plan(ws.rows, np.array([len(targets)]), targets,
+                                          _window_ids(model, windows), np.float64)
+    _batch_grads(work, ws, windows[distinct], y, grads, where, counts)
 
     rng = np.random.default_rng(model.rng_seed)
     coords = rng.choice(params.size, size=min(params.size, 64), replace=False)

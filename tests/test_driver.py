@@ -1,7 +1,10 @@
 """Functional tests for the sequential-run driver at miniature scale."""
 
 import ast
+import importlib
+import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -138,6 +141,19 @@ class TestBaselines:
         assert sorted(calls) == [("driver.py", "TrainConfig"), ("driver.py", "train")]
         source = inspect.getsource(driver._train)
         assert "tinylm.train(" in source and "tinylm.TrainConfig(" in source
+
+    def test_benchmark_targets_exist(self, monkeypatch):
+        # perfbench/spans.py wraps these module attributes by name; a rename
+        # or a removal would break the traced benchmark.
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+        spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+        spans = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, spans)   # dataclasses look it up
+        spec.loader.exec_module(spans)
+        assert spans.TARGETS
+        for module, attr, _, _ in spans.TARGETS:
+            fn = getattr(importlib.import_module(f"rgdlab.{module}"), attr, None)
+            assert callable(fn), f"rgdlab.{module}.{attr}"
 
 
 class TestProbes:

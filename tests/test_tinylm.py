@@ -61,6 +61,16 @@ class TestVocab:
         with pytest.raises(InvalidTokenError):
             v.id("nope")
 
+    def test_decode_names_first_bad_id(self):
+        v = make_vocab(3)
+        assert v.decode([4, 0, 6]) == ["w0", "<pad>", "w2"]
+        assert v.decode([]) == []
+        # -1 would index the last token of the tuple without the range check
+        with pytest.raises(InvalidTokenError, match="token id -1 out of range"):
+            v.decode([4, -1, 5])
+        with pytest.raises(InvalidTokenError, match="token id 7 out of range"):
+            v.decode([4, 7, -1])
+
 
 class TestInitModel:
     def test_same_seed_bit_identical(self):
@@ -285,6 +295,47 @@ def assert_params(got, want, exact):
             np.testing.assert_allclose(p, q, rtol=REPEATS_TOL, atol=REPEATS_TOL, err_msg=name)
 
 
+def reference_dedup_train(model, corpus, cfg):
+    """``train``'s loop with each batch's repeats found on their own: a
+    np.unique over the batch's windows, its distinct windows put in
+    first-occurrence order and weighted by their counts, then
+    ``_batch_grads``.  Also counts the steps with and without a repeated
+    window."""
+    windows, targets, lens = tinylm._pair_windows(model, corpus, ValueError())
+    params, out = tinylm._flat_copy(model, np.float32)
+    grad, grads = tinylm._flat_views(model, np.float32)
+    velocity = np.zeros_like(params)
+    ws = tinylm._Workspace(out, len(targets))
+    starts = np.cumsum(lens) - lens
+    rng = np.random.default_rng(cfg.seed)
+    trace, steps = [], {"repeats": 0, "plain": 0}
+    for _ in range(cfg.epochs):
+        order = rng.permutation(len(corpus)) if cfg.shuffle else np.arange(len(corpus))
+        epoch_nll, epoch_tokens = 0.0, 0
+        for lo in range(0, len(corpus), cfg.batch_size):
+            rows = np.concatenate([starts[i] + np.arange(lens[i])
+                                   for i in order[lo:lo + cfg.batch_size]])
+            y = targets[rows]
+            _, first, inverse, counts = np.unique(windows[rows], axis=0, return_index=True,
+                                                  return_inverse=True, return_counts=True)
+            if len(first) == len(rows):
+                steps["plain"] += 1
+                where = counts = None
+            else:
+                steps["repeats"] += 1
+                by_first = np.argsort(first)
+                where = np.argsort(by_first)[inverse.ravel()]
+                rows, counts = rows[first[by_first]], counts[by_first]
+            loss = tinylm._batch_grads(out, ws, windows[rows], y, grads, where, counts)
+            epoch_nll += loss * len(y)
+            epoch_tokens += len(y)
+            velocity *= cfg.momentum
+            velocity += grad
+            params -= cfg.learning_rate * velocity
+        trace.append(epoch_nll / epoch_tokens)
+    return out, trace, steps
+
+
 def mixed_corpus(n_pairs, vocab_size, seed):
     """Pairs with empty, short and longer-than-window contexts and uneven targets."""
     rng = np.random.default_rng(seed)
@@ -359,12 +410,46 @@ class TestExactKernels:
         assert trace == ref_trace
         assert_params(trained, ref, exact=True)
 
-    def test_distinct_keeps_first_occurrence_order(self):
-        first, where, counts = tinylm._distinct(np.array([7, 2, 7, 9, 2, 7]))
-        assert first.tolist() == [0, 1, 3]
+    @pytest.mark.parametrize("shuffle, batch_size", [(True, 1), (False, 1), (True, 3),
+                                                     (False, 3), (True, 50), (False, 50)])
+    def test_train_matches_per_batch_dedup_bit_for_bit(self, shuffle, batch_size):
+        m = init_model(make_vocab(12), 5, 6, 9, seed=4)
+        # 13 pairs, so the last batch of 3 is short; the two added pairs each
+        # repeat the window [6, 6, 6, 6, 6] within themselves.
+        corpus = mixed_corpus(11, len(m.vocab), seed=8) + [([], [6] * 8 + [EOS]),
+                                                          ([7], [6] * 7)]
+        cfg = TrainConfig(learning_rate=0.3, epochs=4, batch_size=batch_size, momentum=0.9,
+                          seed=6, shuffle=shuffle)
+        trained, trace = train(m, corpus, cfg)
+        ref, ref_trace, steps = reference_dedup_train(m, corpus, cfg)
+        assert steps["repeats"] > 0
+        assert steps["plain"] > 0 or batch_size > len(corpus)
+        assert trace == ref_trace
+        assert_params(trained, ref, exact=True)
+
+    def test_plan_keeps_first_occurrence_order(self):
+        ids = np.array([7, 2, 7, 9, 2, 7, 5, 1, 3, 4, 4])
+        rows = np.arange(11)
+        targets = np.arange(11) + 100
+        steps = list(tinylm._plan(rows, np.array([6, 3, 1, 1]), targets, ids, np.float32))
+        distinct, y, where, counts = steps[0]
+        assert distinct.tolist() == [0, 1, 3]
+        assert y.tolist() == [100, 101, 102, 103, 104, 105]
         assert where.tolist() == [0, 1, 0, 2, 1, 0]
-        assert counts.tolist() == [3, 2, 1]
-        assert tinylm._distinct(np.array([5, 1, 3])) is None
+        assert counts.tolist() == [3, 2, 1] and counts.dtype == np.float32
+        # No repeat within the batch: the plain-step marker, whatever other
+        # batches (or the corpus) repeat.
+        for (distinct, y, where, counts), want in zip(steps[1:], ([6, 7, 8], [9], [10])):
+            assert distinct.tolist() == want and y.tolist() == [r + 100 for r in want]
+            assert where is None and counts is None
+        (distinct, _, where, counts), = tinylm._plan(rows[:3], np.array([3]), targets, None,
+                                                     np.float32)
+        assert distinct.tolist() == [0, 1, 2] and where is None and counts is None
+        # The epoch visits corpus rows in its own order.
+        (distinct, y, where, counts), = tinylm._plan(np.array([4, 3, 2, 1, 0]), np.array([5]),
+                                                     targets, ids, np.float64)
+        assert distinct.tolist() == [4, 3, 2] and y.tolist() == [104, 103, 102, 101, 100]
+        assert where.tolist() == [0, 1, 2, 0, 2] and counts.tolist() == [2, 1, 2]
 
     def test_window_ids_are_exact(self):
         m = init_model(make_vocab(300), 3, 2, 4, seed=0)   # ids need two bytes
@@ -377,13 +462,15 @@ class TestExactKernels:
         m = init_model(make_vocab(12), 2, 6, 9, seed=4)
         pairs = [([], [5, 5, 5, 5]), ([4], [5, 6, EOS]), ([], [5, 5, 7]), ([], [5, 5, 5, 5])]
         windows, targets, _ = tinylm._pair_windows(m, pairs, ValueError())
-        first, where, counts = tinylm._distinct(tinylm._window_ids(m, windows))
-        assert len(first) < len(windows) and counts.max() > 2
+        n = len(targets)
+        (distinct, y, where, counts), = tinylm._plan(
+            np.arange(n), np.array([n]), targets, tinylm._window_ids(m, windows), np.float64)
+        assert len(distinct) < len(windows) and counts.max() > 2
         ws = tinylm._Workspace(m, len(targets))
         _, plain = tinylm._flat_views(m, np.float64)
         plain_loss = tinylm._batch_grads(m, ws, windows, targets, plain)
         _, weighted = tinylm._flat_views(m, np.float64)
-        loss = tinylm._batch_grads(m, ws, windows[first], targets, weighted, where, counts)
+        loss = tinylm._batch_grads(m, ws, windows[distinct], y, weighted, where, counts)
         assert loss == pytest.approx(plain_loss, rel=1e-12)
         for name, g in plain.items():
             np.testing.assert_allclose(weighted[name], g, rtol=1e-12, atol=1e-15, err_msg=name)
