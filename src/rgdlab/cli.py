@@ -115,6 +115,8 @@ def _cmd_run_seq(args) -> int:
 
 
 def _cmd_probe(args) -> int:
+    if args.seed < 0:
+        raise InputError(f"--seed must be >= 0, got {args.seed}")
     cfg = fileio.load_experiment_config(args.config, output_dir=args.out or ".")
     suite = cfg.make_suite()
     suite.spec(args.task)                   # unknown task: InputError

@@ -358,6 +358,8 @@ class ExperimentPlan(RunSettings):
             raise ConfigError("at least one strategy is required")
         if not self.run_seeds:
             raise ConfigError("at least one run seed is required")
+        if any(seed < 0 for seed in self.run_seeds):
+            raise ConfigError(f"run seeds must be >= 0, got {list(self.run_seeds)}")
         if not self.order_indices or any(o not in (0, 1) for o in self.order_indices):
             raise ConfigError("order indices must be a nonempty list of 0 and 1")
         for values, what in ((self.strategies, "strategy"), (self.run_seeds, "run seed"),

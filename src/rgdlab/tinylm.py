@@ -43,7 +43,7 @@ batch the plan holds the corpus rows of its distinct windows in
 first-occurrence order, its target ids, which of those windows each target
 follows, and each window's count in the training dtype, or None when the
 batch repeats no window.  A few passes over the whole epoch build it (one
-``np.unique`` over (batch, window id) keys finds the repeats of every
+``np.sort`` of (batch, window id, position) keys finds the repeats of every
 batch), so a step only slices the plan, gathers its windows and runs the
 math; per-batch index work took about a tenth of a warmup step.  The plan
 holds indices only, about 0.4 MB per warmup epoch; the epoch's distinct
@@ -415,19 +415,30 @@ def _plan(rows: np.ndarray, sizes: np.ndarray, targets: np.ndarray, ids, dtype):
     targets = targets[rows]
     d_ends, where, counts = ends, None, None
     if ids is not None:
-        # Equal windows in one batch share a key; np.unique's first indices
-        # are first occurrences, and sorting them restores batch order.
+        # Equal windows in one batch share a key.  Sorting key * n + position
+        # orders equal keys by position (a stable sort by construction), so
+        # the first entry of each run of equal keys is its first occurrence.
         batch = np.repeat(np.arange(len(sizes)), sizes)
-        key = batch * (int(ids.max()) + 1) + ids[rows]
-        _, first, inverse, counts = np.unique(key, return_index=True, return_inverse=True,
-                                              return_counts=True)
-        order = np.argsort(first)
-        rank = np.empty_like(order)
-        rank[order] = np.arange(len(order))
-        first, counts = first[order], counts[order].astype(dtype)
+        n_ids = int(ids.max()) + 1
+        key = batch * n_ids + ids[rows]
+        n = len(key)
+        if len(sizes) * n_ids * n < 2**63:
+            key, pos = np.divmod(np.sort(key * n + np.arange(n)), n)
+        else:                           # the packed key would overflow int64
+            pos = np.argsort(key, kind="stable")
+            key = key[pos]
+        run_start = np.empty(n, bool)
+        run_start[0] = True
+        np.not_equal(key[1:], key[:-1], out=run_start[1:])
+        first_of = np.empty_like(pos)                    # first occurrence of each row's key
+        first_of[pos] = pos[run_start][np.cumsum(run_start) - 1]
+        is_first = first_of == np.arange(n)
+        first = np.flatnonzero(is_first)
+        inverse = (np.cumsum(is_first) - 1)[first_of]   # index into first
+        counts = np.bincount(inverse).astype(dtype)
         n_distinct = np.bincount(batch[first], minlength=len(sizes))
         d_ends = np.cumsum(n_distinct)
-        where = rank[inverse] - np.repeat(d_ends - n_distinct, sizes)
+        where = inverse - np.repeat(d_ends - n_distinct, sizes)
         rows, d_ends = rows[first], d_ends.tolist()
     lo, d_lo = 0, 0
     for hi, d_hi in zip(ends, d_ends):

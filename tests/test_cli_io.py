@@ -274,6 +274,8 @@ def test_checked_in_config_loads(path, tmp_path):
     ("probes.demo_counts", [0, 1], "demo_counts"),
     ("probes.demo_draws", 0, "demo_draws"),
     ("probes.top_forgotten", 0, "top_forgotten"),
+    ("suite.seed", -3, "suite: seed must be >= 0"),
+    ("run_seeds", [-5], "run seeds must be >= 0"),
 ])
 def test_bad_config_value_exits_one(tmp_path, capsys, key, value, named):
     doc = good_config()
@@ -369,6 +371,13 @@ class TestCli:
         assert examples == expected
         manifest = json.loads((out / "suite.json").read_text())
         assert len(manifest["orders"]) == 2
+
+    def test_gen_suite_negative_seed_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "suite"
+        assert cli.main(["gen-suite", "--tasks", "2", "--train", "4", "--eval", "2",
+                         "--seed", "-1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: seed must be >= 0, got -1"]
+        assert not out.exists()
 
     def test_parse_error_exits_one(self, tmp_path, capsys):
         path = tmp_path / "broken.jsonl"
@@ -476,6 +485,17 @@ class TestCli:
             assert captured.out == ""
             assert captured.err.splitlines() == ["error: unknown task 'no-such-task'"]
         assert not out_file.exists() and not probes.exists()
+
+    def test_probe_negative_seed_exits_one(self, run_dir, tmp_path, capsys):
+        ckpt = run_dir / "out/runs/none-o0-s3/checkpoints/stage-02.json"
+        probes = tmp_path / "probes"
+        task = taskgen.make_suite(2, 20, 6, seed=5, probe_per_task=4).specs[0].task_id
+        assert cli.main(["probe", "--config", str(run_dir / "config.json"), "--checkpoint",
+                         str(ckpt), "--task", task, "--seed", "-2", "--out", str(probes)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: --seed must be >= 0, got -2"]
+        assert not probes.exists()
 
     def test_resolved_snapshot_loads_back(self, run_dir):
         original = fileio.load_experiment_config(run_dir / "config.json")

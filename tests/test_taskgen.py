@@ -3,6 +3,7 @@
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rgdlab import taskgen
@@ -13,6 +14,7 @@ from rgdlab.taskgen import (
     PROMPT_PREFIX,
     RESULT_MARKER,
     Example,
+    TaskSpec,
     make_suite,
     make_warmup_corpus,
     partial_rationale_prompt,
@@ -58,6 +60,10 @@ class TestMakeSuite:
     def test_too_many_tasks_rejected(self):
         with pytest.raises(ConfigError):
             make_suite(16, 10, 5, seed=0)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            make_suite(2, 10, 5, seed=-1)
 
     def test_distinct_phrasings_and_labels(self):
         suite = make_suite(10, 5, 2, seed=2, probe_per_task=2)
@@ -212,3 +218,169 @@ class TestWarmupCorpus:
             first, second = ex.instruction[opts_at + 1], ex.instruction[opts_at + 3]
             assert ex.answer == (first, second)[GLOBAL_FEATURES.index(hint)]
             assert hint in ex.rationale
+
+
+# Reference generators: the straightforward form of make_suite and
+# make_warmup_corpus, kept here to pin the fast path to the same stream.
+# Every draw, label and token must come out the same, since the suite stream
+# fixes every checkpoint trained on it.
+
+def reference_label(grammar, words):
+    family, labels = grammar["family"], grammar["labels"]
+    if family == "presence":
+        return labels[0] if grammar["marker"] in words else labels[1]
+    if family == "position":
+        return labels[0] if words.index(grammar["marker"]) < taskgen.INPUT_LEN // 2 else labels[1]
+    if family == "parity":
+        return labels[0] if words.count(grammar["marker"]) % 2 == 0 else labels[1]
+    if family == "relation":
+        return labels[0] if words[0] == words[-1] else labels[1]
+    a, b = grammar["groups"]
+    count_a = sum(w in taskgen.CONTENT_GROUPS[a] for w in words)
+    count_b = sum(w in taskgen.CONTENT_GROUPS[b] for w in words)
+    return labels[0] if count_a > count_b else labels[1]
+
+
+def reference_sample_input(grammar, rng):
+    family = grammar["family"]
+    pool = list(taskgen.CONTENT_POOL)
+    n = taskgen.INPUT_LEN
+
+    def draw(k, exclude=()):
+        candidates = [w for w in pool if w not in exclude]
+        return [candidates[i] for i in rng.integers(0, len(candidates), size=k)]
+
+    if family == "presence":
+        words = draw(n, exclude=(grammar["marker"],))
+        if rng.random() < 0.5:
+            words[int(rng.integers(0, n))] = grammar["marker"]
+    elif family == "position":
+        words = draw(n, exclude=(grammar["marker"],))
+        words[int(rng.integers(0, n))] = grammar["marker"]
+    elif family == "parity":
+        words = draw(n, exclude=(grammar["marker"],))
+        count = int(rng.integers(1, 3))
+        for slot in rng.choice(n, size=count, replace=False):
+            words[int(slot)] = grammar["marker"]
+    elif family == "relation":
+        a, b = grammar["marker"], grammar["marker_b"]
+        words = draw(n, exclude=(a, b))
+        first = a if rng.random() < 0.5 else b
+        last = first if rng.random() < 0.5 else (b if first == a else a)
+        words[0], words[-1] = first, last
+    else:
+        dominant = grammar["groups"][int(rng.integers(0, 2))]
+        inside = list(taskgen.CONTENT_GROUPS[dominant])
+        outside = [w for w in pool if w not in taskgen.CONTENT_GROUPS[dominant]]
+        words = [inside[i] for i in rng.integers(0, len(inside), size=4)]
+        words += [outside[i] for i in rng.integers(0, len(outside), size=2)]
+        words = [words[i] for i in rng.permutation(n)]
+    return tuple(words)
+
+
+def reference_render(spec, words, seed, ex_id=None):
+    answer = reference_label(spec.input_grammar, words)
+    instruction = spec.instruction_template.format(input=" ".join(words))
+    rationale = spec.rationale_template.format(
+        feature=spec.feature_for(answer), answer=answer).split(f" {RESULT_MARKER} ")[0]
+    return Example(task_id=spec.task_id,
+                   id=ex_id if ex_id is not None else f"{spec.task_id}-adhoc-{seed}",
+                   instruction=tuple(instruction.split()), rationale=tuple(rationale.split()),
+                   answer=answer)
+
+
+def reference_suite(num_tasks, train_per_task, eval_per_task, seed, probe_per_task):
+    rng = np.random.default_rng(seed)
+    specs = taskgen._build_specs(num_tasks, rng)
+    splits = {"train": train_per_task, "eval": eval_per_task, "probe": probe_per_task}
+    sets = {name: {} for name in splits}
+    for spec in specs:
+        seen = set()
+        for split, size in splits.items():
+            examples = []
+            while len(examples) < size:
+                words = reference_sample_input(spec.input_grammar, rng)
+                if words in seen:
+                    continue
+                seen.add(words)
+                ex_id = f"{spec.task_id}-{split}-{len(examples):04d}"
+                examples.append(reference_render(
+                    spec, words, seed=int(rng.integers(0, 2**31)), ex_id=ex_id))
+            sets[split][spec.task_id] = tuple(examples)
+    first = tuple(s.task_id for s in specs)
+    second = first
+    while second == first:
+        second = tuple(first[i] for i in rng.permutation(num_tasks))
+    return taskgen.Suite(specs=specs, train=sets["train"], eval=sets["eval"],
+                         probe=sets["probe"], orders=(first, second), seed=seed)
+
+
+def reference_warmup_corpus(n_examples, seed):
+    lexicon = taskgen.label_lexicon()
+    phrase = tuple(taskgen._WARMUP_PHRASE.split())
+    rationales = [tuple(f"{taskgen.SCAFFOLD_BODY.format(feature=f)} .".split())
+                  for f in GLOBAL_FEATURES]
+    rng = np.random.default_rng(seed)
+    examples = []
+    for i in range(n_examples):
+        pick = int(rng.integers(0, 2))
+        first = lexicon[int(rng.integers(0, len(lexicon)))]
+        second = first
+        while second == first:
+            second = lexicon[int(rng.integers(0, len(lexicon)))]
+        words = rng.integers(0, len(taskgen.CONTENT_POOL), size=taskgen.INPUT_LEN).tolist()
+        if rng.random() < 0.5:
+            instruction = ()
+        else:
+            instruction = phrase + (",", "hint", GLOBAL_FEATURES[pick], ",", "options", first,
+                                    "or", second, ":") + tuple(taskgen.CONTENT_POOL[j]
+                                                               for j in words)
+        examples.append(Example(task_id=taskgen.WARMUP_TASK_ID,
+                                id=f"{taskgen.WARMUP_TASK_ID}-{i:04d}",
+                                instruction=instruction, rationale=rationales[pick],
+                                answer=(first, second)[pick]))
+    return tuple(examples)
+
+
+class TestReferenceEquivalence:
+    # 7 and 15 tasks make the variants cycle, so families and markers repeat.
+    @pytest.mark.parametrize("num_tasks", [2, 5, 7, 15])
+    @pytest.mark.parametrize("seed", [0, 3, 104729])
+    @pytest.mark.parametrize("sizes", [(12, 4, 3), (60, 30, 32)])
+    def test_make_suite_matches_reference(self, num_tasks, seed, sizes):
+        train, eval_, probe = sizes
+        got = make_suite(num_tasks, train, eval_, seed=seed, probe_per_task=probe)
+        assert got == reference_suite(num_tasks, train, eval_, seed, probe)
+
+    @pytest.mark.parametrize("n_examples", [1, 57, 400])
+    @pytest.mark.parametrize("seed", [0, 3, 104729])
+    def test_warmup_corpus_matches_reference(self, n_examples, seed):
+        assert make_warmup_corpus(n_examples, seed) == reference_warmup_corpus(n_examples, seed)
+
+    @staticmethod
+    def hand_spec(template):
+        return TaskSpec(
+            task_id="hand", instruction_template=template, label_set=("front", "back"),
+            input_grammar={"family": "position", "labels": ("front", "back"), "marker": "cat"},
+            rationale_template=f"the word {{feature}} here . {RESULT_MARKER} {{answer}}")
+
+    def test_render_example_fills_a_slot_before_the_end(self):
+        spec = self.hand_spec("which half holds {input} ? options front or back")
+        words = ("dog", "cat", "fox", "owl", "bee", "elk")
+        ex = render_example(spec, words, seed=9)
+        assert ex.instruction == (("which", "half", "holds") + words
+                                  + ("?", "options", "front", "or", "back"))
+        assert ex.rationale == ("the", "word", "fits", "here", ".") and ex.answer == "front"
+        assert ex.id == "hand-adhoc-9"
+
+    @pytest.mark.parametrize("template", [
+        "which half holds {input} ? options front or back",
+        "{input} : options front or back",
+        "glued{input} , then {{input}} stays literal",
+        "holds {input} , not {{input}}",
+    ])
+    def test_render_example_matches_reference(self, template):
+        spec = self.hand_spec(template)
+        for words in (("dog", "cat", "fox", "owl", "bee", "elk"),
+                      ("dog", "fox", "owl", "bee", "elk", "cat")):
+            assert render_example(spec, words, seed=9) == reference_render(spec, words, seed=9)
