@@ -287,10 +287,6 @@ class SuiteSettings:
     seed: int                       # required: seeds are never implicit
     probe_per_task: int = 32
 
-    def __post_init__(self):
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:

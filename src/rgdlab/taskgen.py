@@ -307,13 +307,14 @@ def _build_specs(num_tasks: int, rng: np.random.Generator) -> tuple[TaskSpec, ..
 def _instruction_slots(template: str):
     """The tokens before and after a template's ``{input}`` slot.
 
-    None unless the slot is one whitespace-delimited token and no other
-    token holds a brace; ``render_example`` then formats the template.
+    The slot must be one whitespace-delimited token, and no other token may
+    hold a brace.
     """
     tokens = template.split()
     if tokens.count("{input}") != 1 or any(
             "{" in t or "}" in t for t in tokens if t != "{input}"):
-        return None
+        raise ConfigError(
+            f"instruction template needs exactly one standalone {{input}} slot: {template!r}")
     at = tokens.index("{input}")
     return tuple(tokens[:at]), tuple(tokens[at + 1:])
 
@@ -329,15 +330,11 @@ def render_example(spec: TaskSpec, raw_input, seed: int, ex_id: str | None = Non
     words = tuple(raw_input)
     _validate_input(spec.input_grammar, words)
     answer = _label_of(spec.input_grammar, words)
-    slots = _instruction_slots(spec.instruction_template)
-    if slots is None:
-        instruction = tuple(spec.instruction_template.format(input=" ".join(words)).split())
-    else:                               # content words are single tokens
-        instruction = slots[0] + words + slots[1]
+    before, after = _instruction_slots(spec.instruction_template)
     return Example(
         task_id=spec.task_id,
         id=ex_id if ex_id is not None else f"{spec.task_id}-adhoc-{seed}",
-        instruction=instruction,
+        instruction=before + words + after,     # content words are single tokens
         rationale=_rationale(spec.rationale_template, spec.feature_for(answer), answer),
         answer=answer,
     )

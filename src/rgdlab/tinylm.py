@@ -415,22 +415,18 @@ def _plan(rows: np.ndarray, sizes: np.ndarray, targets: np.ndarray, ids, dtype):
     targets = targets[rows]
     d_ends, where, counts = ends, None, None
     if ids is not None:
-        # Equal windows in one batch share a key.  Sorting key * n + position
-        # orders equal keys by position (a stable sort by construction), so
-        # the first entry of each run of equal keys is its first occurrence.
+        # Sorting id * n + position orders equal windows by position (a stable
+        # sort by construction).  Batches follow positions, so a run of one
+        # window in one batch starts where the id or the batch changes, and
+        # its first entry is that window's first occurrence in the batch.
         batch = np.repeat(np.arange(len(sizes)), sizes)
-        n_ids = int(ids.max()) + 1
-        key = batch * n_ids + ids[rows]
-        n = len(key)
-        if len(sizes) * n_ids * n < 2**63:
-            key, pos = np.divmod(np.sort(key * n + np.arange(n)), n)
-        else:                           # the packed key would overflow int64
-            pos = np.argsort(key, kind="stable")
-            key = key[pos]
+        n = len(rows)
+        key, pos = np.divmod(np.sort(ids[rows] * n + np.arange(n)), n)
         run_start = np.empty(n, bool)
         run_start[0] = True
         np.not_equal(key[1:], key[:-1], out=run_start[1:])
-        first_of = np.empty_like(pos)                    # first occurrence of each row's key
+        run_start[1:] |= batch[pos[1:]] != batch[pos[:-1]]
+        first_of = np.empty_like(pos)           # each row's first occurrence in its batch
         first_of[pos] = pos[run_start][np.cumsum(run_start) - 1]
         is_first = first_of == np.arange(n)
         first = np.flatnonzero(is_first)

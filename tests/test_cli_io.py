@@ -274,7 +274,7 @@ def test_checked_in_config_loads(path, tmp_path):
     ("probes.demo_counts", [0, 1], "demo_counts"),
     ("probes.demo_draws", 0, "demo_draws"),
     ("probes.top_forgotten", 0, "top_forgotten"),
-    ("suite.seed", -3, "suite: seed must be >= 0"),
+    ("suite.seed", -3, "seed must be >= 0"),
     ("run_seeds", [-5], "run seeds must be >= 0"),
 ])
 def test_bad_config_value_exits_one(tmp_path, capsys, key, value, named):

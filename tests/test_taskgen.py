@@ -373,14 +373,19 @@ class TestReferenceEquivalence:
         assert ex.rationale == ("the", "word", "fits", "here", ".") and ex.answer == "front"
         assert ex.id == "hand-adhoc-9"
 
-    @pytest.mark.parametrize("template", [
-        "which half holds {input} ? options front or back",
-        "{input} : options front or back",
-        "glued{input} , then {{input}} stays literal",
-        "holds {input} , not {{input}}",
-    ])
-    def test_render_example_matches_reference(self, template):
-        spec = self.hand_spec(template)
+    def test_render_example_matches_reference(self):
+        spec = self.hand_spec("{input} : options front or back")
         for words in (("dog", "cat", "fox", "owl", "bee", "elk"),
                       ("dog", "fox", "owl", "bee", "elk", "cat")):
             assert render_example(spec, words, seed=9) == reference_render(spec, words, seed=9)
+
+    @pytest.mark.parametrize("template", [
+        "glued{input} : options front or back",
+        "holds {input} , not {{input}}",
+        "holds {input} and {input}",
+        "options front or back",
+    ])
+    def test_render_example_rejects_a_template_without_one_standalone_slot(self, template):
+        with pytest.raises(ConfigError, match="standalone"):
+            render_example(self.hand_spec(template), ("dog", "cat", "fox", "owl", "bee", "elk"),
+                           seed=9)

@@ -451,19 +451,6 @@ class TestExactKernels:
         assert distinct.tolist() == [4, 3, 2] and y.tolist() == [104, 103, 102, 101, 100]
         assert where.tolist() == [0, 1, 2, 0, 2] and counts.tolist() == [2, 1, 2]
 
-    def test_plan_is_the_same_when_the_packed_key_would_overflow(self):
-        # Window ids this large leave no room for key * n + position in int64,
-        # so the plan takes its stable-argsort path; equal ids stay equal.
-        ids = np.array([7, 2, 7, 9, 2, 7, 5, 1, 3, 4, 4])
-        rows = np.random.default_rng(0).permutation(11)
-        targets = np.arange(11) + 100
-        sizes = np.array([6, 5])
-        assert 2 * (9 * 2**57 + 1) * 11 >= 2**63
-        small = list(tinylm._plan(rows, sizes, targets, ids, np.float32))
-        large = list(tinylm._plan(rows, sizes, targets, ids * 2**57, np.float32))
-        assert all(s.tolist() == b.tolist() for step in zip(small, large) for s, b in zip(*step))
-        assert small[0][2] is not None and small[1][2] is not None
-
     def test_window_ids_are_exact(self):
         m = init_model(make_vocab(300), 3, 2, 4, seed=0)   # ids need two bytes
         windows = np.array([[1, 1, 300], [1, 1, 44], [1, 1, 300], [44, 1, 1]])
