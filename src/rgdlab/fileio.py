@@ -53,13 +53,17 @@ def write_examples(examples, path) -> None:
 # ------------------------------------------------------------- PPL records
 
 def import_ppl_records(path) -> list[rgd.PplRecord]:
-    """All-or-nothing load; malformed lines are reported with their number."""
+    """All-or-nothing load; malformed lines are reported with their number.
+
+    Numbers are checked as a config file's are: the NLL sums must be JSON
+    numbers and the token count a JSON integer.
+    """
     return artifacts.read_jsonl(path, lambda doc: rgd.PplRecord(
         task_id=doc["task"],
         example_id=doc["id"],
-        nll_cond_sum=float(doc["nll_cond_sum"]),
-        nll_uncond_sum=float(doc["nll_uncond_sum"]),
-        n_rationale_tokens=int(doc["n_rationale_tokens"]),
+        nll_cond_sum=_convert(doc["nll_cond_sum"], float, "nll_cond_sum"),
+        nll_uncond_sum=_convert(doc["nll_uncond_sum"], float, "nll_uncond_sum"),
+        n_rationale_tokens=_convert(doc["n_rationale_tokens"], int, "n_rationale_tokens"),
     ), "record")
 
 

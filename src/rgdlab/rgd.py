@@ -39,7 +39,12 @@ class PplRecord:
     def rgd(self) -> float:
         mean_cond = self.nll_cond_sum / self.n_rationale_tokens
         mean_uncond = self.nll_uncond_sum / self.n_rationale_tokens
-        return math.exp(mean_cond - mean_uncond)
+        log_rgd = mean_cond - mean_uncond
+        try:
+            return math.exp(log_rgd)
+        except OverflowError:
+            raise InputError(f"example {self.example_id!r}: RGD exp({log_rgd}) "
+                             "overflows a float") from None
 
 
 @dataclass(frozen=True)
@@ -103,7 +108,13 @@ def task_rgd(records) -> RgdSummary:
     scores = [r.rgd() for r in records]
     n = len(scores)
     mean = sum(scores) / n
-    var = sum((s - mean) ** 2 for s in scores) / n
+    try:
+        var = sum((s - mean) ** 2 for s in scores) / n
+    except OverflowError:
+        var = math.inf
+    if not math.isfinite(var):          # an infinite mean gives an infinite variance too
+        raise InputError(f"task {records[0].task_id!r}: the mean or variance of its RGD "
+                         "scores overflows a float")
     return RgdSummary(task_id=records[0].task_id, mean=mean, std=math.sqrt(var), n=n)
 
 

@@ -46,13 +46,20 @@ batch repeats no window.  A few passes over the whole epoch build it (one
 ``np.sort`` of (batch, window id, position) keys finds the repeats of every
 batch), so a step only slices the plan, gathers its windows and runs the
 math; per-batch index work took about a tenth of a warmup step.  The plan
-holds indices only, about 0.4 MB per warmup epoch; the epoch's distinct
-windows themselves would take 2.2 MB.  The step picks each target's
-log-probability, and subtracts its one-hot, through one flat index
+holds indices only, about 0.4 MB per warmup epoch.  The step picks each
+target's log-probability, and subtracts its one-hot, through one flat index
 ``where * |V| + target`` into the (windows, |V|) block, and casts the counts
 to the block's dtype before scaling it: the same bits as a two-dimensional
 index and integer counts, which widen the block to float64, at a fraction
 of the cost.  ``grad_check`` plans its one batch the same way.
+
+Windows are token ids in the smallest unsigned dtype that holds the
+vocabulary (``uint8`` up to 256 tokens, so at lab scale), chosen once by
+``_pair_windows``: a warmup corpus's 16,000 windows of 28 ids take 0.45 MB,
+where int64 took 3.6 MB, the largest array of a warmup ``train`` call.  A
+step widens only its batch's distinct windows into the workspace's int64
+buffer, so the gather and the scatter's ``bincount`` index with intp ids;
+scoring and ``grad_check`` index with the compact ids as they are.
 """
 
 from __future__ import annotations
@@ -253,7 +260,9 @@ def _pair_windows(model: ModelState, pairs, empty_target: Exception):
     """Windows and target ids of a nonempty list of (context, target) pairs, concatenated.
 
     Row k of a pair's windows holds the last ``context_len`` tokens before its
-    target token k, BOS-padded on the left.  Also returns each pair's target
+    target token k, BOS-padded on the left.  Windows come in the smallest
+    unsigned dtype that holds every token id of the vocabulary (``uint8`` up
+    to 256 tokens); target ids are int64.  Also returns each pair's target
     count.  Pairs are checked in order: the first empty target raises
     ``empty_target``, the first out-of-range id ``InvalidTokenError``.
     """
@@ -278,9 +287,9 @@ def _pair_windows(model: ModelState, pairs, empty_target: Exception):
     offsets = np.cumsum(lens) - lens
     starts = np.repeat(np.asarray(first, dtype=np.int64) - offsets, lens)
     starts += np.arange(len(starts))
-    seq = np.asarray(tokens, dtype=np.int64)
+    seq = np.asarray(tokens, dtype=np.min_scalar_type(len(model.vocab) - 1))
     windows = np.lib.stride_tricks.sliding_window_view(seq, c)[starts]
-    return windows, seq[starts + c], lens
+    return windows, seq[starts + c].astype(np.int64), lens
 
 
 class _Workspace:
@@ -385,15 +394,14 @@ def sequence_nll(model: ModelState, context, target) -> NllResult:
     return batch_nll(model, [(context, target)])[0]
 
 
-def _window_ids(model: ModelState, windows: np.ndarray) -> np.ndarray | None:
+def _window_ids(windows: np.ndarray) -> np.ndarray | None:
     """An id per window, shared by equal windows; None when no window repeats.
 
-    Each window is packed into the smallest unsigned dtype that holds every
-    token id and compared as one byte string, so the key is exact and costs
-    ``context_len`` bytes a window instead of eight times that.
+    Each row of the C-contiguous ``windows`` is compared as one byte string,
+    so the key is exact; windows from ``_pair_windows`` are compact, so it
+    costs ``context_len`` bytes a window at lab scale.
     """
-    packed = windows.astype(np.min_scalar_type(len(model.vocab) - 1))
-    keys = packed.view(np.dtype((np.void, packed.strides[0]))).ravel()
+    keys = windows.view(np.dtype((np.void, windows.strides[0]))).ravel()
     distinct, ids = np.unique(keys, return_inverse=True)
     return ids if len(distinct) < len(keys) else None
 
@@ -516,7 +524,7 @@ def train(model: ModelState, corpus, cfg: TrainConfig):
         return model.copy(), []
 
     params, out = _flat_copy(model, _TRAIN_DTYPE)
-    ids = _window_ids(model, windows)
+    ids = _window_ids(windows)
     grad, grads = _flat_views(model, _TRAIN_DTYPE)
     velocity = np.zeros_like(params)
     step = np.empty_like(params)
@@ -538,7 +546,9 @@ def train(model: ModelState, corpus, cfg: TrainConfig):
             epoch_tokens = 0
             for distinct, y, where, counts in _plan(rows, sizes, targets, ids, _TRAIN_DTYPE):
                 n = len(y)
-                w = windows.take(distinct, axis=0, out=ws.windows[:len(distinct)], mode="clip")
+                # Widened once per step: take and bincount want intp ids.
+                w = ws.windows[:len(distinct)]
+                np.copyto(w, windows.take(distinct, axis=0, mode="clip"))
                 loss = _batch_grads(out, ws, w, y, grads, where, counts)
                 if not math.isfinite(loss) or loss > DIVERGENCE_NLL:
                     raise DivergenceError(f"diverged loss {loss} in epoch {epoch}")
@@ -607,7 +617,7 @@ def grad_check(model: ModelState, pair, epsilon: float) -> float:
     grad, grads = _flat_views(model, np.float64)
     ws = _Workspace(model, len(targets))
     (distinct, y, where, counts), = _plan(ws.rows, np.array([len(targets)]), targets,
-                                          _window_ids(model, windows), np.float64)
+                                          _window_ids(windows), np.float64)
     _batch_grads(work, ws, windows[distinct], y, grads, where, counts)
 
     rng = np.random.default_rng(model.rng_seed)
@@ -667,20 +677,28 @@ def save_model(model: ModelState, path, *copies) -> None:
 
 
 def load_model(path) -> ModelState:
-    """Checkpoint written by save_model; keys and parameter shapes are checked."""
+    """Checkpoint written by save_model; keys, ``init_model``'s bounds on the
+    vocab and dims, the seed and parameter shapes are checked."""
     doc = artifacts.read_json(path)
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise ConfigError(f"not a {CHECKPOINT_FORMAT} file: {path}")
     try:
         vocab = Vocab(tokens=tuple(doc["vocab"]))
         v, c, e, h = len(vocab), doc["context_len"], doc["embed_dim"], doc["hidden_dim"]
+        seed = doc["rng_seed"]
+        if v < 5:
+            raise ValueError(f"vocab has {v} tokens, fewer than 5")
+        for name, value in (("context_len", c), ("embed_dim", e), ("hidden_dim", h)):
+            if not (type(value) is int and value > 0):      # JSON true is no int here
+                raise ValueError(f"{name} must be a positive int, got {value!r}")
+        if not (type(seed) is int and seed >= 0):
+            raise ValueError(f"rng_seed must be a nonnegative int, got {seed!r}")
         shapes = {"embed": (v, e), "w_hidden": (c * e, h), "b_hidden": (h,),
                   "w_out": (h, v), "b_out": (v,)}
         params = {name: _decode_array(doc["params"][name]) for name in shapes}
-        seed = doc["rng_seed"]
     except KeyError as err:
         raise ParseError(f"{path}: checkpoint lacks key {err}") from None
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError) as err:      # ConfigError (a bad vocab) is a ValueError
         raise ParseError(f"{path}: bad checkpoint: {err}") from None
     for name, shape in shapes.items():
         if params[name].shape != shape:

@@ -60,6 +60,21 @@ class TestPplRecordCodec:
         with pytest.raises(ParseError, match=":2:"):
             fileio.import_ppl_records(path)
 
+    @pytest.mark.parametrize("key, value, want", [
+        ("n_rationale_tokens", 1.7, "int"), ("n_rationale_tokens", True, "int"),
+        ("n_rationale_tokens", "3", "int"), ("nll_cond_sum", "1.5", "float"),
+        ("nll_uncond_sum", True, "float"),
+    ])
+    def test_wrong_number_type_rejected_at_line(self, tmp_path, key, value, want):
+        path = tmp_path / "records.jsonl"
+        good = {"task": "t", "id": "a", "nll_cond_sum": 1.0,
+                "nll_uncond_sum": 2.0, "n_rationale_tokens": 4}
+        path.write_text(json.dumps(good) + "\n" + json.dumps({**good, key: value}) + "\n")
+        with pytest.raises(ParseError) as err:
+            fileio.import_ppl_records(path)
+        assert str(err.value).endswith(f"records.jsonl:2: bad record: {key}: expected {want}, "
+                                       f"got {value!r}")
+
     def test_roundtrip_identity(self, tmp_path):
         records = [rgd.PplRecord("t", f"e{i}", 1.5 * i, 2.0 * i + 0.25, i + 1)
                    for i in range(5)]
@@ -356,6 +371,22 @@ class TestCli:
                 "error: --from-records cannot be combined with --checkpoint or --config"]
             assert not out_file.exists()
 
+    @pytest.mark.parametrize("cond_sums, named", [
+        ([1000.0], "example 'e0': RGD exp(1000.0) overflows a float"),
+        ([700.0, 709.0], "task 'q': the mean or variance of its RGD scores overflows a float"),
+    ], ids=["score", "variance"])
+    def test_score_rgd_overflow_exits_one(self, tmp_path, capsys, cond_sums, named):
+        path = tmp_path / "records.jsonl"
+        path.write_text("".join(json.dumps({"task": "q", "id": f"e{i}", "nll_cond_sum": s,
+                                            "nll_uncond_sum": 0.0, "n_rationale_tokens": 1}) + "\n"
+                                for i, s in enumerate(cond_sums)))
+        out_file = tmp_path / "scores.jsonl"
+        assert cli.main(["score-rgd", "--from-records", str(path),
+                         "--out-file", str(out_file)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.splitlines() == [f"error: {named}"]
+        assert not out_file.exists()
+
     def test_unknown_subcommand_exits_nonzero(self, capsys):
         with pytest.raises(SystemExit) as err:
             cli.main(["frobnicate"])
@@ -535,6 +566,10 @@ class TestCli:
     @pytest.mark.parametrize("edit, named", [
         (lambda doc: doc.update(hidden_dim=99), "w_hidden"),
         (lambda doc: doc.pop("params"), "params"),
+        # Shapes that agree with a zero-width window: every score would read 1.0.
+        (lambda doc: (doc.update(context_len=0),
+                      doc["params"]["w_hidden"].update(shape=[0, doc["hidden_dim"]], data="")),
+         "bad.json: bad checkpoint: context_len must be a positive int, got 0"),
     ])
     def test_score_rgd_rejects_bad_checkpoint(self, run_dir, tmp_path, capsys, edit, named):
         doc = json.loads((run_dir / "out/runs/none-o0-s3/checkpoints/stage-02.json").read_text())

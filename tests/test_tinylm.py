@@ -1,6 +1,7 @@
 """Unit and oracle tests for the window language model."""
 
 import itertools
+import json
 import math
 from dataclasses import replace
 
@@ -13,6 +14,7 @@ from rgdlab.errors import (
     DivergenceError,
     EmptyTargetError,
     InvalidTokenError,
+    ParseError,
 )
 from rgdlab.tinylm import (
     BOS,
@@ -285,6 +287,10 @@ def distinct_corpus(n_pairs, vocab_size, seed):
 # the 16 steps of these tests), so 64 ulps leave a wide margin.
 REPEATS_TOL = 64 * float(np.finfo(np.float32).eps)
 
+# Content-token counts of the training oracles' vocabularies: the first gives
+# uint8 windows, the second (more than 256 tokens) uint16 windows.
+CONTENT_SIZES = (12, 300)
+
 
 def assert_params(got, want, exact):
     for (name, p), (_, q) in zip(got.params(), want.params()):
@@ -368,40 +374,46 @@ class TestExactKernels:
 
     @pytest.mark.parametrize("context", [[], [4, 5], [4, 5, 6, 7, 8, 9, 10, 11]])
     def test_target_windows_match_sliding_view(self, context):
-        m = init_model(make_vocab(10), 4, 3, 5, seed=0)
-        pairs = [(context, [6, 7, 8]), ([9], [5]), (context, [EOS])]
-        windows, targets, lens = tinylm._pair_windows(m, pairs, ValueError())
-        assert windows.dtype == np.int64
-        assert lens.tolist() == [3, 1, 1]
-        assert np.array_equal(windows, np.concatenate([reference_windows(m, c, t) for c, t in pairs]))
-        assert targets.tolist() == [6, 7, 8, 5, EOS]
+        # Windows take the smallest unsigned dtype that holds every id of the
+        # vocabulary; targets stay int64.
+        for vocab_size, dtype in ((256, np.uint8), (257, np.uint16)):
+            m = init_model(make_vocab(vocab_size - 4), 4, 3, 5, seed=0)
+            top = vocab_size - 1
+            pairs = [(context, [6, top, 8]), ([top], [5]), (context, [EOS])]
+            windows, targets, lens = tinylm._pair_windows(m, pairs, ValueError())
+            assert windows.dtype == dtype and targets.dtype == np.int64
+            assert lens.tolist() == [3, 1, 1]
+            want = np.concatenate([reference_windows(m, c, t) for c, t in pairs])
+            assert np.array_equal(windows, want)
+            assert targets.tolist() == [6, top, 8, 5, EOS]
 
     @pytest.mark.parametrize("shuffle, batch_size", [(True, 3), (False, 3), (True, 50)])
     def test_train_matches_reference_loop(self, shuffle, batch_size):
-        m = init_model(make_vocab(12), 5, 6, 9, seed=4)
-        before = [p.copy() for _, p in m.params()]
-        corpus = mixed_corpus(11, len(m.vocab), seed=8)     # 11 pairs: the last batch of 3 is short
-        cfg = TrainConfig(learning_rate=0.3, epochs=4, batch_size=batch_size, momentum=0.9,
-                          seed=6, shuffle=shuffle)
-        trained, trace = train(m, corpus, cfg)
-        ref, ref_trace, repeated = reference_train(m, corpus, cfg)
-        # Two empty contexts in one batch share the all-BOS window, which train
-        # computes once, weighted by two: the same sums, rounded differently.
-        assert repeated == (shuffle or batch_size > 3)
-        if repeated:
-            np.testing.assert_allclose(trace, ref_trace, rtol=REPEATS_TOL)
-        else:
-            assert trace == ref_trace
-        assert_params(trained, ref, exact=not repeated)
-        for (_, p), b in zip(m.params(), before):
-            assert np.array_equal(p, b)
+        for n_content in CONTENT_SIZES:
+            m = init_model(make_vocab(n_content), 5, 6, 9, seed=4)
+            before = [p.copy() for _, p in m.params()]
+            corpus = mixed_corpus(11, len(m.vocab), seed=8)     # 11 pairs: the last batch of 3 is short
+            cfg = TrainConfig(learning_rate=0.3, epochs=4, batch_size=batch_size, momentum=0.9,
+                              seed=6, shuffle=shuffle)
+            trained, trace = train(m, corpus, cfg)
+            ref, ref_trace, repeated = reference_train(m, corpus, cfg)
+            # Two empty contexts in one batch share the all-BOS window, which train
+            # computes once, weighted by two: the same sums, rounded differently.
+            assert repeated == (shuffle or batch_size > 3)
+            if repeated:
+                np.testing.assert_allclose(trace, ref_trace, rtol=REPEATS_TOL)
+            else:
+                assert trace == ref_trace
+            assert_params(trained, ref, exact=not repeated)
+            for (_, p), b in zip(m.params(), before):
+                assert np.array_equal(p, b)
 
     @pytest.mark.parametrize("shuffle, batch_size", [(True, 3), (False, 4), (True, 50)])
     def test_train_without_repeats_is_bit_exact(self, shuffle, batch_size):
         m = init_model(make_vocab(12), 5, 6, 9, seed=4)
         corpus = distinct_corpus(11, len(m.vocab), seed=8)
         windows, _, _ = tinylm._pair_windows(m, corpus, ValueError())
-        assert tinylm._window_ids(m, windows) is None
+        assert tinylm._window_ids(windows) is None
         cfg = TrainConfig(learning_rate=0.3, epochs=4, batch_size=batch_size, momentum=0.9,
                           seed=6, shuffle=shuffle)
         trained, trace = train(m, corpus, cfg)
@@ -413,19 +425,20 @@ class TestExactKernels:
     @pytest.mark.parametrize("shuffle, batch_size", [(True, 1), (False, 1), (True, 3),
                                                      (False, 3), (True, 50), (False, 50)])
     def test_train_matches_per_batch_dedup_bit_for_bit(self, shuffle, batch_size):
-        m = init_model(make_vocab(12), 5, 6, 9, seed=4)
-        # 13 pairs, so the last batch of 3 is short; the two added pairs each
-        # repeat the window [6, 6, 6, 6, 6] within themselves.
-        corpus = mixed_corpus(11, len(m.vocab), seed=8) + [([], [6] * 8 + [EOS]),
-                                                          ([7], [6] * 7)]
-        cfg = TrainConfig(learning_rate=0.3, epochs=4, batch_size=batch_size, momentum=0.9,
-                          seed=6, shuffle=shuffle)
-        trained, trace = train(m, corpus, cfg)
-        ref, ref_trace, steps = reference_dedup_train(m, corpus, cfg)
-        assert steps["repeats"] > 0
-        assert steps["plain"] > 0 or batch_size > len(corpus)
-        assert trace == ref_trace
-        assert_params(trained, ref, exact=True)
+        for n_content in CONTENT_SIZES:
+            m = init_model(make_vocab(n_content), 5, 6, 9, seed=4)
+            # 13 pairs, so the last batch of 3 is short; the two added pairs each
+            # repeat the window [6, 6, 6, 6, 6] within themselves.
+            corpus = mixed_corpus(11, len(m.vocab), seed=8) + [([], [6] * 8 + [EOS]),
+                                                              ([7], [6] * 7)]
+            cfg = TrainConfig(learning_rate=0.3, epochs=4, batch_size=batch_size, momentum=0.9,
+                              seed=6, shuffle=shuffle)
+            trained, trace = train(m, corpus, cfg)
+            ref, ref_trace, steps = reference_dedup_train(m, corpus, cfg)
+            assert steps["repeats"] > 0
+            assert steps["plain"] > 0 or batch_size > len(corpus)
+            assert trace == ref_trace
+            assert_params(trained, ref, exact=True)
 
     def test_plan_keeps_first_occurrence_order(self):
         ids = np.array([7, 2, 7, 9, 2, 7, 5, 1, 3, 4, 4])
@@ -452,11 +465,11 @@ class TestExactKernels:
         assert where.tolist() == [0, 1, 2, 0, 2] and counts.tolist() == [2, 1, 2]
 
     def test_window_ids_are_exact(self):
-        m = init_model(make_vocab(300), 3, 2, 4, seed=0)   # ids need two bytes
-        windows = np.array([[1, 1, 300], [1, 1, 44], [1, 1, 300], [44, 1, 1]])
-        ids = tinylm._window_ids(m, windows).tolist()
+        # Ids that need two bytes, and windows that differ in one byte only.
+        windows = np.array([[1, 1, 300], [1, 1, 44], [1, 1, 300], [44, 1, 1]], dtype=np.uint16)
+        ids = tinylm._window_ids(windows).tolist()
         assert ids[0] == ids[2] and len(set(ids)) == 3
-        assert tinylm._window_ids(m, windows[1:]) is None
+        assert tinylm._window_ids(windows[1:]) is None
 
     def test_weighted_batch_grads_match_repeated_rows(self):
         m = init_model(make_vocab(12), 2, 6, 9, seed=4)
@@ -464,7 +477,7 @@ class TestExactKernels:
         windows, targets, _ = tinylm._pair_windows(m, pairs, ValueError())
         n = len(targets)
         (distinct, y, where, counts), = tinylm._plan(
-            np.arange(n), np.array([n]), targets, tinylm._window_ids(m, windows), np.float64)
+            np.arange(n), np.array([n]), targets, tinylm._window_ids(windows), np.float64)
         assert len(distinct) < len(windows) and counts.max() > 2
         ws = tinylm._Workspace(m, len(targets))
         _, plain = tinylm._flat_views(m, np.float64)
@@ -689,7 +702,7 @@ class TestGradCheck:
     def test_repeated_windows_use_the_weighted_kernel(self):
         m = init_model(make_vocab(4), 2, 4, 4, seed=3)
         windows, _, _ = tinylm._pair_windows(m, [([], [5, 5, 5, 5])], ValueError())
-        assert tinylm._window_ids(m, windows) is not None      # [5, 5] precedes two targets
+        assert tinylm._window_ids(windows) is not None      # [5, 5] precedes two targets
         assert grad_check(m, ([], [5, 5, 5, 5]), epsilon=1e-5) < 1e-4
 
     def test_deterministic(self):
@@ -750,6 +763,19 @@ class TestCheckpoint:
             save_model(m, path)
         assert path.read_bytes() == before
         assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("key, value", [
+        ("context_len", 0), ("embed_dim", -2), ("hidden_dim", 2.5), ("context_len", True),
+        ("rng_seed", -1), ("rng_seed", 1.5), ("rng_seed", None), ("vocab", list(tinylm.RESERVED)),
+    ])
+    def test_bounds_of_init_model_and_seed_checked(self, tmp_path, key, value):
+        path = tmp_path / "model.json"
+        save_model(init_model(make_vocab(5), 2, 4, 4, seed=0), path)
+        doc = json.loads(path.read_text())
+        doc[key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match=f"model.json: bad checkpoint: .*{key}"):
+            load_model(path)
 
     def test_wrong_format_rejected(self, tmp_path):
         path = tmp_path / "x.json"
