@@ -106,7 +106,10 @@ def _write_run_artifacts(result: driver.ExperimentResult, cfg: fileio.Experiment
 
 
 def _cmd_run_seq(args) -> int:
+    from . import pool    # here, as in driver.run_experiment: only a grid needs it
+
     cfg = fileio.load_experiment_config(args.config, output_dir=args.out)
+    pool.start(cfg.plan.threads)            # the workers start while the suite is made
     suite = cfg.make_suite()
     result = driver.run_experiment(suite, cfg.plan)
     _write_run_artifacts(result, cfg)
@@ -169,7 +172,7 @@ def _cmd_score_rgd(args) -> int:
         summaries = [driver.score_task_rgd(model, suite.probe[spec.task_id],
                                            cfg.plan.rgd_eval_size)
                      for spec in suite.specs if not args.task or spec.task_id == args.task]
-    docs = [{**fileio.summary_doc(s), "scalar": rgd.summary_scalar(s, args.aggregator)}
+    docs = [{**fileio.summary_doc(s), "scalar": rgd.summary_scalar(s)}
             for s in summaries]
     if args.out_file:
         artifacts.write_jsonl(args.out_file, docs)
@@ -279,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--config", default=None)
     p.add_argument("--task", default=None)
-    p.add_argument("--aggregator", choices=rgd.AGGREGATORS, default="mean")
     p.add_argument("--out", default=None)
     p.add_argument("--out-file", default=None)
     p.set_defaults(func=_cmd_score_rgd)

@@ -11,20 +11,23 @@ A stage's result depends on the run settings, the base model, the run seed,
 the order and the replay counts of every stage so far, never on the
 strategy that chose those counts.  Runs handed one ``stages`` dict train
 each distinct stage once and share its checkpoint, loss trace, accuracy row
-and RGD summaries; ``run_experiment`` shares stages within each (seed,
-order).  Stage checkpoints are read-only: copy one before changing it.
+and RGD summaries; ``run_experiment`` runs each (seed, order) as one unit
+on its worker pool and shares stages within it.  Stage checkpoints are
+read-only: copy one before changing it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+import functools
+import os
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from . import clmetrics, rgd, replay, taskgen, tinylm
 from .errors import ConfigError, InputError
 
-STRATEGIES = ("none", "equal", "inscl", "rgd-mean", "rgd-mean-minus-std")
+STRATEGIES = ("none", "equal", "inscl", "rgd-mean")
 
 DEFAULT_K_GRID = (0.0, 0.1, 0.2, 0.4, 0.6, 0.8, 1.0)
 DEFAULT_DEMO_COUNTS = (1, 2, 4, 8)
@@ -92,10 +95,6 @@ class RunConfig(RunSettings):
             raise ConfigError(f"unknown strategy {self.strategy!r}; expected one of {STRATEGIES}")
         if self.strategy.startswith("rgd") and self.rgd_eval_size < 1:
             raise ConfigError("rgd strategies need an evaluation subset of >= 1 examples")
-
-    @property
-    def aggregator(self) -> str:
-        return "mean_minus_std" if self.strategy == "rgd-mean-minus-std" else "mean"
 
 
 @dataclass
@@ -181,7 +180,7 @@ def _stage_plan(cfg: RunConfig, suite: taskgen.Suite, order, stage: int,
         }
         plan = replay.allocate_inscl(distances, alpha)
     else:
-        scores = {t: rgd.summary_scalar(prev_summaries[t], cfg.aggregator) for t in prev}
+        scores = {t: rgd.summary_scalar(prev_summaries[t]) for t in prev}
         plan = replay.allocate_rgd(scores, alpha)
     return replay.fit_to_pools(plan, {t: len(suite.train[t]) for t in prev})
 
@@ -340,7 +339,12 @@ def most_forgotten_tasks(report: clmetrics.MetricsReport, top: int = DEFAULT_TOP
 
 @dataclass(frozen=True, kw_only=True)
 class ExperimentPlan(RunSettings):
-    """Grid of sequential runs plus baselines and optional probes."""
+    """Grid of sequential runs plus baselines and optional probes.
+
+    ``threads`` is the number of worker processes that run the grid's units
+    (see ``run_experiment``); by default, the CPUs this process may use.
+    Results do not depend on it.
+    """
 
     strategies: tuple[str, ...] = ("none", "equal", "inscl", "rgd-mean")
     run_seeds: tuple[int, ...]
@@ -350,7 +354,7 @@ class ExperimentPlan(RunSettings):
     demo_counts: tuple[int, ...] = DEFAULT_DEMO_COUNTS
     demo_draws: int = DEFAULT_DEMO_DRAWS
     top_forgotten: int = DEFAULT_TOP_FORGOTTEN
-    threads: int = 1                          # accepted for old configs; runs are serial
+    threads: int = field(default_factory=lambda: len(os.sched_getaffinity(0)))
     keep_checkpoints: bool = True
 
     def __post_init__(self):
@@ -412,62 +416,102 @@ class ExperimentResult:
     probes: list[ProbeRecord]
 
 
+def _run_group(suite: taskgen.Suite, plan: ExperimentPlan, seed: int, order_index: int,
+               base: tinylm.ModelState):
+    """Every strategy's run of one (seed, order), sharing stages (a pool unit).
+
+    With probes on, this first yields the ``none`` run's final checkpoint and
+    most-forgotten tasks as soon as that run ends, so that its probes can
+    start while the other strategies train; last it yields the runs by
+    strategy.  Their matrices carry a zero baseline row: ``run_experiment``
+    puts in the single-task baselines, which no stage depends on.
+    """
+    stages: dict = {}
+    no_baselines = dict.fromkeys(suite.train, 0.0)
+    results = {}
+    # A stage's result does not depend on which run trains it first, so the
+    # none run goes first and its probes can start as early as possible.
+    for strategy in sorted(plan.strategies, key=lambda strategy: strategy != "none"):
+        probed = plan.run_probes and strategy == "none"
+        result = results[strategy] = run_sequence(
+            suite, plan.run_config(strategy, seed, order_index), a0=no_baselines,
+            base_model=base, keep_checkpoints=plan.keep_checkpoints or probed, stages=stages)
+        if probed:              # forgetting does not read the baseline row
+            yield result.checkpoints[-1], most_forgotten_tasks(
+                clmetrics.compute_report(result.matrix), plan.top_forgotten)
+    yield results
+
+
+def _probe(suite: taskgen.Suite, plan: ExperimentPlan, seed: int, order_index: int,
+           model: tinylm.ModelState, task: str) -> ProbeRecord:
+    """Both probes of one forgotten task on a run's final checkpoint (a pool unit)."""
+    partial = probe_partial_rationale(model, suite.eval[task], plan.k_grid, plan.max_gen_len)
+    pool_examples = [ex for other in suite.orders[order_index] if other != task
+                     for ex in suite.train[other]]
+    tap = probe_tap(model, suite.eval[task], pool_examples, plan.demo_counts, plan.demo_draws,
+                    seed=derive_seed(seed, order_index), max_gen_len=plan.max_gen_len)
+    return ProbeRecord(run_seed=seed, order_index=order_index, task_id=task,
+                       partial=partial, tap=tap)
+
+
 def run_experiment(suite: taskgen.Suite, plan: ExperimentPlan) -> ExperimentResult:
     """Baselines plus every (strategy, seed, order) run, optionally probed.
 
-    All runs share one base checkpoint; single-task baselines are computed
-    once per run seed and reused across strategies and orders.  Runs execute
-    one after another, so BLAS gets every core; ``plan.threads`` is accepted
-    for compatibility and does not change scheduling.  The runs of one
-    (seed, order) execute together and share every stage whose replay
-    counts agree so far (see ``run_sequence``); the shared stages are
-    dropped after each group.  Checkpoints may be shared between runs and
-    are read-only; copy one before changing it.
-    ``runs`` lists the records in grid order: strategy, then seed, then
-    order.
+    The grid's independent units run on ``plan.threads`` worker processes
+    (``rgdlab.pool``), each with one BLAS thread, and the results do not
+    depend on the worker count.  The units are the base-model build; then
+    the runs of each (seed, order), which share every stage whose replay
+    counts agree so far (see ``run_sequence``), and the single-task and
+    multi-task baselines of each run seed; and one probe per most-forgotten
+    task of a ``none`` run, dispatched as soon as that run has ended.  All
+    runs start from one base checkpoint, and single-task baselines are
+    computed once per run seed and reused across strategies and orders.
+    Checkpoints may be shared between the runs of a group and are
+    read-only; copy one before changing it.  ``runs`` lists the records in
+    grid order: strategy, then seed, then order.
     """
-    base = build_base_model(suite, plan.run_config(plan.strategies[0], plan.run_seeds[0], 0))
-    singles = {seed: run_single_baselines(suite, plan.run_config(plan.strategies[0], seed, 0),
-                                          base_model=base)
-               for seed in plan.run_seeds}
-    multis = {seed: run_multitask(suite, plan.run_config(plan.strategies[0], seed, 0),
-                                  base_model=base)
-              for seed in plan.run_seeds}
+    singles: dict[int, dict[str, float]] = {}
+    multis: dict[int, dict[str, float]] = {}
+    groups: dict[tuple[int, int], dict[str, RunResult]] = {}
+    probes: dict[tuple[int, int], list[ProbeRecord | None]] = {}   # in forgetting order
 
-    records = {}
-    for seed in plan.run_seeds:
-        for order in plan.order_indices:
-            stages: dict = {}
-            for strategy in plan.strategies:
-                cfg = plan.run_config(strategy, seed, order)
-                keep = plan.keep_checkpoints or (plan.run_probes and strategy == "none")
-                result = run_sequence(suite, cfg, a0=singles[seed], base_model=base,
-                                      keep_checkpoints=keep, stages=stages)
-                records[strategy, seed, order] = RunRecord(
-                    strategy=strategy, run_seed=seed, order_index=order,
-                    result=result, report=clmetrics.compute_report(result.matrix))
-    runs = [records[strategy, seed, order]
-            for strategy in plan.strategies
-            for seed in plan.run_seeds
-            for order in plan.order_indices]
+    def after_base(base):
+        cfgs = {seed: plan.run_config(plan.strategies[0], seed, 0) for seed in plan.run_seeds}
+        return ([(_run_group, (suite, plan, seed, order, base),
+                  functools.partial(after_group, seed, order))
+                 for seed in plan.run_seeds for order in plan.order_indices]
+                + [(run_single_baselines, (suite, cfgs[seed], base),
+                    functools.partial(singles.__setitem__, seed)) for seed in plan.run_seeds]
+                + [(run_multitask, (suite, cfgs[seed], base),
+                    functools.partial(multis.__setitem__, seed)) for seed in plan.run_seeds])
 
-    probes: list[ProbeRecord] = []
-    if plan.run_probes:
-        for record in runs:
-            if record.strategy != "none":
-                continue
-            model = record.result.checkpoints[-1]
-            for task in most_forgotten_tasks(record.report, plan.top_forgotten):
-                partial = probe_partial_rationale(model, suite.eval[task], plan.k_grid,
-                                                  plan.max_gen_len)
-                pool_examples = [ex for other in record.result.order if other != task
-                                 for ex in suite.train[other]]
-                tap = probe_tap(model, suite.eval[task], pool_examples,
-                                plan.demo_counts, plan.demo_draws,
-                                seed=derive_seed(record.run_seed, record.order_index),
-                                max_gen_len=plan.max_gen_len)
-                probes.append(ProbeRecord(run_seed=record.run_seed,
-                                          order_index=record.order_index,
-                                          task_id=task, partial=partial, tap=tap))
-    return ExperimentResult(suite=suite, plan=plan, singles=singles, multis=multis,
-                            runs=runs, probes=probes)
+    def after_group(seed, order, value):
+        if isinstance(value, dict):             # the runs by strategy
+            groups[seed, order] = value
+            return []
+        model, tasks = value                    # the none run's end: probe it
+        records = probes[seed, order] = [None] * len(tasks)
+        return [(_probe, (suite, plan, seed, order, model, task),
+                 functools.partial(records.__setitem__, i)) for i, task in enumerate(tasks)]
+
+    from . import pool    # here: a process that runs no grid never loads the pool's modules
+
+    first = plan.run_config(plan.strategies[0], plan.run_seeds[0], 0)
+    pool.run(plan.threads, [(build_base_model, (suite, first), after_base)])
+
+    runs = []
+    for strategy in plan.strategies:
+        for seed in plan.run_seeds:
+            for order in plan.order_indices:
+                result = groups[seed, order][strategy]
+                result.matrix = replace(result.matrix,
+                                        a0=tuple(singles[seed][t] for t in result.order))
+                runs.append(RunRecord(strategy=strategy, run_seed=seed, order_index=order,
+                                      result=result,
+                                      report=clmetrics.compute_report(result.matrix)))
+    return ExperimentResult(
+        suite=suite, plan=plan,
+        singles={seed: singles[seed] for seed in plan.run_seeds},
+        multis={seed: multis[seed] for seed in plan.run_seeds},
+        runs=runs, probes=[record for seed in plan.run_seeds for order in plan.order_indices
+                           for record in probes.get((seed, order), ())])

@@ -26,9 +26,8 @@ REPORT_STRATEGY_LABELS = {
     "equal": "EA",
     "inscl": "InsCL",
     "rgd-mean": "RGD",
-    "rgd-mean-minus-std": "RGD-ms",
 }
-REPORT_ROW_ORDER = ("Single", "Multi", "CL", "EA", "InsCL", "RGD", "RGD-ms")
+REPORT_ROW_ORDER = ("Single", "Multi", "CL", "EA", "InsCL", "RGD")
 
 
 def _fmt(value) -> str:
@@ -87,8 +86,11 @@ def summary_doc(summary: rgd.RgdSummary, stage: int | None = None) -> dict:
 
 
 def read_summaries(path) -> list[rgd.RgdSummary]:
+    """Numbers are checked as in ``import_ppl_records``: mean and std must be
+    JSON numbers and n a JSON integer."""
     return artifacts.read_jsonl(path, lambda doc: rgd.RgdSummary(
-        task_id=doc["task"], mean=float(doc["mean"]), std=float(doc["std"]), n=int(doc["n"])),
+        task_id=doc["task"], mean=_convert(doc["mean"], float, "mean"),
+        std=_convert(doc["std"], float, "std"), n=_convert(doc["n"], int, "n")),
         "summary")
 
 

@@ -1,0 +1,208 @@
+"""Worker processes that run the independent units of an experiment grid.
+
+A unit is one call ``fn(*args)`` of a module-level function.  Each worker is
+a fresh Python process started with one BLAS thread and one socket to the
+parent; it runs one unit at a time and keeps nothing between units but its
+imported modules.  The parent dispatches from its own thread (it starts no
+helper thread) and waits on every worker's socket at once.
+
+Messages are pickled with protocol 5 and carry their arrays as out-of-band
+buffers: a received array sits on the bytes read from the socket, with no
+second copy, and is read-only.  One message pickles all of a unit's result,
+so objects shared inside it (a stage checkpoint held by several runs) stay
+shared.
+
+The pool lives as long as the process.  ``run`` starts it on first use and
+again only when the worker count changes; a failure discards it, so the next
+call starts a fresh one.  Workers are stopped at exit, and a worker whose
+socket closes exits on its own.
+"""
+
+from __future__ import annotations
+
+import atexit
+import os
+import pickle
+import selectors
+import signal
+import socket
+import struct
+import subprocess
+import sys
+import traceback
+import types
+
+from .errors import RgdLabError
+
+# The parent's BLAS threads are left alone; only the workers are pinned.
+_WORKER_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+# The worker imports the rgdlab package the parent imported, from its path.
+_BOOT = ("import sys; sys.path.insert(0, sys.argv[1]); "
+         "from rgdlab import pool; pool.serve(int(sys.argv[2]))")
+_PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _send(sock: socket.socket, message) -> None:
+    """Frame: the part count, each part's size, the pickle, then its buffers."""
+    buffers = []
+    head = pickle.dumps(message, protocol=5, buffer_callback=buffers.append)
+    parts = [memoryview(head), *(b.raw() for b in buffers)]
+    sock.sendall(struct.pack(f"<{len(parts) + 1}Q", len(parts), *(p.nbytes for p in parts)))
+    for part in parts:
+        sock.sendall(part)
+
+
+def _recv_exact(sock: socket.socket, size: int) -> bytearray:
+    data = bytearray(size)
+    view = memoryview(data)
+    while view:
+        got = sock.recv_into(view)
+        if not got:
+            raise EOFError
+        view = view[got:]
+    return data
+
+
+def _recv(sock: socket.socket):
+    (count,) = struct.unpack("<Q", _recv_exact(sock, 8))
+    sizes = struct.unpack(f"<{count}Q", _recv_exact(sock, 8 * count))
+    head, *buffers = (_recv_exact(sock, size) for size in sizes)
+    return pickle.loads(head, buffers=[memoryview(b).toreadonly() for b in buffers])
+
+
+def serve(fd: int) -> None:
+    """Worker loop, until socket ``fd`` closes: run each unit received on it
+    and send back ``(True, value)`` for each of its values, then ``(False,
+    None)`` when it ends or ``(False, (exception, traceback))`` when it fails."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)      # Ctrl-C is the parent's to handle
+    from . import driver  # noqa: F401  (import what units need before the first arrives)
+    sock = socket.socket(fileno=fd)
+    try:
+        while True:
+            try:
+                fn, args = _recv(sock)
+            except EOFError:
+                return
+            try:
+                values = fn(*args)
+                for value in values if isinstance(values, types.GeneratorType) else (values,):
+                    _send(sock, (True, value))
+                reply = (False, None)
+            except Exception as err:                  # re-raised by the parent
+                reply = (False, (err, traceback.format_exc()))
+            _send(sock, reply)
+    except OSError:                                   # the parent is gone
+        return
+
+
+class _WorkerTraceback(Exception):
+    """Where in a worker a unit failed, attached as the re-raised error's cause."""
+
+
+class _Worker:
+    def __init__(self, index: int):
+        self.index = index
+        self.sock, theirs = socket.socketpair()
+        with theirs:
+            self.proc = subprocess.Popen(
+                [sys.executable, "-c", _BOOT, _PACKAGE_ROOT, str(theirs.fileno())],
+                pass_fds=(theirs.fileno(),), stdin=subprocess.DEVNULL,
+                env={**os.environ, **_WORKER_ENV})
+
+    def send(self, message) -> None:
+        try:
+            _send(self.sock, message)
+        except OSError:
+            raise self._died() from None
+
+    def recv(self):
+        try:
+            return _recv(self.sock)
+        except (EOFError, OSError):
+            raise self._died() from None
+
+    def _died(self) -> RgdLabError:
+        return RgdLabError(f"pool worker {self.index} (pid {self.proc.pid}) exited "
+                           f"with code {self.proc.wait()}")
+
+    def stop(self) -> None:
+        self.sock.close()
+        self.proc.kill()
+        self.proc.wait()
+
+
+class _Pool:
+    def __init__(self, size: int):
+        self.size = size
+        self.workers = [_Worker(i) for i in range(size)]
+        self.selector = selectors.DefaultSelector()
+        for worker in self.workers:
+            self.selector.register(worker.sock, selectors.EVENT_READ, worker)
+
+    def run(self, units) -> None:
+        queue = list(units)
+        idle = list(self.workers)
+        busy: dict[_Worker, object] = {}
+        while queue or busy:
+            while queue and idle:
+                worker = idle.pop()
+                fn, args, then = queue.pop(0)
+                worker.send((fn, args))
+                busy[worker] = then
+            for key, _ in self.selector.select():     # an idle worker is ready only at EOF
+                worker = key.data
+                more, value = worker.recv()
+                if more:
+                    queue[:0] = busy[worker](value) or ()
+                elif value is None:
+                    del busy[worker]
+                    idle.append(worker)
+                else:
+                    error, text = value
+                    raise error from _WorkerTraceback(text)
+
+    def stop(self) -> None:
+        self.selector.close()
+        for worker in self.workers:
+            worker.stop()
+
+
+_pool: _Pool | None = None
+
+
+def start(size: int) -> None:
+    """Have ``size`` workers running, starting them if needed."""
+    global _pool
+    if _pool is None or _pool.size != size:
+        shutdown()
+        _pool = _Pool(size)
+
+
+def run(size: int, units) -> None:
+    """Run ``units`` and the units they lead to on ``size`` workers.
+
+    A unit is ``(fn, args, then)``: a worker computes ``fn(*args)``, and the
+    parent passes the result to ``then``, which may return more units; those
+    are dispatched before the ones still queued.  If ``fn`` is a generator
+    function, each value it yields goes to ``then`` as soon as it arrives.
+    An exception raised by ``fn`` is re-raised here with its type and
+    message, and a worker that dies raises ``RgdLabError``; either way the
+    pool is discarded.
+    """
+    start(size)
+    try:
+        _pool.run(units)
+    except BaseException:
+        shutdown()                                    # workers may be mid-unit
+        raise
+
+
+def shutdown() -> None:
+    """Stop every worker; the next ``run`` starts new ones."""
+    global _pool
+    if _pool is not None:
+        pool, _pool = _pool, None
+        pool.stop()
+
+
+atexit.register(shutdown)

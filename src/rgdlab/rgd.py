@@ -3,8 +3,7 @@
 The per-example score is the ratio of the conditional rationale perplexity
 (given the instruction) to the unconditional one; above 1 means the
 instruction makes the rationale harder to produce than no prompt at all.
-Task-level scores are the mean (optionally mean minus std) over a held-out
-evaluation slice.
+Task-level scores are the mean over a held-out evaluation slice.
 """
 
 from __future__ import annotations
@@ -17,8 +16,6 @@ from .errors import InputError, InvalidPplError
 from .taskgen import Example, render_prompt
 
 SCALAR_FLOOR = 1e-6
-
-AGGREGATORS = ("mean", "mean_minus_std")
 
 
 @dataclass(frozen=True)
@@ -118,10 +115,7 @@ def task_rgd(records) -> RgdSummary:
     return RgdSummary(task_id=records[0].task_id, mean=mean, std=math.sqrt(var), n=n)
 
 
-def summary_scalar(summary: RgdSummary, aggregator: str = "mean") -> float:
-    """The allocator scalar: the mean (default) or mean minus std, floored at a
-    small positive epsilon so proportional allocation stays defined."""
-    if aggregator not in AGGREGATORS:
-        raise InputError(f"aggregator must be one of {AGGREGATORS}")
-    value = summary.mean if aggregator == "mean" else summary.mean - summary.std
-    return max(value, SCALAR_FLOOR)
+def summary_scalar(summary: RgdSummary) -> float:
+    """The allocator scalar: the mean, floored at a small positive epsilon so
+    proportional allocation stays defined."""
+    return max(summary.mean, SCALAR_FLOOR)

@@ -118,10 +118,14 @@ class TestPlanAndSummaryCodec:
 
     def test_bad_summary_reported_with_number(self, tmp_path):
         path = tmp_path / "summaries.jsonl"
-        path.write_text('{"task": "a", "mean": 1.0, "std": 0.0, "n": 1}\n'
-                        '{"task": "b", "mean": "high", "std": 0.0, "n": 1}\n')
-        with pytest.raises(ParseError, match=":2:"):
-            fileio.read_summaries(path)
+        good = {"task": "a", "mean": 1.0, "std": 0.0, "n": 1}
+        for key, value, want in (("mean", "high", "float"), ("mean", "1.5", "float"),
+                                 ("n", 1.7, "int")):
+            path.write_text(json.dumps(good) + "\n" + json.dumps({**good, key: value}) + "\n")
+            with pytest.raises(ParseError) as err:
+                fileio.read_summaries(path)
+            assert str(err.value).endswith(f"summaries.jsonl:2: bad summary: {key}: "
+                                           f"expected {want}, got {value!r}")
 
     def test_failed_write_leaves_no_file(self, tmp_path):
         path = tmp_path / "summaries.jsonl"
@@ -459,26 +463,32 @@ class TestCli:
         assert snapshot["resolved"]["train"]["epochs"] == 2
 
     def test_threads_do_not_change_results(self, run_dir):
-        """``threads`` is kept for old configs: no artifact but the config
+        """``threads`` is the worker count: no artifact but the config
         snapshot, which records the given value, depends on it."""
         config = json.loads((run_dir / "config.json").read_text())
-        config.update(strategies=["none", "equal"], run_probes=True, replay={"budget": 6},
+        config.update(strategies=["none", "equal", "rgd-mean"], run_seeds=[3, 4], orders=[0, 1],
+                      run_probes=True, replay={"budget": 30},
                       probes={"k_grid": [0.0, 1.0], "demo_counts": [1], "demo_draws": 1,
                               "top_forgotten": 1})
+        config["suite"] = {**config["suite"], "num_tasks": 3}
         trees = []
-        for threads in (1, 2):
+        for threads in (1, 2, 3):
             cfg_path = run_dir / f"threads-{threads}-config.json"
             cfg_path.write_text(json.dumps({**config, "threads": threads}))
             out = run_dir / f"threads-{threads}"
             assert cli.main(["run-seq", "--config", str(cfg_path), "--out", str(out)]) == 0
             trees.append(sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file()))
-        assert trees[0] == trees[1]
+        assert trees[0] == trees[1] == trees[2]
         assert not [p for p in trees[0] if p.suffix == ".tmp"]
-        assert "runs/none-o0-s3/checkpoints/stage-02.json" in {str(p) for p in trees[0]}
-        a, b = run_dir / "threads-1", run_dir / "threads-2"
-        for rel in trees[0]:
-            if str(rel) != "config.json":
-                assert filecmp.cmp(a / rel, b / rel, shallow=False), rel
+        assert "runs/none-o1-s4/checkpoints/stage-03.json" in {str(p) for p in trees[0]}
+        one = run_dir / "threads-1"
+        plans = [(one / f"runs/{strategy}-o0-s3/plans.jsonl").read_text()
+                 for strategy in ("equal", "rgd-mean")]
+        assert plans[0] != plans[1]             # both allocators' paths are exercised
+        for other in ("threads-2", "threads-3"):
+            for rel in trees[0]:
+                if str(rel) != "config.json":
+                    assert filecmp.cmp(one / rel, run_dir / other / rel, shallow=False), rel
 
     def test_shared_checkpoints_encoded_once(self, run_dir, monkeypatch):
         config = json.loads((run_dir / "config.json").read_text())

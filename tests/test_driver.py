@@ -1,6 +1,7 @@
 """Functional tests for the sequential-run driver at miniature scale."""
 
 import ast
+import collections
 import importlib
 import importlib.util
 import inspect
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rgdlab import driver, rgd, taskgen, tinylm
+from rgdlab import driver, pool, rgd, taskgen, tinylm
 from rgdlab.errors import ConfigError, InputError
 
 TINY_TRAIN = driver.TrainSettings(learning_rate=0.15, epochs=3, batch_size=16)
@@ -313,6 +314,19 @@ def _assert_same_run(shared, lone):
         assert [p.tobytes() for _, p in mine.params()] == [p.tobytes() for _, p in theirs.params()]
 
 
+def _counting_units(monkeypatch):
+    """Names of the unit functions the parent sends to its pool workers."""
+    sent = []
+    original = pool._send
+
+    def counting(sock, message):
+        sent.append(message[0].__name__)
+        original(sock, message)
+
+    monkeypatch.setattr(pool, "_send", counting)
+    return sent
+
+
 def _counting_train(monkeypatch):
     calls = []
     original = tinylm.train
@@ -330,15 +344,15 @@ class TestSharedStages:
 
     @pytest.fixture(scope="class")
     def shared(self, suite):
-        """A grid whose replay strategies allocate alike, plus its train call count."""
+        """A grid whose replay strategies allocate alike, plus the units it ran."""
         plan = driver.ExperimentPlan(strategies=self.STRATEGIES, run_seeds=(7, 8),
                                      order_indices=(0, 1), train=TINY_TRAIN,
                                      warmup=TINY_WARM, warmup_examples=300,
                                      replay_budget=6)
         with pytest.MonkeyPatch.context() as mp:
-            calls = _counting_train(mp)
+            units = _counting_units(mp)
             result = driver.run_experiment(suite, plan)
-        return plan, result, len(calls)
+        return plan, result, collections.Counter(units)
 
     def test_runs_equal_lone_runs(self, suite, base, shared):
         plan, result, _ = shared
@@ -350,13 +364,21 @@ class TestSharedStages:
             assert all(isinstance(trace, tuple) for trace in record.result.loss_traces)
 
     def test_one_training_per_distinct_stage(self, suite, shared):
-        plan, result, train_calls = shared
+        plan, result, units = shared
         keys = {key for record in result.runs for key in _stage_keys(record)}
         replayed = {key for r in result.runs if r.strategy != "none" for key in _stage_keys(r)}
         equal = {key for r in result.runs if r.strategy == "equal" for key in _stage_keys(r)}
         assert replayed == equal                # the replay strategies' plans coincide
         assert len(keys) < sum(len(r.result.order) for r in result.runs)
         seeds = len(plan.run_seeds)
+        assert units == {"build_base_model": 1, "run_single_baselines": seeds,
+                         "run_multitask": seeds, "_run_group": seeds * len(plan.order_indices)}
+        # Training happens in the workers.  Each stage training makes one new
+        # checkpoint, which every run of its group that reaches the stage holds.
+        stage_trainings = len({id(c) for r in result.runs for c in r.result.checkpoints})
+        train_calls = (units["build_base_model"]
+                       + units["run_single_baselines"] * len(suite.specs)
+                       + units["run_multitask"] + stage_trainings)
         # base warmup + singles per seed and task + multitask per seed + distinct stages
         assert train_calls == 1 + seeds * len(suite.specs) + seeds + len(keys)
 
