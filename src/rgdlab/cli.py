@@ -164,7 +164,7 @@ def _cmd_score_rgd(args) -> int:
     else:
         if not (args.checkpoint and args.config):
             raise InputError("need --from-records, or --checkpoint with --config")
-        cfg = fileio.load_experiment_config(args.config, output_dir=args.out or ".")
+        cfg = fileio.load_experiment_config(args.config, output_dir=".")
         suite = cfg.make_suite()
         if args.task:
             suite.spec(args.task)           # unknown task: InputError
@@ -282,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--config", default=None)
     p.add_argument("--task", default=None)
-    p.add_argument("--out", default=None)
     p.add_argument("--out-file", default=None)
     p.set_defaults(func=_cmd_score_rgd)
 

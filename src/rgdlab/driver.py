@@ -380,6 +380,9 @@ class ExperimentPlan(RunSettings):
             raise ConfigError("top_forgotten must be >= 1")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
+        if self.run_probes and "none" not in self.strategies:
+            raise ConfigError('run_probes needs "none" in strategies: probes run on the '
+                              "final checkpoint of the no-replay run")
         for strategy in self.strategies:        # checks the shared settings too
             self.run_config(strategy, self.run_seeds[0], self.order_indices[0])
 

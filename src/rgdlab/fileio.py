@@ -19,6 +19,9 @@ from . import artifacts, clmetrics, driver, replay, rgd, taskgen
 from .errors import ConfigError, InputError, ParseError
 
 METRIC_COLUMNS = ("FAP", "F.Ra", "BWT", "FWT", "CAP")
+# The MetricsReport and TableRecord attribute of each column.
+METRIC_FIELDS = ("fap", "f_ra", "bwt", "fwt", "cap")
+# In the order of the comparison table's rows.
 REPORT_STRATEGY_LABELS = {
     "single": "Single",
     "multi": "Multi",
@@ -27,7 +30,6 @@ REPORT_STRATEGY_LABELS = {
     "inscl": "InsCL",
     "rgd-mean": "RGD",
 }
-REPORT_ROW_ORDER = ("Single", "Multi", "CL", "EA", "InsCL", "RGD")
 
 
 def _fmt(value) -> str:
@@ -147,16 +149,12 @@ def read_matrix(path) -> clmetrics.PerfMatrix:
 
 
 def report_json_doc(report: clmetrics.MetricsReport) -> dict:
-    return {
-        "fap": report.fap, "f_ra": report.f_ra, "bwt": report.bwt,
-        "fwt": report.fwt, "cap": report.cap,
-        "per_task_forgetting": dict(report.per_task_forgetting),
-    }
+    return {**{f: getattr(report, f) for f in METRIC_FIELDS},
+            "per_task_forgetting": dict(report.per_task_forgetting)}
 
 
 def report_csv_text(report: clmetrics.MetricsReport) -> str:
-    values = (report.fap, report.f_ra, report.bwt, report.fwt, report.cap)
-    return csv_text([METRIC_COLUMNS, [_fmt(v) for v in values]])
+    return csv_text([METRIC_COLUMNS, [_fmt(getattr(report, f)) for f in METRIC_FIELDS]])
 
 
 # --------------------------------------------------------- comparison table
@@ -209,16 +207,14 @@ def emit_report(records, path_csv, path_raw=None) -> str:
         return sum(values) / len(values)
 
     text = csv_text([["strategy", *METRIC_COLUMNS]] + [
-        [label] + [_fmt(mean_of(by_label[label], attr))
-                   for attr in ("fap", "f_ra", "bwt", "fwt", "cap")]
-        for label in REPORT_ROW_ORDER if label in by_label])
+        [label] + [_fmt(mean_of(by_label[label], f)) for f in METRIC_FIELDS]
+        for label in REPORT_STRATEGY_LABELS.values() if label in by_label])
     if path_csv is not None:
         artifacts.write_text(path_csv, text)
     if path_raw is not None:
         artifacts.write_json(path_raw, [{
             "strategy": r.strategy, "run_seed": r.run_seed, "order_index": r.order_index,
-            "suite": r.suite_fingerprint, "fap": r.fap, "f_ra": r.f_ra,
-            "bwt": r.bwt, "fwt": r.fwt, "cap": r.cap,
+            "suite": r.suite_fingerprint, **{f: getattr(r, f) for f in METRIC_FIELDS},
         } for r in records])
     return text
 

@@ -31,27 +31,26 @@ A step runs its forward and backward pass over the batch's distinct
 windows only.  A window that occurs ``m`` times in a batch gets
 ``d_logits = (m * softmax - sum of its targets' one-hots) / n``, the sum of
 its ``m`` rows, so the loss and gradients are those of all ``n`` rows.  The
-distinct windows keep their first-occurrence order, so a batch with no
-repeated window runs exactly the plain step, bit for bit; a batch with
-repeats rounds differently.  The base-model warmup corpus repeats windows
-(its empty-context examples share one of two fixed rationales).  A corpus
-with no repeated window, such as every task corpus, pays one check per
-``train`` call and then runs the plain step.
+distinct windows keep their first-occurrence order, and a count of 1.0
+scales exactly, so a batch with no repeated window gets the bits of a step
+over all its rows; a batch with repeats rounds differently.  The base-model
+warmup corpus repeats windows (its empty-context examples share one of two
+fixed rationales); task corpora repeat none.
 
 ``train`` plans each epoch before its first step (``_plan``).  For every
 batch the plan holds the corpus rows of its distinct windows in
 first-occurrence order, its target ids, which of those windows each target
-follows, and each window's count in the training dtype, or None when the
-batch repeats no window.  A few passes over the whole epoch build it (one
-``np.sort`` of (batch, window id, position) keys finds the repeats of every
-batch), so a step only slices the plan, gathers its windows and runs the
-math; per-batch index work took about a tenth of a warmup step.  The plan
-holds indices only, about 0.4 MB per warmup epoch.  The step picks each
-target's log-probability, and subtracts its one-hot, through one flat index
-``where * |V| + target`` into the (windows, |V|) block, and casts the counts
-to the block's dtype before scaling it: the same bits as a two-dimensional
-index and integer counts, which widen the block to float64, at a fraction
-of the cost.  ``grad_check`` plans its one batch the same way.
+follows, and each window's count in the training dtype.  A few passes over
+the whole epoch build it (one ``np.sort`` of (window id, position) keys
+finds the repeats of every batch), so a step only slices the plan, gathers
+its windows and runs the math; per-batch index work took about a tenth of a
+warmup step.  The plan holds indices only, about 0.4 MB per warmup epoch.
+The step picks each target's log-probability, and subtracts its one-hot,
+through one flat index ``where * |V| + target`` into the (windows, |V|)
+block, and casts the counts to the block's dtype before scaling it: the
+same bits as a two-dimensional index and integer counts, which widen the
+block to float64, at a fraction of the cost.  ``grad_check`` plans its one
+batch the same way.
 
 Windows are token ids in the smallest unsigned dtype that holds the
 vocabulary (``uint8`` up to 256 tokens, so at lab scale), chosen once by
@@ -394,16 +393,15 @@ def sequence_nll(model: ModelState, context, target) -> NllResult:
     return batch_nll(model, [(context, target)])[0]
 
 
-def _window_ids(windows: np.ndarray) -> np.ndarray | None:
-    """An id per window, shared by equal windows; None when no window repeats.
+def _window_ids(windows: np.ndarray) -> np.ndarray:
+    """An id per window, shared by equal windows and by no other.
 
     Each row of the C-contiguous ``windows`` is compared as one byte string,
     so the key is exact; windows from ``_pair_windows`` are compact, so it
     costs ``context_len`` bytes a window at lab scale.
     """
     keys = windows.view(np.dtype((np.void, windows.strides[0]))).ravel()
-    distinct, ids = np.unique(keys, return_inverse=True)
-    return ids if len(distinct) < len(keys) else None
+    return np.unique(keys, return_inverse=True)[1]
 
 
 def _plan(rows: np.ndarray, sizes: np.ndarray, targets: np.ndarray, ids, dtype):
@@ -413,71 +411,60 @@ def _plan(rows: np.ndarray, sizes: np.ndarray, targets: np.ndarray, ids, dtype):
     the next ``sizes[b]`` of them.  A step gets the rows of its batch's
     distinct windows in first-occurrence order, its target ids, which of
     those windows each target follows, and how often each window occurs, in
-    ``dtype``.  A batch that repeats no window gets ``where`` and ``counts``
-    None, the plain step.  ``ids`` comes from ``_window_ids`` (None: no
-    window repeats in the corpus).  A few passes over the whole epoch build
-    the plan before the first step, and it holds indices only: a step slices
-    it and gathers its windows itself.
+    ``dtype``; ``ids`` comes from ``_window_ids``.  A few passes over the
+    whole epoch build the plan before the first step, and it holds indices
+    only: a step slices it and gathers its windows itself.
     """
-    ends = np.cumsum(sizes).tolist()
-    targets = targets[rows]
-    d_ends, where, counts = ends, None, None
-    if ids is not None:
-        # Sorting id * n + position orders equal windows by position (a stable
-        # sort by construction).  Batches follow positions, so a run of one
-        # window in one batch starts where the id or the batch changes, and
-        # its first entry is that window's first occurrence in the batch.
-        batch = np.repeat(np.arange(len(sizes)), sizes)
-        n = len(rows)
-        key, pos = np.divmod(np.sort(ids[rows] * n + np.arange(n)), n)
-        run_start = np.empty(n, bool)
-        run_start[0] = True
-        np.not_equal(key[1:], key[:-1], out=run_start[1:])
-        run_start[1:] |= batch[pos[1:]] != batch[pos[:-1]]
-        first_of = np.empty_like(pos)           # each row's first occurrence in its batch
-        first_of[pos] = pos[run_start][np.cumsum(run_start) - 1]
-        is_first = first_of == np.arange(n)
-        first = np.flatnonzero(is_first)
-        inverse = (np.cumsum(is_first) - 1)[first_of]   # index into first
-        counts = np.bincount(inverse).astype(dtype)
-        n_distinct = np.bincount(batch[first], minlength=len(sizes))
-        d_ends = np.cumsum(n_distinct)
-        where = inverse - np.repeat(d_ends - n_distinct, sizes)
-        rows, d_ends = rows[first], d_ends.tolist()
+    # Sorting id * n + position orders equal windows by position (a stable
+    # sort by construction).  Batches follow positions, so a run of one
+    # window in one batch starts where the id or the batch changes, and
+    # its first entry is that window's first occurrence in the batch.
+    batch = np.repeat(np.arange(len(sizes)), sizes)
+    n = len(rows)
+    key, pos = np.divmod(np.sort(ids[rows] * n + np.arange(n)), n)
+    run_start = np.empty(n, bool)
+    run_start[0] = True
+    np.not_equal(key[1:], key[:-1], out=run_start[1:])
+    run_start[1:] |= batch[pos[1:]] != batch[pos[:-1]]
+    first_of = np.empty_like(pos)           # each row's first occurrence in its batch
+    first_of[pos] = pos[run_start][np.cumsum(run_start) - 1]
+    is_first = first_of == np.arange(n)
+    first = np.flatnonzero(is_first)
+    inverse = (np.cumsum(is_first) - 1)[first_of]   # index into first
+    counts = np.bincount(inverse).astype(dtype)
+    n_distinct = np.bincount(batch[first], minlength=len(sizes))
+    d_ends = np.cumsum(n_distinct)
+    where = inverse - np.repeat(d_ends - n_distinct, sizes)
+    rows, targets = rows[first], targets[rows]
     lo, d_lo = 0, 0
-    for hi, d_hi in zip(ends, d_ends):
-        repeats = d_hi - d_lo < hi - lo
-        yield (rows[d_lo:d_hi], targets[lo:hi], where[lo:hi] if repeats else None,
-               counts[d_lo:d_hi] if repeats else None)
+    for hi, d_hi in zip(np.cumsum(sizes).tolist(), d_ends.tolist()):
+        yield rows[d_lo:d_hi], targets[lo:hi], where[lo:hi], counts[d_lo:d_hi]
         lo, d_lo = hi, d_hi
 
 
 def _batch_grads(model: ModelState, ws: _Workspace, windows, targets, grads,
-                 where=None, counts=None) -> float:
+                 where, counts) -> float:
     """Mean-per-token CE loss of one batch of windows; gradients go into ``grads``.
 
     Target ``targets[i]`` follows window ``where[i]``, and window ``u``
-    occurs ``counts[u]`` times in the batch; without them, target ``i``
-    follows window ``i``.  The loss and the gradients are those of the
-    ``len(targets)`` rows, each window with its target (see the module
-    docstring).  ``grads`` maps each parameter name to an array of its
-    shape, which is overwritten.  Every intermediate lives in ``ws``.
+    occurs ``counts[u]`` times in the batch.  The loss and the gradients
+    are those of the ``len(targets)`` rows, each window with its target
+    (see the module docstring).  ``grads`` maps each parameter name to an
+    array of its shape, which is overwritten.  Every intermediate lives in
+    ``ws``.
     """
     n, u = len(targets), windows.shape[0]
     x, hidden, logits = _forward(model, windows, ws)
     logp = _log_softmax(logits, ws)
-    if where is None:
-        where = ws.rows[:n]
     # Each target's element of the contiguous (u, |V|) block, as a flat index.
     hit = where * logp.shape[1] + targets
     flat = logp.reshape(-1)
     loss = float(-flat[hit].mean())
 
     d_logits = np.exp(logp, out=logp)
-    if counts is not None:
-        # In the block's dtype: an integer count would widen the product to
-        # float64, which rounds back to the same bits at twice the cost.
-        d_logits *= counts.astype(d_logits.dtype, copy=False)[:, None]
+    # In the block's dtype: an integer count would widen the product to
+    # float64, which rounds back to the same bits at twice the cost.
+    d_logits *= counts.astype(d_logits.dtype, copy=False)[:, None]
     np.subtract.at(flat, hit, d_logits.dtype.type(1.0))    # a window may repeat with one target
     d_logits /= n
 
@@ -513,8 +500,9 @@ def train(model: ModelState, corpus, cfg: TrainConfig):
     (with zero epochs, an exact copy of the input's).  Parameters,
     velocities and gradients each live in one flat buffer, so the momentum
     update is four ufunc calls over all parameters at once.  Each epoch is
-    planned before its first step, and a step computes each distinct window
-    of its batch once (see the module docstring).
+    planned before its first step, and every step computes each distinct
+    window of its batch once, weighted by its count (see the module
+    docstring).
     """
     if not corpus:
         raise ConfigError("corpus must be nonempty")

@@ -303,6 +303,18 @@ def test_bad_config_value_exits_one(tmp_path, capsys, key, value, named):
     for section in sections:
         target = target.setdefault(section, {})
     target[leaf] = value
+    assert_run_seq_rejects(doc, named, tmp_path, capsys)
+
+
+def test_probes_without_the_none_run_exit_one(tmp_path, capsys):
+    # Probes read the no-replay run, so without it they would silently not run.
+    doc = dict(good_config(), strategies=["equal"], run_probes=True)
+    assert_run_seq_rejects(doc, 'run_probes needs "none" in strategies', tmp_path, capsys)
+
+
+def assert_run_seq_rejects(doc, named, tmp_path, capsys):
+    """``run-seq`` on config ``doc`` prints one error line naming ``named``,
+    exits 1 and writes nothing."""
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(doc))
     out = tmp_path / "out"

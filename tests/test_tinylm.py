@@ -306,7 +306,7 @@ def reference_dedup_train(model, corpus, cfg):
     np.unique over the batch's windows, its distinct windows put in
     first-occurrence order and weighted by their counts, then
     ``_batch_grads``.  Also counts the steps with and without a repeated
-    window."""
+    window ("repeats" and "plain")."""
     windows, targets, lens = tinylm._pair_windows(model, corpus, ValueError())
     params, out = tinylm._flat_copy(model, np.float32)
     grad, grads = tinylm._flat_views(model, np.float32)
@@ -324,14 +324,10 @@ def reference_dedup_train(model, corpus, cfg):
             y = targets[rows]
             _, first, inverse, counts = np.unique(windows[rows], axis=0, return_index=True,
                                                   return_inverse=True, return_counts=True)
-            if len(first) == len(rows):
-                steps["plain"] += 1
-                where = counts = None
-            else:
-                steps["repeats"] += 1
-                by_first = np.argsort(first)
-                where = np.argsort(by_first)[inverse.ravel()]
-                rows, counts = rows[first[by_first]], counts[by_first]
+            steps["plain" if len(first) == len(rows) else "repeats"] += 1
+            by_first = np.argsort(first)
+            where = np.argsort(by_first)[inverse.ravel()]
+            rows, counts = rows[first[by_first]], counts[by_first]
             loss = tinylm._batch_grads(out, ws, windows[rows], y, grads, where, counts)
             epoch_nll += loss * len(y)
             epoch_tokens += len(y)
@@ -362,10 +358,12 @@ class TestExactKernels:
         windows = np.concatenate([reference_windows(m, c, t) for c, t in pairs])
         targets = np.concatenate([np.asarray(t, dtype=np.int64) for _, t in pairs])
         assert len(np.unique(windows)) < windows.size      # ids repeat across and within rows
+        n = len(targets)
         for model in (m, float32_copy(m)):                  # grad_check's dtype and train's
-            ws = tinylm._Workspace(model, len(targets) + 5)     # larger than the batch, as in train
+            ws = tinylm._Workspace(model, n + 5)            # larger than the batch, as in train
             _, grads = tinylm._flat_views(model, model.embed.dtype)
-            loss = tinylm._batch_grads(model, ws, windows, targets, grads)
+            loss = tinylm._batch_grads(model, ws, windows, targets, grads, np.arange(n),
+                                       np.ones(n, dtype=model.embed.dtype))
             ref_loss, ref_grads = reference_batch_grads(model, windows, targets)
             assert loss == ref_loss
             for name, g in ref_grads.items():
@@ -413,7 +411,8 @@ class TestExactKernels:
         m = init_model(make_vocab(12), 5, 6, 9, seed=4)
         corpus = distinct_corpus(11, len(m.vocab), seed=8)
         windows, _, _ = tinylm._pair_windows(m, corpus, ValueError())
-        assert tinylm._window_ids(windows) is None
+        ids = tinylm._window_ids(windows)
+        assert len(np.unique(ids)) == len(ids) == len(windows)
         cfg = TrainConfig(learning_rate=0.3, epochs=4, batch_size=batch_size, momentum=0.9,
                           seed=6, shuffle=shuffle)
         trained, trace = train(m, corpus, cfg)
@@ -450,14 +449,16 @@ class TestExactKernels:
         assert y.tolist() == [100, 101, 102, 103, 104, 105]
         assert where.tolist() == [0, 1, 0, 2, 1, 0]
         assert counts.tolist() == [3, 2, 1] and counts.dtype == np.float32
-        # No repeat within the batch: the plain-step marker, whatever other
-        # batches (or the corpus) repeat.
+        # No repeat within the batch: every window once, with a count of 1,
+        # whatever other batches (or the corpus) repeat.
         for (distinct, y, where, counts), want in zip(steps[1:], ([6, 7, 8], [9], [10])):
             assert distinct.tolist() == want and y.tolist() == [r + 100 for r in want]
-            assert where is None and counts is None
-        (distinct, _, where, counts), = tinylm._plan(rows[:3], np.array([3]), targets, None,
-                                                     np.float32)
-        assert distinct.tolist() == [0, 1, 2] and where is None and counts is None
+            assert where.tolist() == list(range(len(want)))
+            assert counts.tolist() == [1] * len(want) and counts.dtype == np.float32
+        (distinct, _, where, counts), = tinylm._plan(rows[:3], np.array([3]), targets,
+                                                     np.arange(3), np.float64)
+        assert distinct.tolist() == [0, 1, 2] and where.tolist() == [0, 1, 2]
+        assert counts.tolist() == [1, 1, 1] and counts.dtype == np.float64
         # The epoch visits corpus rows in its own order.
         (distinct, y, where, counts), = tinylm._plan(np.array([4, 3, 2, 1, 0]), np.array([5]),
                                                      targets, ids, np.float64)
@@ -469,7 +470,7 @@ class TestExactKernels:
         windows = np.array([[1, 1, 300], [1, 1, 44], [1, 1, 300], [44, 1, 1]], dtype=np.uint16)
         ids = tinylm._window_ids(windows).tolist()
         assert ids[0] == ids[2] and len(set(ids)) == 3
-        assert tinylm._window_ids(windows[1:]) is None
+        assert len(set(tinylm._window_ids(windows[1:]).tolist())) == 3
 
     def test_weighted_batch_grads_match_repeated_rows(self):
         m = init_model(make_vocab(12), 2, 6, 9, seed=4)
@@ -481,7 +482,8 @@ class TestExactKernels:
         assert len(distinct) < len(windows) and counts.max() > 2
         ws = tinylm._Workspace(m, len(targets))
         _, plain = tinylm._flat_views(m, np.float64)
-        plain_loss = tinylm._batch_grads(m, ws, windows, targets, plain)
+        plain_loss = tinylm._batch_grads(m, ws, windows, targets, plain, np.arange(n),
+                                         np.ones(n))
         _, weighted = tinylm._flat_views(m, np.float64)
         loss = tinylm._batch_grads(m, ws, windows[distinct], y, weighted, where, counts)
         assert loss == pytest.approx(plain_loss, rel=1e-12)
@@ -493,9 +495,9 @@ class TestExactKernels:
         pairs = [([4, 4, 5], [4, 6, 4, EOS]), ([8, 9, 8, 9, 8, 9, 8], [9, 4])]
         windows, targets, _ = tinylm._pair_windows(m, pairs, ValueError())
         ws = tinylm._Workspace(m, len(targets))
-        _, plain = tinylm._flat_views(m, np.float64)
-        plain_loss = tinylm._batch_grads(m, ws, windows, targets, plain)
+        plain_loss, plain = reference_batch_grads(m, windows, targets)
         _, weighted = tinylm._flat_views(m, np.float64)
+        # Integer counts are cast to the block's dtype: 1 scales exactly.
         ones = np.ones(len(targets), dtype=np.int64)
         loss = tinylm._batch_grads(m, ws, windows, targets, weighted,
                                    np.arange(len(targets)), ones)
@@ -702,7 +704,8 @@ class TestGradCheck:
     def test_repeated_windows_use_the_weighted_kernel(self):
         m = init_model(make_vocab(4), 2, 4, 4, seed=3)
         windows, _, _ = tinylm._pair_windows(m, [([], [5, 5, 5, 5])], ValueError())
-        assert tinylm._window_ids(windows) is not None      # [5, 5] precedes two targets
+        ids = tinylm._window_ids(windows)
+        assert len(np.unique(ids)) < len(ids)               # [5, 5] precedes two targets
         assert grad_check(m, ([], [5, 5, 5, 5]), epsilon=1e-5) < 1e-4
 
     def test_deterministic(self):
