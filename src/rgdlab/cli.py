@@ -8,6 +8,7 @@ or validation problems print a message and exit nonzero.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -53,10 +54,6 @@ def _cmd_gen_suite(args) -> int:
     return 0
 
 
-def _run_dir_name(record: driver.RunRecord) -> str:
-    return f"{record.strategy}-o{record.order_index}-s{record.run_seed}"
-
-
 def _write_run_artifacts(result: driver.ExperimentResult, cfg: fileio.ExperimentConfig) -> None:
     root = cfg.output_dir
     os.makedirs(root, exist_ok=True)
@@ -69,11 +66,9 @@ def _write_run_artifacts(result: driver.ExperimentResult, cfg: fileio.Experiment
     artifacts.write_json(os.path.join(root, "multis.json"),
                          {str(k): v for k, v in result.multis.items()})
 
-    # Runs share stage checkpoints (see driver.run_sequence): each distinct
-    # checkpoint is encoded once and written to every run that holds it.
-    checkpoints: dict[int, tuple[tinylm.ModelState, list[str]]] = {}
     for record in result.runs:
-        run_dir = os.path.join(root, "runs", _run_dir_name(record))
+        run_dir = os.path.join(root, "runs", driver.run_dir_name(
+            record.strategy, record.run_seed, record.order_index))
         os.makedirs(run_dir, exist_ok=True)
         fileio.write_matrix(record.result.matrix, os.path.join(run_dir, "matrix.csv"))
         artifacts.write_jsonl(os.path.join(run_dir, "plans.jsonl"),
@@ -82,14 +77,6 @@ def _write_run_artifacts(result: driver.ExperimentResult, cfg: fileio.Experiment
                               (fileio.summary_doc(s, stage=i + 1)
                                for i, stage in enumerate(record.result.summaries)
                                for s in stage.values()))
-        if cfg.plan.keep_checkpoints and record.result.checkpoints:
-            ckpt_dir = os.path.join(run_dir, "checkpoints")
-            os.makedirs(ckpt_dir, exist_ok=True)
-            for i, model in enumerate(record.result.checkpoints):
-                checkpoints.setdefault(id(model), (model, []))[1].append(
-                    os.path.join(ckpt_dir, f"stage-{i + 1:02d}.json"))
-    for model, paths in checkpoints.values():
-        tinylm.save_model(model, *paths)
 
     if result.probes:
         partial_rows = [(p.task_id, k, acc) for p in result.probes for k, acc in p.partial]
@@ -111,7 +98,9 @@ def _cmd_run_seq(args) -> int:
     cfg = fileio.load_experiment_config(args.config, output_dir=args.out)
     pool.start(cfg.plan.threads)            # the workers start while the suite is made
     suite = cfg.make_suite()
-    result = driver.run_experiment(suite, cfg.plan)
+    # The pool workers write the stage checkpoints (see driver.run_experiment).
+    runs_dir = os.path.join(cfg.output_dir, "runs") if cfg.plan.keep_checkpoints else None
+    result = driver.run_experiment(suite, cfg.plan, runs_dir)
     _write_run_artifacts(result, cfg)
     print(f"experiment artifacts written to {cfg.output_dir}")
     return 0
@@ -251,10 +240,13 @@ def _cmd_report(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rgdlab",
-        description="Desk-scale continual-learning lab with difficulty-guided replay.")
-    sub = parser.add_subparsers(dest="command", required=True)
+        description="Desk-scale continual-learning lab with difficulty-guided replay.",
+        allow_abbrev=False)
+    # No flag may be shortened: a removed or mistyped flag is an error, not a prefix.
+    subcommand = functools.partial(parser.add_subparsers(dest="command", required=True)
+                                   .add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("gen-suite", help="generate synthetic task corpora")
+    p = subcommand("gen-suite", help="generate synthetic task corpora")
     p.add_argument("--tasks", type=int, required=True)
     p.add_argument("--train", type=int, required=True)
     p.add_argument("--eval", dest="eval_", type=int, required=True)
@@ -263,12 +255,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen_suite)
 
-    p = sub.add_parser("run-seq", help="run the full sequential experiment grid")
+    p = subcommand("run-seq", help="run the full sequential experiment grid")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None, help="overrides config output_dir")
     p.set_defaults(func=_cmd_run_seq)
 
-    p = sub.add_parser("probe", help="probe a checkpoint on one task")
+    p = subcommand("probe", help="probe a checkpoint on one task")
     p.add_argument("--config", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--task", required=True)
@@ -277,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_probe)
 
-    p = sub.add_parser("score-rgd", help="difficulty summaries from records or a checkpoint")
+    p = subcommand("score-rgd", help="difficulty summaries from records or a checkpoint")
     p.add_argument("--from-records", default=None)
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--config", default=None)
@@ -285,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-file", default=None)
     p.set_defaults(func=_cmd_score_rgd)
 
-    p = sub.add_parser("allocate", help="compute a replay allocation plan")
+    p = subcommand("allocate", help="compute a replay allocation plan")
     p.add_argument("--strategy", choices=tuple(_ALLOCATE_INPUT), required=True)
     p.add_argument("--alpha", type=int, required=True)
     p.add_argument("--tasks", default=None, help="comma-separated ids (equal)")
@@ -295,13 +287,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-file", default=None)
     p.set_defaults(func=_cmd_allocate)
 
-    p = sub.add_parser("metrics", help="metric report from a performance matrix CSV")
+    p = subcommand("metrics", help="metric report from a performance matrix CSV")
     p.add_argument("--matrix", required=True)
     p.add_argument("--out-json", default=None)
     p.add_argument("--out-csv", default=None)
     p.set_defaults(func=_cmd_metrics)
 
-    p = sub.add_parser("report", help="aggregate run directories into one table")
+    p = subcommand("report", help="aggregate run directories into one table")
     p.add_argument("runs", nargs="+")
     p.add_argument("--out-file", default=None)
     p.set_defaults(func=_cmd_report)

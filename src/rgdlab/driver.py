@@ -12,8 +12,9 @@ the order and the replay counts of every stage so far, never on the
 strategy that chose those counts.  Runs handed one ``stages`` dict train
 each distinct stage once and share its checkpoint, loss trace, accuracy row
 and RGD summaries; ``run_experiment`` runs each (seed, order) as one unit
-on its worker pool and shares stages within it.  Stage checkpoints are
-read-only: copy one before changing it.
+on its worker pool and shares stages within it.  That unit also writes its
+stage checkpoints, each once, so they never travel back to the caller.
+Stage checkpoints are read-only: copy one before changing it.
 """
 
 from __future__ import annotations
@@ -103,7 +104,7 @@ class RunResult:
     matrix: clmetrics.PerfMatrix
     summaries: list[dict[str, rgd.RgdSummary]]     # per stage, tasks seen so far
     plans: list[replay.AllocationPlan | None]      # per stage; None for stage 1
-    checkpoints: list[tinylm.ModelState]           # may be shared with other runs
+    checkpoints: list[tinylm.ModelState]           # may be shared; run_experiment's are empty
     loss_traces: list[tuple[float, ...]]
 
 
@@ -204,8 +205,7 @@ def _run_stage(suite: taskgen.Suite, cfg: RunConfig, order, stage: int,
 
 
 def run_sequence(suite: taskgen.Suite, cfg: RunConfig, a0: dict[str, float],
-                 base_model: tinylm.ModelState, keep_checkpoints: bool = True,
-                 stages: dict | None = None) -> RunResult:
+                 base_model: tinylm.ModelState, stages: dict | None = None) -> RunResult:
     """One full sequential run over the suite order ``cfg.order_index``.
 
     Every stage starts from ``base_model`` or the previous stage's
@@ -242,8 +242,7 @@ def run_sequence(suite: taskgen.Suite, cfg: RunConfig, a0: dict[str, float],
             stages[key] = _run_stage(suite, cfg, order, stage, model, counts)
         model, trace, row, prev_summaries = stages[key]
         traces.append(trace)
-        if keep_checkpoints:
-            checkpoints.append(model)
+        checkpoints.append(model)
         rows.append(row)
         summaries.append(dict(prev_summaries))
 
@@ -343,7 +342,9 @@ class ExperimentPlan(RunSettings):
 
     ``threads`` is the number of worker processes that run the grid's units
     (see ``run_experiment``); by default, the CPUs this process may use.
-    Results do not depend on it.
+    Results do not depend on it.  ``keep_checkpoints`` (the config key
+    ``save_checkpoints``) has ``rgdlab run-seq`` hand ``run_experiment`` a
+    directory to write the stage checkpoints to.
     """
 
     strategies: tuple[str, ...] = ("none", "equal", "inscl", "rgd-mean")
@@ -419,15 +420,24 @@ class ExperimentResult:
     probes: list[ProbeRecord]
 
 
+def run_dir_name(strategy: str, run_seed: int, order_index: int) -> str:
+    """The directory of one run under a grid's ``runs/``."""
+    return f"{strategy}-o{order_index}-s{run_seed}"
+
+
 def _run_group(suite: taskgen.Suite, plan: ExperimentPlan, seed: int, order_index: int,
-               base: tinylm.ModelState):
+               base: tinylm.ModelState, runs_dir: str | None):
     """Every strategy's run of one (seed, order), sharing stages (a pool unit).
 
     With probes on, this first yields the ``none`` run's final checkpoint and
     most-forgotten tasks as soon as that run ends, so that its probes can
-    start while the other strategies train; last it yields the runs by
-    strategy.  Their matrices carry a zero baseline row: ``run_experiment``
-    puts in the single-task baselines, which no stage depends on.
+    start while the other strategies train.  When the runs end and
+    ``runs_dir`` is given, each distinct stage checkpoint is encoded once and
+    written to ``<runs_dir>/<run>/checkpoints/stage-NN.json`` of every run
+    that holds it.  Last it yields the runs by strategy, without their
+    checkpoints.  Their matrices carry a zero baseline row:
+    ``run_experiment`` puts in the single-task baselines, which no stage
+    depends on.
     """
     stages: dict = {}
     no_baselines = dict.fromkeys(suite.train, 0.0)
@@ -435,13 +445,25 @@ def _run_group(suite: taskgen.Suite, plan: ExperimentPlan, seed: int, order_inde
     # A stage's result does not depend on which run trains it first, so the
     # none run goes first and its probes can start as early as possible.
     for strategy in sorted(plan.strategies, key=lambda strategy: strategy != "none"):
-        probed = plan.run_probes and strategy == "none"
         result = results[strategy] = run_sequence(
             suite, plan.run_config(strategy, seed, order_index), a0=no_baselines,
-            base_model=base, keep_checkpoints=plan.keep_checkpoints or probed, stages=stages)
-        if probed:              # forgetting does not read the baseline row
+            base_model=base, stages=stages)
+        if plan.run_probes and strategy == "none":      # forgetting ignores the baseline row
             yield result.checkpoints[-1], most_forgotten_tasks(
                 clmetrics.compute_report(result.matrix), plan.top_forgotten)
+    if runs_dir is not None:
+        paths: dict[int, tuple[tinylm.ModelState, list[str]]] = {}
+        for strategy, result in results.items():
+            ckpt_dir = os.path.join(runs_dir, run_dir_name(strategy, seed, order_index),
+                                    "checkpoints")
+            os.makedirs(ckpt_dir, exist_ok=True)
+            for i, model in enumerate(result.checkpoints):
+                paths.setdefault(id(model), (model, []))[1].append(
+                    os.path.join(ckpt_dir, f"stage-{i + 1:02d}.json"))
+        for model, targets in paths.values():
+            tinylm.save_model(model, *targets)
+    for result in results.values():
+        result.checkpoints = []
     yield results
 
 
@@ -457,7 +479,8 @@ def _probe(suite: taskgen.Suite, plan: ExperimentPlan, seed: int, order_index: i
                        partial=partial, tap=tap)
 
 
-def run_experiment(suite: taskgen.Suite, plan: ExperimentPlan) -> ExperimentResult:
+def run_experiment(suite: taskgen.Suite, plan: ExperimentPlan,
+                   runs_dir: str | None = None) -> ExperimentResult:
     """Baselines plus every (strategy, seed, order) run, optionally probed.
 
     The grid's independent units run on ``plan.threads`` worker processes
@@ -469,9 +492,10 @@ def run_experiment(suite: taskgen.Suite, plan: ExperimentPlan) -> ExperimentResu
     task of a ``none`` run, dispatched as soon as that run has ended.  All
     runs start from one base checkpoint, and single-task baselines are
     computed once per run seed and reused across strategies and orders.
-    Checkpoints may be shared between the runs of a group and are
-    read-only; copy one before changing it.  ``runs`` lists the records in
-    grid order: strategy, then seed, then order.
+    Stage checkpoints are written if and only if ``runs_dir`` is given: the
+    unit that trained them writes ``<runs_dir>/<run_dir_name>/checkpoints/``
+    (see ``_run_group``).  The returned runs carry no checkpoints.  ``runs``
+    lists the records in grid order: strategy, then seed, then order.
     """
     singles: dict[int, dict[str, float]] = {}
     multis: dict[int, dict[str, float]] = {}
@@ -480,7 +504,7 @@ def run_experiment(suite: taskgen.Suite, plan: ExperimentPlan) -> ExperimentResu
 
     def after_base(base):
         cfgs = {seed: plan.run_config(plan.strategies[0], seed, 0) for seed in plan.run_seeds}
-        return ([(_run_group, (suite, plan, seed, order, base),
+        return ([(_run_group, (suite, plan, seed, order, base, runs_dir),
                   functools.partial(after_group, seed, order))
                  for seed in plan.run_seeds for order in plan.order_indices]
                 + [(run_single_baselines, (suite, cfgs[seed], base),

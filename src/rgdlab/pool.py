@@ -15,7 +15,10 @@ shared.
 The pool lives as long as the process.  ``run`` starts it on first use and
 again only when the worker count changes; a failure discards it, so the next
 call starts a fresh one.  Workers are stopped at exit, and a worker whose
-socket closes exits on its own.
+socket closes exits on its own.  A unit may write files (``_run_group``
+writes its stage checkpoints): a worker is stopped with SIGTERM, which
+unwinds the unit so that an atomic write removes its temporary file, and is
+killed only if it has not exited after ``_STOP_GRACE_S`` seconds.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ _WORKER_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
 _BOOT = ("import sys; sys.path.insert(0, sys.argv[1]); "
          "from rgdlab import pool; pool.serve(int(sys.argv[2]))")
 _PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_STOP_GRACE_S = 5.0
 
 
 def _send(sock: socket.socket, message) -> None:
@@ -70,12 +74,19 @@ def _recv(sock: socket.socket):
     return pickle.loads(head, buffers=[memoryview(b).toreadonly() for b in buffers])
 
 
+def _exit_on_signal(signum, frame):
+    raise SystemExit(128 + signum)        # unwinds the running unit, unlike SIG_DFL
+
+
 def serve(fd: int) -> None:
     """Worker loop, until socket ``fd`` closes: run each unit received on it
     and send back ``(True, value)`` for each of its values, then ``(False,
     None)`` when it ends or ``(False, (exception, traceback))`` when it fails."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)      # Ctrl-C is the parent's to handle
     from . import driver  # noqa: F401  (import what units need before the first arrives)
+    # After the imports, which leave nothing to clean up: a worker stopped
+    # while importing ends by the default action, not midway through numpy's.
+    signal.signal(signal.SIGTERM, _exit_on_signal)
     sock = socket.socket(fileno=fd)
     try:
         while True:
@@ -93,6 +104,8 @@ def serve(fd: int) -> None:
             _send(sock, reply)
     except OSError:                                   # the parent is gone
         return
+    finally:          # no unit to unwind: exiting Python must not see SystemExit
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
 
 
 class _WorkerTraceback(Exception):
@@ -124,11 +137,6 @@ class _Worker:
     def _died(self) -> RgdLabError:
         return RgdLabError(f"pool worker {self.index} (pid {self.proc.pid}) exited "
                            f"with code {self.proc.wait()}")
-
-    def stop(self) -> None:
-        self.sock.close()
-        self.proc.kill()
-        self.proc.wait()
 
 
 class _Pool:
@@ -163,8 +171,15 @@ class _Pool:
 
     def stop(self) -> None:
         self.selector.close()
+        for worker in self.workers:           # all at once, then wait for each
+            worker.sock.close()
+            worker.proc.terminate()
         for worker in self.workers:
-            worker.stop()
+            try:
+                worker.proc.wait(_STOP_GRACE_S)
+            except subprocess.TimeoutExpired:
+                worker.proc.kill()
+                worker.proc.wait()
 
 
 _pool: _Pool | None = None

@@ -387,6 +387,20 @@ class TestCli:
                 "error: --from-records cannot be combined with --checkpoint or --config"]
             assert not out_file.exists()
 
+    @pytest.mark.parametrize("flags", [["--from-records", "{records}", "--out", "{out}"],
+                                       ["--from", "{records}", "--out-file", "{out}"]],
+                             ids=["out", "from"])
+    def test_abbreviated_flags_are_rejected(self, tmp_path, capsys, flags):
+        records = tmp_path / "records.jsonl"
+        records.write_text(json.dumps({"task": "q", "id": "e", "nll_cond_sum": 1.0,
+                                       "nll_uncond_sum": 2.0, "n_rationale_tokens": 1}) + "\n")
+        out = tmp_path / "scores.jsonl"
+        with pytest.raises(SystemExit) as err:
+            cli.main(["score-rgd", *(f.format(records=records, out=out) for f in flags)])
+        assert err.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == [records]
+
     @pytest.mark.parametrize("cond_sums, named", [
         ([1000.0], "example 'e0': RGD exp(1000.0) overflows a float"),
         ([700.0, 709.0], "task 'q': the mean or variance of its RGD scores overflows a float"),
@@ -502,28 +516,53 @@ class TestCli:
                 if str(rel) != "config.json":
                     assert filecmp.cmp(one / rel, run_dir / other / rel, shallow=False), rel
 
-    def test_shared_checkpoints_encoded_once(self, run_dir, monkeypatch):
+    def test_shared_checkpoints_encoded_once(self, run_dir):
         config = json.loads((run_dir / "config.json").read_text())
         config["strategies"] = ["none", "equal"]
         cfg_path = run_dir / "shared-config.json"
         cfg_path.write_text(json.dumps(config))
-        saved = []
-        save = tinylm.save_model
-
-        def counting(model, path, *copies):
-            saved.append((path, *copies))
-            save(model, path, *copies)
-
-        monkeypatch.setattr(tinylm, "save_model", counting)
         out = run_dir / "shared"
         assert cli.main(["run-seq", "--config", str(cfg_path), "--out", str(out)]) == 0
         files = sorted(out.glob("runs/*/checkpoints/*.json"))
-        assert sorted(Path(p) for paths in saved for p in paths) == files
         assert len(files) == 4
-        # stage 1 never replays, so both runs hold one checkpoint for it
-        assert len(saved) == len({f.read_bytes() for f in files}) == 3
+        # One distinct file per stage training: stage 1 never replays, so
+        # both runs hold one checkpoint for it.
+        assert len({f.read_bytes() for f in files}) == 3
         assert filecmp.cmp(out / "runs/none-o0-s3/checkpoints/stage-01.json",
                            out / "runs/equal-o0-s3/checkpoints/stage-01.json", shallow=False)
+
+    def test_parent_never_encodes_checkpoints(self, run_dir, monkeypatch):
+        """The pool workers write every checkpoint: they do not see this patch."""
+        def refuse(*args):
+            raise AssertionError("save_model called in the parent")
+
+        monkeypatch.setattr(tinylm, "save_model", refuse)
+        config = json.loads((run_dir / "config.json").read_text())
+        cfg_path = run_dir / "guard-config.json"
+        cfg_path.write_text(json.dumps({**config, "strategies": ["none", "equal"],
+                                        "save_checkpoints": True}))
+        out = run_dir / "guard"
+        assert cli.main(["run-seq", "--config", str(cfg_path), "--out", str(out)]) == 0
+        for strategy in ("none", "equal"):
+            for stage in (1, 2):
+                path = out / f"runs/{strategy}-o0-s3/checkpoints/stage-{stage:02d}.json"
+                assert tinylm.load_model(path).context_len == 28
+
+    def test_unwritable_runs_directory_exits_one(self, run_dir, tmp_path, capfd):
+        """A worker's OSError reaches the command line as one error line."""
+        config = json.loads((run_dir / "config.json").read_text())
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({**config, "strategies": ["none", "equal"],
+                                        "run_seeds": [3, 4]}))
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "runs").write_text("not a directory\n")
+        assert cli.main(["run-seq", "--config", str(cfg_path), "--out", str(out)]) == 1
+        captured = capfd.readouterr()
+        err = captured.err.splitlines()
+        assert captured.out == ""
+        assert len(err) == 1 and err[0].startswith("error: ") and "runs" in err[0], err
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["config.json", "out", "runs"]
 
     def test_unknown_task_exits_one(self, run_dir, tmp_path, capsys):
         ckpt = run_dir / "out/runs/none-o0-s3/checkpoints/stage-02.json"

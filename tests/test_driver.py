@@ -2,6 +2,7 @@
 
 import ast
 import collections
+import hashlib
 import importlib
 import importlib.util
 import inspect
@@ -280,6 +281,19 @@ class TestExperiment:
         assert set(result.singles[7]) == {s.task_id for s in suite.specs}
         assert set(result.multis[7]) == {s.task_id for s in suite.specs}
 
+    @pytest.mark.parametrize("save", [False, True], ids=["probes", "probes-and-checkpoints"])
+    def test_runs_carry_no_checkpoints(self, suite, tmp_path, save):
+        plan = driver.ExperimentPlan(strategies=("none", "equal"), run_seeds=(7,),
+                                     order_indices=(0,), train=TINY_TRAIN,
+                                     warmup=TINY_WARM, warmup_examples=300,
+                                     replay_budget=6, run_probes=True, k_grid=(0.0,),
+                                     demo_counts=(1,), demo_draws=1, top_forgotten=1)
+        result = driver.run_experiment(suite, plan, str(tmp_path / "runs") if save else None)
+        assert len(result.probes) == 1
+        assert [r.result.checkpoints for r in result.runs] == [[], []]
+        written = [path for path in tmp_path.rglob("*") if path.is_file()]
+        assert len(written) == (2 * len(suite.specs) if save else 0)
+
     def test_probes_on_no_replay_runs(self, suite):
         plan = driver.ExperimentPlan(strategies=("none",), run_seeds=(7,),
                                      order_indices=(0,), train=TINY_TRAIN,
@@ -303,15 +317,23 @@ def _stage_keys(record):
     return keys
 
 
-def _assert_same_run(shared, lone):
+def _assert_same_run(shared, lone, checkpoints):
+    """``shared`` and ``lone`` are one run; ``checkpoints`` are ``shared``'s
+    stage checkpoints, held or read back from its files."""
     assert shared.order == lone.order
     assert shared.matrix == lone.matrix
     assert shared.summaries == lone.summaries
     assert [p and p.counts for p in shared.plans] == [p and p.counts for p in lone.plans]
     assert shared.loss_traces == lone.loss_traces
-    assert len(shared.checkpoints) == len(lone.checkpoints) == len(shared.order)
-    for mine, theirs in zip(shared.checkpoints, lone.checkpoints):
+    assert len(checkpoints) == len(lone.checkpoints) == len(shared.order)
+    for mine, theirs in zip(checkpoints, lone.checkpoints):
         assert [p.tobytes() for _, p in mine.params()] == [p.tobytes() for _, p in theirs.params()]
+
+
+def _checkpoint_files(runs_dir, record):
+    """The stage checkpoint files of ``record``'s run under ``runs_dir``."""
+    run = driver.run_dir_name(record.strategy, record.run_seed, record.order_index)
+    return sorted((runs_dir / run / "checkpoints").glob("stage-*.json"))
 
 
 def _counting_units(monkeypatch):
@@ -342,29 +364,35 @@ def _counting_train(monkeypatch):
 class TestSharedStages:
     STRATEGIES = ("none", "equal", "inscl", "rgd-mean")
 
-    @pytest.fixture(scope="class")
-    def shared(self, suite):
-        """A grid whose replay strategies allocate alike, plus the units it ran."""
-        plan = driver.ExperimentPlan(strategies=self.STRATEGIES, run_seeds=(7, 8),
-                                     order_indices=(0, 1), train=TINY_TRAIN,
+    def plan(self, **kw):
+        """A grid whose replay strategies allocate alike."""
+        return driver.ExperimentPlan(strategies=self.STRATEGIES, train=TINY_TRAIN,
                                      warmup=TINY_WARM, warmup_examples=300,
-                                     replay_budget=6)
+                                     replay_budget=6, **kw)
+
+    @pytest.fixture(scope="class")
+    def shared(self, suite, tmp_path_factory):
+        """The grid, the units it ran and the directory of its run directories."""
+        plan = self.plan(run_seeds=(7, 8), order_indices=(0, 1))
+        runs_dir = tmp_path_factory.mktemp("shared") / "runs"
         with pytest.MonkeyPatch.context() as mp:
             units = _counting_units(mp)
-            result = driver.run_experiment(suite, plan)
-        return plan, result, collections.Counter(units)
+            result = driver.run_experiment(suite, plan, str(runs_dir))
+        return plan, result, collections.Counter(units), runs_dir
 
     def test_runs_equal_lone_runs(self, suite, base, shared):
-        plan, result, _ = shared
+        plan, result, _, runs_dir = shared
         for record in result.runs:
             cfg = plan.run_config(record.strategy, record.run_seed, record.order_index)
             lone = driver.run_sequence(suite, cfg, a0=result.singles[record.run_seed],
                                        base_model=base)
-            _assert_same_run(record.result, lone)
+            assert record.result.checkpoints == []
+            _assert_same_run(record.result, lone, [
+                tinylm.load_model(path) for path in _checkpoint_files(runs_dir, record)])
             assert all(isinstance(trace, tuple) for trace in record.result.loss_traces)
 
     def test_one_training_per_distinct_stage(self, suite, shared):
-        plan, result, units = shared
+        plan, result, units, runs_dir = shared
         keys = {key for record in result.runs for key in _stage_keys(record)}
         replayed = {key for r in result.runs if r.strategy != "none" for key in _stage_keys(r)}
         equal = {key for r in result.runs if r.strategy == "equal" for key in _stage_keys(r)}
@@ -374,29 +402,64 @@ class TestSharedStages:
         assert units == {"build_base_model": 1, "run_single_baselines": seeds,
                          "run_multitask": seeds, "_run_group": seeds * len(plan.order_indices)}
         # Training happens in the workers.  Each stage training makes one new
-        # checkpoint, which every run of its group that reaches the stage holds.
-        stage_trainings = len({id(c) for r in result.runs for c in r.result.checkpoints})
+        # checkpoint, whose bytes every run of its group that reaches the
+        # stage holds.
+        stage_trainings = len({hashlib.sha256(path.read_bytes()).digest()
+                               for record in result.runs
+                               for path in _checkpoint_files(runs_dir, record)})
         train_calls = (units["build_base_model"]
                        + units["run_single_baselines"] * len(suite.specs)
                        + units["run_multitask"] + stage_trainings)
         # base warmup + singles per seed and task + multitask per seed + distinct stages
         assert train_calls == 1 + seeds * len(suite.specs) + seeds + len(keys)
 
-    def test_stage_one_is_shared_by_all_strategies(self, shared):
-        _, result, _ = shared
-        firsts = {(r.run_seed, r.order_index): r.result.checkpoints[0] for r in result.runs}
+    def test_stage_one_is_shared_by_all_strategies(self, suite, base, shared):
+        _, result, _, runs_dir = shared
+        firsts = {}
         for record in result.runs:
-            assert record.result.checkpoints[0] is firsts[record.run_seed, record.order_index]
+            first = _checkpoint_files(runs_dir, record)[0].read_bytes()
+            assert firsts.setdefault((record.run_seed, record.order_index), first) == first
+        assert len(set(firsts.values())) == len(firsts)
+        stages = {}
+        runs = [driver.run_sequence(suite, tiny_cfg(strategy, replay_budget=6),
+                                    a0=result.singles[7], base_model=base, stages=stages)
+                for strategy in self.STRATEGIES]
+        assert all(run.checkpoints[0] is runs[0].checkpoints[0] for run in runs)
         with pytest.raises(ValueError):
-            result.runs[0].result.checkpoints[0].embed[0, 0] = 0.0
-        copy = result.runs[0].result.checkpoints[0].copy()
+            runs[0].checkpoints[0].embed[0, 0] = 0.0
+        copy = runs[0].checkpoints[0].copy()
         copy.embed[0, 0] = 0.0
 
     def test_runs_stay_in_grid_order(self, shared):
-        plan, result, _ = shared
+        plan, result, _, _ = shared
         assert [(r.strategy, r.run_seed, r.order_index) for r in result.runs] == [
             (strategy, seed, order) for strategy in plan.strategies
             for seed in plan.run_seeds for order in plan.order_indices]
+
+    def test_group_saves_each_stage_once(self, suite, base, tmp_path, monkeypatch):
+        """The group unit, run here: one save per stage training, to every
+        run that holds the stage, and runs yielded without checkpoints."""
+        plan = self.plan(run_seeds=(7,), order_indices=(1,), run_probes=True, top_forgotten=1)
+        trains = _counting_train(monkeypatch)
+        saved = []
+        save = tinylm.save_model
+
+        def counting(model, path, *copies):
+            saved.append((path, *copies))
+            save(model, path, *copies)
+
+        monkeypatch.setattr(tinylm, "save_model", counting)
+        (final, tasks), runs = driver._run_group(suite, plan, 7, 1, base, str(tmp_path))
+        assert len(tasks) == 1                  # the none run's end, for its probes
+        written = tinylm.load_model(tmp_path / "none-o1-s7/checkpoints/stage-03.json")
+        assert [p.tobytes() for _, p in written.params()] == [
+            p.tobytes() for _, p in final.params()]
+        assert len(saved) == len(trains) < sum(len(run.order) for run in runs.values())
+        files = sorted(tmp_path.glob("*/checkpoints/stage-*.json"))
+        assert sorted(Path(p) for paths in saved for p in paths) == files
+        assert len(files) == len(self.STRATEGIES) * len(suite.specs)
+        assert len({path.read_bytes() for path in files}) == len(saved)
+        assert all(run.checkpoints == [] for run in runs.values())
 
     def test_diverging_plans_share_only_their_prefix(self, suite, base, monkeypatch):
         a0 = {s.task_id: 50.0 for s in suite.specs}
@@ -412,7 +475,7 @@ class TestSharedStages:
         assert shared[0].checkpoints[1] is shared[1].checkpoints[1]
         assert shared[0].checkpoints[2] is not shared[1].checkpoints[2]
         for mine, theirs in zip(shared, lone):
-            _assert_same_run(mine, theirs)
+            _assert_same_run(mine, theirs, mine.checkpoints)
 
 
 class TestDeriveSeed:

@@ -62,6 +62,28 @@ def test_unit_error_keeps_its_type_and_message():
     assert sums == [2]
 
 
+def test_failure_stops_a_worker_mid_write_without_leaving_its_temporary_file(tmp_path):
+    target = tmp_path / "checkpoint.json"
+    writing = f"""
+import time
+from rgdlab import artifacts
+with artifacts.atomic_write({str(target)!r}) as fh:
+    fh.write("partial")
+    time.sleep(60)
+"""
+    failing = f"""
+import glob, time
+while not glob.glob({str(target)!r} + ".*.tmp"):
+    time.sleep(0.01)
+raise ValueError("another unit failed")
+"""
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="another unit failed"):
+        pool.run(2, [(exec, (writing,), print), (exec, (failing,), print)])
+    assert time.monotonic() - start < 30        # stopped, not waited for
+    assert list(tmp_path.iterdir()) == []
+
+
 # Runs ``rgdlab run-seq`` with the arguments given, and kills the worker
 # that receives the first (seed, order) group right after sending it.  It
 # prints every worker's pid first.

@@ -1,5 +1,6 @@
 """Unit and oracle tests for the window language model."""
 
+import base64
 import itertools
 import json
 import math
@@ -8,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rgdlab import tinylm
+from rgdlab import artifacts, tinylm
 from rgdlab.errors import (
     ConfigError,
     DivergenceError,
@@ -740,6 +741,22 @@ class TestCheckpoint:
         alone = (tmp_path / "alone.json").read_bytes()
         for name in ("a", "b", "c"):
             assert (tmp_path / f"{name}.json").read_bytes() == alone
+
+    def test_bytes_are_the_json_of_the_whole_document(self, tmp_path):
+        """Splicing in the base64 data gives the bytes ``json`` gives the
+        document with the data in it, vocab escapes included."""
+        vocab = Vocab(tokens=tinylm.RESERVED + ('say "hi"', "café", "data", "embed"))
+        m = init_model(vocab, 3, 5, 7, seed=42)
+        doc = {"format": tinylm.CHECKPOINT_FORMAT, "vocab": list(vocab.tokens),
+               "context_len": 3, "embed_dim": 5, "hidden_dim": 7, "rng_seed": 42,
+               "params": {name: {"shape": list(p.shape), "dtype": "float64",
+                                 "data": base64.b64encode(p.tobytes()).decode("ascii")}
+                          for name, p in m.params()}}
+        path = tmp_path / "model.json"
+        save_model(m, path)
+        text = path.read_text(encoding="ascii")
+        assert text == artifacts.json_text(doc, sort_keys=True)
+        assert '"say \\"hi\\""' in text and '"caf\\u00e9"' in text
 
     def test_save_is_deterministic(self, tmp_path):
         m = init_model(make_vocab(5), 2, 4, 4, seed=0)
