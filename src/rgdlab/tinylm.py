@@ -19,13 +19,17 @@ without rounding.  Every source of randomness is an explicit seed fed to
 numpy's PCG64 generator (``np.random.default_rng``), so identical inputs
 give bit-identical outputs.
 
-Training allocates per ``train`` call, not per step: each batch is gathered
-into one workspace sized for the largest batch, every matrix product writes
-into it, and parameters, velocities and gradients each live in one flat
-buffer with a view per parameter.  Fresh batch-sized arrays on every step
-were handed back to the kernel and faulted in again (about 280k minor page
-faults per base-model warmup).  Every product keeps its operands and shape,
-so the results are bit-identical to a step with fresh arrays.
+Training allocates per ``train`` call, not per step: fresh batch-sized
+arrays on every step were handed back to the kernel and faulted in again
+(about 280k minor page faults per base-model warmup).  Each buffer is sized
+for the largest batch, and every product writes into one with the same
+operands and shape, so the results are bit-identical.  A ``_Workspace``
+holds the forward and log-softmax buffers, which scoring, decoding and
+``grad_check`` use too; ``train`` owns the backward pass's ``d_hidden`` and
+the int64 windows (``grad_check``'s step only ``d_hidden``).  Parameters,
+velocities and gradients each live in one flat buffer with a view per
+parameter; the step ``lr * velocity`` goes into the gradient buffer, which
+the next batch overwrites.
 
 A step runs its forward and backward pass over the batch's distinct
 windows only.  A window that occurs ``m`` times in a batch gets
@@ -44,7 +48,8 @@ follows, and each window's count in the training dtype.  A few passes over
 the whole epoch build it (one ``np.sort`` of (window id, position) keys
 finds the repeats of every batch), so a step only slices the plan, gathers
 its windows and runs the math; per-batch index work took about a tenth of a
-warmup step.  The plan holds indices only, about 0.4 MB per warmup epoch.
+warmup step.  The plan holds indices only, about 0.4 MB per warmup epoch,
+and frees its whole-epoch temporaries before the first step.
 The step picks each target's log-probability, and subtracts its one-hot,
 through one flat index ``where * |V| + target`` into the (windows, |V|)
 block, and casts the counts to the block's dtype before scaling it: the
@@ -53,12 +58,13 @@ block to float64, at a fraction of the cost.  ``grad_check`` plans its one
 batch the same way.
 
 Windows are token ids in the smallest unsigned dtype that holds the
-vocabulary (``uint8`` up to 256 tokens, so at lab scale), chosen once by
-``_pair_windows``: a warmup corpus's 16,000 windows of 28 ids take 0.45 MB,
-where int64 took 3.6 MB, the largest array of a warmup ``train`` call.  A
-step widens only its batch's distinct windows into the workspace's int64
-buffer, so the gather and the scatter's ``bincount`` index with intp ids;
-scoring and ``grad_check`` index with the compact ids as they are.
+vocabulary (``uint8`` up to 256 tokens, so at lab scale), built by
+``_pair_windows`` for training, scoring, ``grad_check`` and decoding's
+first step: a warmup corpus's 16,000 windows of 28 ids take 0.45 MB, where
+int64 took 3.6 MB, the largest array of a warmup ``train`` call.  A step
+widens only its batch's distinct windows into ``train``'s int64 buffer, so
+the gather and the scatter's ``bincount`` index with intp ids; scoring and
+``grad_check`` index with the compact ids as they are.
 """
 
 from __future__ import annotations
@@ -183,11 +189,10 @@ class ModelState:
 
 @dataclass(frozen=True)
 class NllResult:
-    """Total and per-token negative log-likelihood in nats."""
+    """Negative log-likelihood in nats of a target's ``n_tokens`` tokens, summed."""
 
     sum_nll: float
     n_tokens: int
-    per_token: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -246,16 +251,7 @@ def init_model(vocab: Vocab, context_len: int, embed_dim: int, hidden_dim: int,
     )
 
 
-def _check_ids(model: ModelState, ids, what: str):
-    v = len(model.vocab)
-    if len(ids) == 0 or (min(ids) >= 0 and max(ids) < v):
-        return
-    for i in ids:
-        if not 0 <= i < v:
-            raise InvalidTokenError(f"{what} id {i} out of range for |V|={v}")
-
-
-def _pair_windows(model: ModelState, pairs, empty_target: Exception):
+def _pair_windows(model: ModelState, pairs, empty_target: Exception, context_name="context"):
     """Windows and target ids of a nonempty list of (context, target) pairs, concatenated.
 
     Row k of a pair's windows holds the last ``context_len`` tokens before its
@@ -265,7 +261,7 @@ def _pair_windows(model: ModelState, pairs, empty_target: Exception):
     count.  Pairs are checked in order: the first empty target raises
     ``empty_target``, the first out-of-range id ``InvalidTokenError``.
     """
-    c = model.context_len
+    c, v = model.context_len, len(model.vocab)
     pad = [BOS] * c
     tokens: list[int] = []
     first = []                  # where each pair's first window starts in tokens
@@ -276,34 +272,32 @@ def _pair_windows(model: ModelState, pairs, empty_target: Exception):
         tokens += pad
         tokens += context
         tokens += target
-    if min(lens) == 0 or min(tokens) < 0 or max(tokens) >= len(model.vocab):
+    if min(lens) == 0 or min(tokens) < 0 or max(tokens) >= v:
         for context, target in pairs:
             if len(target) == 0:
                 raise empty_target
-            _check_ids(model, context, "context")
-            _check_ids(model, target, "target")
+            for what, ids in ((context_name, context), ("target", target)):
+                for i in ids:
+                    if not 0 <= i < v:
+                        raise InvalidTokenError(f"{what} id {i} out of range for |V|={v}")
     lens = np.asarray(lens, dtype=np.int64)
     offsets = np.cumsum(lens) - lens
     starts = np.repeat(np.asarray(first, dtype=np.int64) - offsets, lens)
     starts += np.arange(len(starts))
-    seq = np.asarray(tokens, dtype=np.min_scalar_type(len(model.vocab) - 1))
+    seq = np.asarray(tokens, dtype=np.min_scalar_type(v - 1))
     windows = np.lib.stride_tricks.sliding_window_view(seq, c)[starts]
     return windows, seq[starts + c].astype(np.int64), lens
 
 
 class _Workspace:
-    """Activation buffers for batches of up to ``rows`` windows, reused by
-    every step of a ``train`` call (see the module docstring for why).  They
-    have the dtype of ``model``'s parameters."""
+    """Forward and log-softmax buffers for batches of up to ``rows`` windows,
+    reused by every step of a ``train`` call (see the module docstring for
+    why).  They have the dtype of ``model``'s parameters."""
 
     def __init__(self, model: ModelState, rows: int):
-        c, v, h = model.context_len, len(model.vocab), model.hidden_dim
-        dtype = model.embed.dtype
-        self.rows = np.arange(rows)
-        self.windows = np.empty((rows, c), dtype=np.int64)
-        self.x = np.empty((rows, c * model.embed_dim), dtype)     # x, then d_x
-        self.hidden = np.empty((rows, h), dtype)
-        self.d_hidden = np.empty((rows, h), dtype)
+        v, dtype = len(model.vocab), model.embed.dtype
+        self.x = np.empty((rows, model.context_len * model.embed_dim), dtype)  # x, then d_x
+        self.hidden = np.empty((rows, model.hidden_dim), dtype)
         self.logits = np.empty((rows, v), dtype)
         self.exp = np.empty((rows, v), dtype)
         self.col = np.empty((rows, 1), dtype)
@@ -365,7 +359,7 @@ def _log_softmax(logits: np.ndarray, ws: _Workspace) -> np.ndarray:
 
 
 def batch_nll(model: ModelState, pairs) -> list[NllResult]:
-    """Exact per-token NLL of each ``(context, target)`` pair (teacher forcing).
+    """Exact NLL of each ``(context, target)`` pair, summed over its target (teacher forcing).
 
     All pairs share one gather, one log-softmax and one workspace; each
     result is bit-identical to what the pair scored alone would give.
@@ -378,18 +372,13 @@ def batch_nll(model: ModelState, pairs) -> list[NllResult]:
     blocks = list(zip([0] + ends[:-1], ends))
     ws = _Workspace(model, len(targets))
     _, _, logits = _forward(model, windows, ws, blocks)
-    logp = _log_softmax(logits, ws)
-    per_token = -logp[ws.rows, targets]
-    out = []
-    for lo, hi in blocks:
-        seq = per_token[lo:hi]
-        out.append(NllResult(sum_nll=float(seq.sum()), n_tokens=hi - lo,
-                             per_token=tuple(seq.tolist())))
-    return out
+    per_token = -_log_softmax(logits, ws)[np.arange(len(targets)), targets]
+    return [NllResult(sum_nll=float(per_token[lo:hi].sum()), n_tokens=hi - lo)
+            for lo, hi in blocks]
 
 
 def sequence_nll(model: ModelState, context, target) -> NllResult:
-    """Exact per-token NLL of ``target`` after ``context`` (teacher forcing)."""
+    """Exact NLL of ``target`` after ``context``, summed over its tokens (teacher forcing)."""
     return batch_nll(model, [(context, target)])[0]
 
 
@@ -436,14 +425,16 @@ def _plan(rows: np.ndarray, sizes: np.ndarray, targets: np.ndarray, ids, dtype):
     d_ends = np.cumsum(n_distinct)
     where = inverse - np.repeat(d_ends - n_distinct, sizes)
     rows, targets = rows[first], targets[rows]
+    # Only the four per-batch arrays live through the epoch's steps.
+    del batch, key, pos, run_start, first_of, is_first, first, inverse
     lo, d_lo = 0, 0
     for hi, d_hi in zip(np.cumsum(sizes).tolist(), d_ends.tolist()):
         yield rows[d_lo:d_hi], targets[lo:hi], where[lo:hi], counts[d_lo:d_hi]
         lo, d_lo = hi, d_hi
 
 
-def _batch_grads(model: ModelState, ws: _Workspace, windows, targets, grads,
-                 where, counts) -> float:
+def _batch_grads(model: ModelState, ws: _Workspace, d_hidden: np.ndarray, windows, targets,
+                 grads, where, counts) -> float:
     """Mean-per-token CE loss of one batch of windows; gradients go into ``grads``.
 
     Target ``targets[i]`` follows window ``where[i]``, and window ``u``
@@ -451,7 +442,8 @@ def _batch_grads(model: ModelState, ws: _Workspace, windows, targets, grads,
     are those of the ``len(targets)`` rows, each window with its target
     (see the module docstring).  ``grads`` maps each parameter name to an
     array of its shape, which is overwritten.  Every intermediate lives in
-    ``ws``.
+    ``ws`` and in ``d_hidden``, a (rows, hidden_dim) buffer of at least
+    ``len(windows)`` rows.
     """
     n, u = len(targets), windows.shape[0]
     x, hidden, logits = _forward(model, windows, ws)
@@ -470,7 +462,7 @@ def _batch_grads(model: ModelState, ws: _Workspace, windows, targets, grads,
 
     np.matmul(hidden.T, d_logits, out=grads["w_out"])
     np.sum(d_logits, axis=0, out=grads["b_out"])
-    d_hidden = np.matmul(d_logits, model.w_out.T, out=ws.d_hidden[:u])
+    d_hidden = np.matmul(d_logits, model.w_out.T, out=d_hidden[:u])
     d_tanh = np.multiply(hidden, hidden, out=hidden)      # hidden is not used below
     np.subtract(1.0, d_tanh, out=d_tanh)
     d_hidden *= d_tanh
@@ -515,8 +507,10 @@ def train(model: ModelState, corpus, cfg: TrainConfig):
     ids = _window_ids(windows)
     grad, grads = _flat_views(model, _TRAIN_DTYPE)
     velocity = np.zeros_like(params)
-    step = np.empty_like(params)
-    ws = _Workspace(out, int(np.sort(lens)[-cfg.batch_size:].sum()))
+    most = int(np.sort(lens)[-cfg.batch_size:].sum())     # rows of the largest batch
+    ws = _Workspace(out, most)
+    wide = np.empty((most, model.context_len), np.int64)
+    d_hidden = np.empty((most, model.hidden_dim), _TRAIN_DTYPE)
     starts = np.cumsum(lens) - lens
     all_rows = np.arange(len(targets))
     rng = np.random.default_rng(cfg.seed)
@@ -535,17 +529,17 @@ def train(model: ModelState, corpus, cfg: TrainConfig):
             for distinct, y, where, counts in _plan(rows, sizes, targets, ids, _TRAIN_DTYPE):
                 n = len(y)
                 # Widened once per step: take and bincount want intp ids.
-                w = ws.windows[:len(distinct)]
+                w = wide[:len(distinct)]
                 np.copyto(w, windows.take(distinct, axis=0, mode="clip"))
-                loss = _batch_grads(out, ws, w, y, grads, where, counts)
+                loss = _batch_grads(out, ws, d_hidden, w, y, grads, where, counts)
                 if not math.isfinite(loss) or loss > DIVERGENCE_NLL:
                     raise DivergenceError(f"diverged loss {loss} in epoch {epoch}")
                 epoch_nll += loss * n
                 epoch_tokens += n
                 velocity *= cfg.momentum
                 velocity += grad
-                np.multiply(cfg.learning_rate, velocity, out=step)
-                params -= step
+                np.multiply(cfg.learning_rate, velocity, out=grad)
+                params -= grad
             mean = epoch_nll / epoch_tokens
             if not math.isfinite(mean) or mean > DIVERGENCE_NLL:
                 raise DivergenceError(f"diverged loss {mean} in epoch {epoch}")
@@ -561,15 +555,11 @@ def generate_batch(model: ModelState, prompts, max_len: int) -> list[list[int]]:
     """
     if max_len < 1:
         raise ConfigError("max_len must be >= 1")
-    for p in prompts:
-        _check_ids(model, p, "prompt")
-    c = model.context_len
+    if not prompts:
+        return []
+    # A prompt's first window is the one before a one-token target; none is empty.
+    windows, _, _ = _pair_windows(model, [(p, [EOS]) for p in prompts], None, "prompt")
     n = len(prompts)
-    windows = np.full((n, c), BOS, dtype=np.int64)
-    for i, p in enumerate(prompts):
-        tail = np.asarray(list(p), dtype=np.int64)[-c:]
-        if len(tail):
-            windows[i, c - len(tail):] = tail
     out = np.empty((n, max_len), dtype=np.int64)
     lengths = np.zeros(n, dtype=np.int64)
     active = np.arange(n)               # the prompt of each row of windows
@@ -593,9 +583,10 @@ def grad_check(model: ModelState, pair, epsilon: float) -> float:
     The mean per-token NLL of ``pair`` is the objective; coordinates are a
     seeded random subset of 64 (all of them when the model has fewer).  The
     analytic gradient comes from the training step's kernel, repeated
-    windows weighted by their count; the numeric one runs every window.
-    Both run in float64, not in the training dtype: central differences at
-    epsilon 1e-5 need its precision.
+    windows weighted by their count; the numeric one from the scoring
+    kernel, ``batch_nll``, over every window.  So the check compares the
+    two.  Both run in float64, not in the training dtype: central
+    differences at epsilon 1e-5 need its precision.
     """
     if not 1e-8 <= epsilon <= 1e-2:
         raise ConfigError("epsilon must be in [1e-8, 1e-2]")
@@ -603,18 +594,18 @@ def grad_check(model: ModelState, pair, epsilon: float) -> float:
                                         EmptyTargetError("target must be nonempty"))
     params, work = _flat_copy(model, np.float64)
     grad, grads = _flat_views(model, np.float64)
-    ws = _Workspace(model, len(targets))
-    (distinct, y, where, counts), = _plan(ws.rows, np.array([len(targets)]), targets,
+    n = len(targets)
+    (distinct, y, where, counts), = _plan(np.arange(n), np.array([n]), targets,
                                           _window_ids(windows), np.float64)
-    _batch_grads(work, ws, windows[distinct], y, grads, where, counts)
+    _batch_grads(work, _Workspace(work, n), np.empty((n, model.hidden_dim)),
+                 windows[distinct], y, grads, where, counts)
 
     rng = np.random.default_rng(model.rng_seed)
     coords = rng.choice(params.size, size=min(params.size, 64), replace=False)
 
     def loss_at() -> float:
-        _, _, logits = _forward(work, windows, ws)
-        logp = _log_softmax(logits, ws)
-        return float(-logp[ws.rows, targets].mean())
+        nll, = batch_nll(work, [pair])
+        return nll.sum_nll / nll.n_tokens
 
     worst = 0.0
     for coord in sorted(int(c) for c in coords):
@@ -631,9 +622,15 @@ def grad_check(model: ModelState, pair, epsilon: float) -> float:
     return worst
 
 
-def _decode_array(d: dict) -> np.ndarray:
+def _decode_array(name: str, d: dict, shape: tuple) -> np.ndarray:
+    """Checkpoint array ``name``, which the vocab and dims give ``shape``."""
+    if d["dtype"] != "float64" or d["shape"] != list(shape):
+        raise ValueError(f"{name} is {d['dtype']!r} of shape {d['shape']}, but must be "
+                         f"'float64' of shape {list(shape)}, as the vocab and dims give")
     raw = base64.b64decode(d["data"])
-    return np.frombuffer(raw, dtype=np.float64).reshape(d["shape"]).copy()
+    if len(raw) != 8 * math.prod(shape):
+        raise ValueError(f"{name} has {len(raw)} data bytes, not {8 * math.prod(shape)}")
+    return np.frombuffer(raw, dtype=np.float64).reshape(shape).copy()
 
 
 def save_model(model: ModelState, path, *copies) -> None:
@@ -666,12 +663,17 @@ def save_model(model: ModelState, path, *copies) -> None:
 
 def load_model(path) -> ModelState:
     """Checkpoint written by save_model; keys, ``init_model``'s bounds on the
-    vocab and dims, the seed and parameter shapes are checked."""
+    vocab and dims, the vocab's strings, the seed and the parameters'
+    shapes, dtype and sizes are checked."""
     doc = artifacts.read_json(path)
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise ConfigError(f"not a {CHECKPOINT_FORMAT} file: {path}")
     try:
-        vocab = Vocab(tokens=tuple(doc["vocab"]))
+        tokens = tuple(doc["vocab"])
+        for i, tok in enumerate(tokens):
+            if not isinstance(tok, str):
+                raise ValueError(f"vocab entry {i} is {tok!r}, not a string")
+        vocab = Vocab(tokens=tokens)
         v, c, e, h = len(vocab), doc["context_len"], doc["embed_dim"], doc["hidden_dim"]
         seed = doc["rng_seed"]
         if v < 5:
@@ -683,14 +685,11 @@ def load_model(path) -> ModelState:
             raise ValueError(f"rng_seed must be a nonnegative int, got {seed!r}")
         shapes = {"embed": (v, e), "w_hidden": (c * e, h), "b_hidden": (h,),
                   "w_out": (h, v), "b_out": (v,)}
-        params = {name: _decode_array(doc["params"][name]) for name in shapes}
+        params = {name: _decode_array(name, doc["params"][name], shape)
+                  for name, shape in shapes.items()}
     except KeyError as err:
         raise ParseError(f"{path}: checkpoint lacks key {err}") from None
     except (TypeError, ValueError) as err:      # ConfigError (a bad vocab) is a ValueError
         raise ParseError(f"{path}: bad checkpoint: {err}") from None
-    for name, shape in shapes.items():
-        if params[name].shape != shape:
-            raise ParseError(f"{path}: {name} has shape {params[name].shape}, but the vocab "
-                             f"and dims give {shape}")
     return ModelState(vocab=vocab, context_len=c, embed_dim=e, hidden_dim=h,
                       rng_seed=seed, **params)

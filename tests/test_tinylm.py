@@ -135,7 +135,7 @@ class TestSequenceNll:
         # p(b|a) = e^z / (e^z + 5) = 1/4  =>  z = ln(5/3)
         m.w_out[0, b] = math.log(5.0 / 3.0) / math.tanh(1.0)
         res = sequence_nll(m, [a], [b])
-        assert res.per_token[0] == pytest.approx(math.log(4), rel=1e-9)
+        assert res.sum_nll == pytest.approx(math.log(4), rel=1e-9)
 
     def test_empty_target_rejected(self):
         m = init_model(make_vocab(4), 2, 4, 4, seed=0)
@@ -159,9 +159,14 @@ class TestSequenceNll:
             assert whole == pytest.approx(parts, rel=1e-9)
 
     def test_sum_matches_per_token(self):
+        # Each token's NLL scored alone, after the context and the tokens before it.
         m = init_model(make_vocab(8), 3, 4, 6, seed=11)
-        res = sequence_nll(m, [4, 5], [6, 7, 8])
-        assert res.sum_nll == pytest.approx(sum(res.per_token), rel=1e-9)
+        context, target = [4, 5], [6, 7, 8]
+        res = sequence_nll(m, context, target)
+        per_token = [sequence_nll(m, context + target[:k], [t]).sum_nll
+                     for k, t in enumerate(target)]
+        assert res.n_tokens == 3
+        assert res.sum_nll == pytest.approx(sum(per_token), rel=1e-9)
 
 
 class TestNormalization:
@@ -269,6 +274,40 @@ def reference_generate(model, prompts, max_len):
     return outputs
 
 
+def reference_grad_check(model, pair, epsilon):
+    """``grad_check`` with the numeric loss of its first form: a plain
+    forward pass over every window, a log-softmax and the mean NLL."""
+    windows, targets, _ = tinylm._pair_windows(model, [pair], ValueError())
+    params, work = tinylm._flat_copy(model, np.float64)
+    grad, grads = tinylm._flat_views(model, np.float64)
+    n = len(targets)
+    (distinct, y, where, counts), = tinylm._plan(np.arange(n), np.array([n]), targets,
+                                                 tinylm._window_ids(windows), np.float64)
+    tinylm._batch_grads(work, tinylm._Workspace(work, n), np.empty((n, model.hidden_dim)),
+                        windows[distinct], y, grads, where, counts)
+
+    def loss_at():
+        x = work.embed[windows].reshape(n, -1)
+        logits = np.tanh(x @ work.w_hidden + work.b_hidden) @ work.w_out + work.b_out
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        return float(-logp[np.arange(n), targets].mean())
+
+    rng = np.random.default_rng(model.rng_seed)
+    worst = 0.0
+    for coord in sorted(rng.choice(params.size, size=min(params.size, 64), replace=False)):
+        orig = params[coord]
+        params[coord] = orig + epsilon
+        up = loss_at()
+        params[coord] = orig - epsilon
+        down = loss_at()
+        params[coord] = orig
+        numeric = (up - down) / (2.0 * epsilon)
+        err = abs(grad[coord] - numeric) / max(abs(grad[coord]) + abs(numeric), 1e-12)
+        worst = max(worst, err)
+    return worst
+
+
 def distinct_corpus(n_pairs, vocab_size, seed):
     """Pairs with uneven targets and contexts that start with distinct ids, so
     that (at the sizes used here) no window repeats."""
@@ -313,6 +352,7 @@ def reference_dedup_train(model, corpus, cfg):
     grad, grads = tinylm._flat_views(model, np.float32)
     velocity = np.zeros_like(params)
     ws = tinylm._Workspace(out, len(targets))
+    d_hidden = np.empty((len(targets), model.hidden_dim), np.float32)
     starts = np.cumsum(lens) - lens
     rng = np.random.default_rng(cfg.seed)
     trace, steps = [], {"repeats": 0, "plain": 0}
@@ -329,7 +369,8 @@ def reference_dedup_train(model, corpus, cfg):
             by_first = np.argsort(first)
             where = np.argsort(by_first)[inverse.ravel()]
             rows, counts = rows[first[by_first]], counts[by_first]
-            loss = tinylm._batch_grads(out, ws, windows[rows], y, grads, where, counts)
+            loss = tinylm._batch_grads(out, ws, d_hidden, windows[rows], y, grads, where,
+                                       counts)
             epoch_nll += loss * len(y)
             epoch_tokens += len(y)
             velocity *= cfg.momentum
@@ -362,9 +403,10 @@ class TestExactKernels:
         n = len(targets)
         for model in (m, float32_copy(m)):                  # grad_check's dtype and train's
             ws = tinylm._Workspace(model, n + 5)            # larger than the batch, as in train
+            d_hidden = np.empty((n + 5, model.hidden_dim), model.embed.dtype)
             _, grads = tinylm._flat_views(model, model.embed.dtype)
-            loss = tinylm._batch_grads(model, ws, windows, targets, grads, np.arange(n),
-                                       np.ones(n, dtype=model.embed.dtype))
+            loss = tinylm._batch_grads(model, ws, d_hidden, windows, targets, grads,
+                                       np.arange(n), np.ones(n, dtype=model.embed.dtype))
             ref_loss, ref_grads = reference_batch_grads(model, windows, targets)
             assert loss == ref_loss
             for name, g in ref_grads.items():
@@ -481,12 +523,13 @@ class TestExactKernels:
         (distinct, y, where, counts), = tinylm._plan(
             np.arange(n), np.array([n]), targets, tinylm._window_ids(windows), np.float64)
         assert len(distinct) < len(windows) and counts.max() > 2
-        ws = tinylm._Workspace(m, len(targets))
+        ws, d_hidden = tinylm._Workspace(m, n), np.empty((n, m.hidden_dim))
         _, plain = tinylm._flat_views(m, np.float64)
-        plain_loss = tinylm._batch_grads(m, ws, windows, targets, plain, np.arange(n),
+        plain_loss = tinylm._batch_grads(m, ws, d_hidden, windows, targets, plain, np.arange(n),
                                          np.ones(n))
         _, weighted = tinylm._flat_views(m, np.float64)
-        loss = tinylm._batch_grads(m, ws, windows[distinct], y, weighted, where, counts)
+        loss = tinylm._batch_grads(m, ws, d_hidden, windows[distinct], y, weighted, where,
+                                   counts)
         assert loss == pytest.approx(plain_loss, rel=1e-12)
         for name, g in plain.items():
             np.testing.assert_allclose(weighted[name], g, rtol=1e-12, atol=1e-15, err_msg=name)
@@ -495,13 +538,14 @@ class TestExactKernels:
         m = init_model(make_vocab(12), 5, 6, 9, seed=4)
         pairs = [([4, 4, 5], [4, 6, 4, EOS]), ([8, 9, 8, 9, 8, 9, 8], [9, 4])]
         windows, targets, _ = tinylm._pair_windows(m, pairs, ValueError())
-        ws = tinylm._Workspace(m, len(targets))
+        n = len(targets)
+        ws, d_hidden = tinylm._Workspace(m, n), np.empty((n, m.hidden_dim))
         plain_loss, plain = reference_batch_grads(m, windows, targets)
         _, weighted = tinylm._flat_views(m, np.float64)
         # Integer counts are cast to the block's dtype: 1 scales exactly.
-        ones = np.ones(len(targets), dtype=np.int64)
-        loss = tinylm._batch_grads(m, ws, windows, targets, weighted,
-                                   np.arange(len(targets)), ones)
+        ones = np.ones(n, dtype=np.int64)
+        loss = tinylm._batch_grads(m, ws, d_hidden, windows, targets, weighted, np.arange(n),
+                                   ones)
         assert loss == plain_loss
         for name, g in plain.items():
             assert np.array_equal(weighted[name], g), name
@@ -658,9 +702,13 @@ class TestTrainPrecision:
         trained, _ = train(m, [pair], self.CFG)
         assert dtypes == [np.float32]
         grad_check(trained, pair, epsilon=1e-5)
+        # grad_check's analytic step has a workspace, and each of its two
+        # losses per coordinate is a batch_nll call, with one of its own.
+        n_coords = min(sum(p.size for _, p in trained.params()), 64)
+        assert dtypes == [np.float32] + [np.float64] * (1 + 2 * n_coords)
         tinylm.batch_nll(trained, [pair])
         generate_batch(trained, [[4]], max_len=2)
-        assert dtypes == [np.float32] + [np.float64] * 3
+        assert dtypes == [np.float32] + [np.float64] * (3 + 2 * n_coords)
 
 
 class TestGenerate:
@@ -695,6 +743,18 @@ class TestGenerate:
         with pytest.raises(ConfigError):
             generate_batch(m, [[4]], max_len=0)[0]
 
+    def test_no_prompts(self):
+        m = init_model(make_vocab(4), 2, 4, 4, seed=0)
+        assert generate_batch(m, [], max_len=3) == []
+        with pytest.raises(ConfigError):
+            generate_batch(m, [], max_len=0)
+
+    def test_bad_prompt_id_names_the_first(self):
+        m = init_model(make_vocab(4), 2, 4, 4, seed=0)
+        for prompts, bad in (([[4], [5, -1, 99], [100]], -1), ([[], [4, 8, -1]], 8)):
+            with pytest.raises(InvalidTokenError, match=f"^prompt id {bad} out of range"):
+                generate_batch(m, prompts, max_len=3)
+
 
 class TestGradCheck:
     def test_analytic_matches_numeric(self):
@@ -713,6 +773,21 @@ class TestGradCheck:
         m = init_model(make_vocab(4), 2, 3, 4, seed=8)
         pair = ([4, 5, 6], [7, 6, 5])
         assert grad_check(m, pair, 1e-5) == grad_check(m, pair, 1e-5)
+
+    @pytest.mark.parametrize("pair", [
+        ([], [5, 6, 7]),                                    # empty context
+        ([4, 5], [6, EOS]),                                 # shorter than the window
+        ([4, 5, 6, 7, 8, 9, 10, 11, 12], [13, 14, 4]),      # longer than the window
+        ([], [5, 5, 5, 5, 5, 5]),                           # repeated windows
+        ([6], [9, 9, 9, 9, 9, 4, 9, 9, 9, 9]),
+    ])
+    def test_numeric_loss_matches_its_first_form(self, pair):
+        # 64 of the first model's 254 parameters are checked, all 51 of the second's.
+        for model in (init_model(make_vocab(12), 3, 4, 6, seed=5),
+                      init_model(make_vocab(2), 2, 2, 3, seed=1)):
+            ids = tuple([min(i, len(model.vocab) - 1) for i in part] for part in pair)
+            for epsilon in (1e-5, 1e-3):
+                assert grad_check(model, ids, epsilon) == reference_grad_check(model, ids, epsilon)
 
     def test_epsilon_bounds(self):
         m = init_model(make_vocab(4), 2, 3, 4, seed=8)
@@ -787,6 +862,7 @@ class TestCheckpoint:
     @pytest.mark.parametrize("key, value", [
         ("context_len", 0), ("embed_dim", -2), ("hidden_dim", 2.5), ("context_len", True),
         ("rng_seed", -1), ("rng_seed", 1.5), ("rng_seed", None), ("vocab", list(tinylm.RESERVED)),
+        ("vocab", [*tinylm.RESERVED, "w0", "w1", 7, None, "w4"]),
     ])
     def test_bounds_of_init_model_and_seed_checked(self, tmp_path, key, value):
         path = tmp_path / "model.json"
@@ -795,6 +871,22 @@ class TestCheckpoint:
         doc[key] = value
         path.write_text(json.dumps(doc))
         with pytest.raises(ParseError, match=f"model.json: bad checkpoint: .*{key}"):
+            load_model(path)
+
+    @pytest.mark.parametrize("dtype, data_dtype, message", [
+        ("int8", np.float64, "b_out is 'int8'"),
+        ("float32", np.float32, "b_out is 'float32'"),
+        ("float64", np.float32, "b_out has 36 data bytes"),    # float32 data under float64
+    ])
+    def test_array_dtype_and_size_checked(self, tmp_path, dtype, data_dtype, message):
+        path = tmp_path / "model.json"
+        m = init_model(make_vocab(5), 2, 4, 4, seed=0)
+        save_model(m, path)
+        doc = json.loads(path.read_text())
+        doc["params"]["b_out"].update(
+            dtype=dtype, data=base64.b64encode(m.b_out.astype(data_dtype).tobytes()).decode())
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match=f"model.json: bad checkpoint: {message}"):
             load_model(path)
 
     def test_wrong_format_rejected(self, tmp_path):
