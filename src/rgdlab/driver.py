@@ -174,11 +174,9 @@ def _stage_plan(cfg: RunConfig, suite: taskgen.Suite, order, stage: int,
     if cfg.strategy == "equal":
         plan = replay.allocate_equal(prev, alpha)
     elif cfg.strategy == "inscl":
-        current = [list(ex.instruction) for ex in suite.train[order[stage]]]
-        distances = {
-            t: replay.instruction_distance([list(ex.instruction) for ex in suite.train[t]], current)
-            for t in prev
-        }
+        current = [ex.instruction for ex in suite.train[order[stage]]]
+        distances = {t: replay.instruction_distance(
+            [ex.instruction for ex in suite.train[t]], current) for t in prev}
         plan = replay.allocate_inscl(distances, alpha)
     else:
         scores = {t: rgd.summary_scalar(prev_summaries[t]) for t in prev}

@@ -21,10 +21,6 @@ class InvalidTokenError(InputError):
     """A token or token id is not part of the vocabulary."""
 
 
-class InvalidPplError(InputError):
-    """A perplexity value was nonpositive."""
-
-
 class MetricUndefinedError(InputError):
     """A metric is undefined for the given matrix shape (e.g. T < 2)."""
 

@@ -12,6 +12,7 @@ same weights and recording any clamping as shortfalls.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -109,6 +110,9 @@ def fit_to_pools(plan: AllocationPlan, pool_sizes) -> AllocationPlan:
     The returned counts sum to min(budget, total pool).  A task appears in
     ``shortfalls`` with the number of samples its raw allocation wanted but
     its pool could not supply, even when other pools absorbed the surplus.
+    Each round splits what is left over the uncapped tasks by weight (unit
+    weights if all of theirs are zero) and caps every task it gives more
+    than its pool; capped tasks come first in ``counts``, in capping order.
     """
     pools = dict(pool_sizes)
     for task in plan.counts:
@@ -116,35 +120,28 @@ def fit_to_pools(plan: AllocationPlan, pool_sizes) -> AllocationPlan:
             raise InputError(f"no pool size for task {task!r}")
         if pools[task] < 0:
             raise InputError(f"pool size for task {task!r} must be nonnegative")
-    target = min(plan.budget, sum(pools[t] for t in plan.counts))
-    capped: dict[str, int] = {}
-    active = [t for t in plan.counts]
-    remaining = target
+    counts: dict[str, int] = {}
+    active = list(plan.counts)
+    remaining = min(plan.budget, sum(pools[t] for t in plan.counts))
     while active and remaining > 0:
-        positive = [t for t in active if plan.weights[t] > 0]
-        share_tasks = positive if positive else active
-        alloc = largest_remainder(
-            [plan.weights[t] if positive else 1.0 for t in share_tasks], remaining)
-        assignment = dict(zip(share_tasks, alloc))
-        for t in active:
-            assignment.setdefault(t, 0)
-        over = [t for t in active if assignment[t] > pools[t] - capped.get(t, 0)]
+        weights = [plan.weights[t] for t in active]
+        share = dict(zip(active, largest_remainder(
+            weights if any(weights) else [1.0] * len(active), remaining)))
+        over = [t for t in active if share[t] > pools[t]]
         if not over:
-            for t in active:
-                capped[t] = capped.get(t, 0) + assignment[t]
+            counts.update(share)
             break
         for t in over:
-            room = pools[t] - capped.get(t, 0)
-            capped[t] = pools[t]
-            remaining -= room
+            counts[t] = pools[t]
+            remaining -= pools[t]
         active = [t for t in active if t not in over]
-    for t in plan.counts:
-        capped.setdefault(t, 0)
+    else:           # no round fit: the budget is spent
+        counts.update(dict.fromkeys(active, 0))
 
     shortfalls = {t: plan.counts[t] - pools[t]
                   for t in plan.counts if plan.counts[t] > pools[t]}
     return AllocationPlan(budget=plan.budget, strategy=plan.strategy,
-                          counts=capped, weights=plan.weights, shortfalls=shortfalls)
+                          counts=counts, weights=plan.weights, shortfalls=shortfalls)
 
 
 def instruction_distance(task_a_instructions, task_b_instructions) -> float:
@@ -159,19 +156,16 @@ def instruction_distance(task_a_instructions, task_b_instructions) -> float:
         raise InputError("both instruction lists must be nonempty")
 
     def dist(instrs):
-        counts: dict[str, int] = {}
-        total = 0
-        for tokens in instrs:
-            for tok in tokens:
-                counts[tok] = counts.get(tok, 0) + 1
-                total += 1
+        counts = Counter(tok for tokens in instrs for tok in tokens)
+        total = sum(counts.values())
         if total == 0:
             raise InputError("instructions contain no tokens")
         return {t: c / total for t, c in counts.items()}
 
+    # fsum rounds the exact sum once, so the set's hash-seeded order cannot
+    # change the result.
     p, q = dist(a), dist(b)
-    support = set(p) | set(q)
-    return 0.5 * sum(abs(p.get(t, 0.0) - q.get(t, 0.0)) for t in support)
+    return 0.5 * math.fsum(abs(p.get(t, 0.0) - q.get(t, 0.0)) for t in p.keys() | q.keys())
 
 
 def sample_replay(pool, count: int, seed: int) -> list:

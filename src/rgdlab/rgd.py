@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from . import tinylm
-from .errors import InputError, InvalidPplError
+from .errors import InputError
 from .taskgen import Example, render_prompt
 
 SCALAR_FLOOR = 1e-6
@@ -34,6 +34,7 @@ class PplRecord:
                 raise InputError("NLL sums must be finite and nonnegative")
 
     def rgd(self) -> float:
+        """PPL(r|x) / PPL(r), as exp of the difference of the mean NLLs."""
         mean_cond = self.nll_cond_sum / self.n_rationale_tokens
         mean_uncond = self.nll_uncond_sum / self.n_rationale_tokens
         log_rgd = mean_cond - mean_uncond
@@ -50,13 +51,6 @@ class RgdSummary:
     mean: float
     std: float
     n: int
-
-
-def rgd_score(ppl_cond: float, ppl_uncond: float) -> float:
-    """Conditional over unconditional perplexity; 1.0 means no guidance."""
-    if ppl_cond <= 0 or ppl_uncond <= 0:
-        raise InvalidPplError("perplexities must be positive")
-    return ppl_cond / ppl_uncond
 
 
 def rgd_records(model: tinylm.ModelState, examples) -> list[PplRecord]:

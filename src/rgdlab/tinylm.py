@@ -125,17 +125,6 @@ class Vocab:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    def id(self, token: str) -> int:
-        try:
-            return self.index[token]
-        except KeyError:
-            raise InvalidTokenError(f"unknown token {token!r}") from None
-
-    def token(self, token_id: int) -> str:
-        if not 0 <= token_id < len(self.tokens):
-            raise InvalidTokenError(f"token id {token_id} out of range")
-        return self.tokens[token_id]
-
     def encode(self, tokens) -> list[int]:
         index = self.index
         try:
@@ -147,8 +136,8 @@ class Vocab:
         """The tokens of a sequence of ids; the first id out of range raises."""
         tokens = self.tokens
         if len(ids) and not (min(ids) >= 0 and max(ids) < len(tokens)):
-            for i in ids:
-                self.token(i)
+            bad = next(i for i in ids if not 0 <= i < len(tokens))
+            raise InvalidTokenError(f"token id {bad} out of range")
         return [tokens[i] for i in ids]
 
 

@@ -8,6 +8,7 @@ pipeline's wall time.
 
 import filecmp
 import json
+import math
 import time
 
 import numpy as np
@@ -72,7 +73,7 @@ def test_criterion_01_formula_oracles(tmp_path, capsys):
         "a": 50, "b": 25, "c": 25}
     assert replay.allocate_rgd({"a": 1.0, "b": 1.0, "c": 1.0}, 10).counts == {
         "a": 4, "b": 3, "c": 3}
-    assert rgd.rgd_score(2.0, 4.0) == 0.5
+    assert rgd.PplRecord("t", "e", 2 * math.log(2.0), 2 * math.log(4.0), 2).rgd() == 0.5
 
     elapsed = time.time() - start
     check(elapsed < 1.0, f"criterion 1: formula oracles exact, {elapsed:.2f}s < 1s")

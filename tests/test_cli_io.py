@@ -689,6 +689,14 @@ class TestCli:
         assert doc["counts"] == {"a": 2, "b": 8}
         assert doc["shortfalls"] == {"a": 3}
 
+    def test_allocate_binding_pool_stdout(self, capsys):
+        # capped tasks come first: the key order is part of the output's bytes
+        assert cli.main(["allocate", "--strategy", "rgd", "--alpha", "10",
+                         "--scores", "a=1,b=3,c=1", "--pools", "a=100,b=2,c=100"]) == 0
+        assert capsys.readouterr().out == (
+            '{"budget": 10, "strategy": "rgd", "counts": {"b": 2, "a": 4, "c": 4}, '
+            '"shortfalls": {"b": 4}}\n')
+
     def test_report_command_aggregates(self, tmp_path, capsys):
         raw = [{"strategy": "none", "run_seed": 1, "order_index": 0, "suite": "s",
                 "fap": 40.0, "cap": 80.0, "f_ra": 30.0, "bwt": -20.0, "fwt": 0.5},

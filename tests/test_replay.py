@@ -209,6 +209,27 @@ class TestFitToPools:
         with pytest.raises(InputError):
             fit_to_pools(plan, {"a": 5})
 
+    def test_zero_weight_next_to_binding_pool(self):
+        # capped tasks come first; the surplus goes by weight, so a zero-weight
+        # task still gets nothing
+        fitted = fit_to_pools(allocate_inscl({"a": 0.0, "b": 1.0, "c": 1.0}, 10),
+                              {"a": 100, "b": 2, "c": 100})
+        assert list(fitted.counts.items()) == [("b", 2), ("a", 0), ("c", 8)]
+        assert fitted.shortfalls == {"b": 3}
+
+    def test_all_remaining_weights_zero_use_unit_weights(self):
+        # once "b" is capped only zero weights remain: unit weights take over,
+        # and "a"'s small pool binds in the second round
+        fitted = fit_to_pools(allocate_inscl({"a": 0.0, "b": 1.0, "c": 0.0}, 9),
+                              {"a": 1, "b": 3, "c": 100})
+        assert list(fitted.counts.items()) == [("b", 3), ("a", 1), ("c", 5)]
+        assert fitted.shortfalls == {"b": 6}
+
+    def test_zero_budget(self):
+        fitted = fit_to_pools(allocate_rgd({"a": 2.0, "b": 1.0}, 0), {"a": 0, "b": 5})
+        assert list(fitted.counts.items()) == [("a", 0), ("b", 0)]
+        assert fitted.shortfalls == {}
+
 
 class TestLargestRemainder:
     def test_hand_enumerated_remainders(self):

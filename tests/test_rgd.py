@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from rgdlab import tinylm
-from rgdlab.errors import InputError, InvalidPplError
+from rgdlab.errors import InputError
 from rgdlab.rgd import (
     PplRecord,
     RgdSummary,
     rgd_from_model,
-    rgd_score,
     summary_scalar,
     task_rgd,
 )
@@ -26,35 +25,41 @@ def record(value: float, task="t", rid="r", n=1) -> PplRecord:
     return PplRecord(task, rid, 0.0, n * -math.log(value), n)
 
 
+def ppl_record(cond: float, uncond: float, n: int = 1) -> PplRecord:
+    """A record of NLL sums ``cond`` and ``uncond`` over ``n`` rationale tokens."""
+    return PplRecord("t", "e", cond, uncond, n)
+
+
 class TestRgdScore:
+    """``PplRecord.rgd`` is PPL(r|x) / PPL(r), each PPL the exp of a mean NLL."""
+
     def test_ratio(self):
-        assert rgd_score(2.0, 4.0) == pytest.approx(0.5, rel=1e-12)
+        assert ppl_record(2 * math.log(2.0), 2 * math.log(4.0), 2).rgd() == pytest.approx(
+            0.5, rel=1e-12)
+        assert ppl_record(3.0, 1.0, 4).rgd() == pytest.approx(
+            math.exp(3.0 / 4) / math.exp(1.0 / 4), rel=1e-12)
 
     def test_no_help_fixed_point(self):
-        assert rgd_score(4.0, 4.0) == 1.0
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(InvalidPplError):
-            rgd_score(0.0, 2.0)
-        with pytest.raises(InvalidPplError):
-            rgd_score(2.0, -1.0)
+        assert ppl_record(5.5, 5.5, 4).rgd() == 1.0
 
     def test_scale_invariance(self):
+        # scaling both perplexities by c adds n*ln(c) to both NLL sums
         rng = np.random.default_rng(0)
         for _ in range(50):
-            cond, uncond = rng.uniform(0.5, 20, size=2)
-            c = rng.uniform(0.1, 10)
-            assert rgd_score(c * cond, c * uncond) == pytest.approx(
-                rgd_score(cond, uncond), rel=1e-12)
+            cond, uncond = rng.uniform(0.0, 20, size=2)
+            n = int(rng.integers(1, 9))
+            shift = n * math.log(rng.uniform(1.0, 10))
+            assert ppl_record(cond + shift, uncond + shift, n).rgd() == pytest.approx(
+                ppl_record(cond, uncond, n).rgd(), rel=1e-12)
 
     def test_above_one_iff_cond_harder(self):
-        assert rgd_score(5.0, 4.0) > 1
-        assert rgd_score(3.0, 4.0) < 1
+        assert ppl_record(5.0, 4.0, 3).rgd() > 1
+        assert ppl_record(3.0, 4.0, 3).rgd() < 1
 
     def test_log_form_equivalence(self):
         r = PplRecord("t", "x", nll_cond_sum=3.2, nll_uncond_sum=5.0,
                       n_rationale_tokens=4)
-        via_ppl = rgd_score(math.exp(3.2 / 4), math.exp(5.0 / 4))
+        via_ppl = math.exp(3.2 / 4) / math.exp(5.0 / 4)
         assert r.rgd() == pytest.approx(via_ppl, rel=1e-9)
 
 
@@ -82,8 +87,8 @@ class TestRgdFromModel:
         vocab = Vocab.build(["a", "b", "c", "d", *PROMPT_PREFIX])
         v = len(vocab)
         model = init_model(vocab, 1, v, v, seed=0)
-        a, b = vocab.id("a"), vocab.id("b")
-        content = [vocab.id(t) for t in "abcd"]
+        a, b = vocab.encode(["a", "b"])
+        content = vocab.encode(["a", "b", "c", "d"])
         model.embed[:] = 0.0
         np.fill_diagonal(model.embed, 50.0)
         model.w_hidden[:] = np.eye(v)
@@ -107,7 +112,7 @@ class TestRgdFromModel:
         cond = tinylm.sequence_nll(model, vocab.encode(render_prompt(ex.instruction)),
                                    vocab.encode(ex.rationale))
         uncond = tinylm.sequence_nll(model, [], vocab.encode(ex.rationale))
-        score = rgd_score(math.exp(cond.sum_nll / 3), math.exp(uncond.sum_nll / 3))
+        score = math.exp(cond.sum_nll / 3) / math.exp(uncond.sum_nll / 3)
         assert rec.rgd() == pytest.approx(score, rel=1e-12)
         assert rec.task_id == "t" and rec.example_id == "e"
 

@@ -48,12 +48,12 @@ class TestVocab:
     def test_reserved_ids_fixed(self):
         v = make_vocab(4)
         assert v.tokens[:4] == tinylm.RESERVED
-        assert v.id("<bos>") == BOS
+        assert v.encode(["<bos>"]) == [BOS]
 
     def test_lookup_roundtrip(self):
         v = make_vocab(6)
-        for i in range(len(v)):
-            assert v.id(v.token(i)) == i
+        ids = list(range(len(v)))
+        assert v.encode(v.decode(ids)) == ids
 
     def test_duplicate_token_rejected(self):
         with pytest.raises(ConfigError):
@@ -61,8 +61,8 @@ class TestVocab:
 
     def test_unknown_token(self):
         v = make_vocab(3)
-        with pytest.raises(InvalidTokenError):
-            v.id("nope")
+        with pytest.raises(InvalidTokenError, match="unknown token 'nope'"):
+            v.encode(["w0", "nope"])
 
     def test_decode_names_first_bad_id(self):
         v = make_vocab(3)
@@ -129,7 +129,7 @@ class TestSequenceNll:
         # construction, so the per-token NLL is exactly ln 4.
         v = Vocab(tokens=tinylm.RESERVED + ("a", "b"))
         m = zeroed(init_model(v, 1, 1, 1, seed=0))
-        a, b = v.id("a"), v.id("b")
+        a, b = v.encode(["a", "b"])
         m.embed[a, 0] = 1.0
         m.w_hidden[0, 0] = 1.0
         # p(b|a) = e^z / (e^z + 5) = 1/4  =>  z = ln(5/3)
