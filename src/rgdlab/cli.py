@@ -79,13 +79,8 @@ def _write_run_artifacts(result: driver.ExperimentResult, cfg: fileio.Experiment
                                for s in stage.values()))
 
     if result.probes:
-        partial_rows = [(p.task_id, k, acc) for p in result.probes for k, acc in p.partial]
-        tap_rows = [(p.task_id, count, draw, acc)
-                    for p in result.probes for count, draw, acc in p.tap.grid]
-        artifacts.write_text(os.path.join(root, "probe_partial.csv"),
-                             fileio.partial_probe_csv_text(partial_rows))
-        artifacts.write_text(os.path.join(root, "probe_tap.csv"),
-                             fileio.tap_probe_csv_text(tap_rows))
+        fileio.write_probe_csvs(result.probes, os.path.join(root, "probe_partial.csv"),
+                                os.path.join(root, "probe_tap.csv"))
 
     fileio.emit_report(fileio.experiment_table_records(result),
                        os.path.join(root, "report.csv"),
@@ -113,27 +108,13 @@ def _cmd_probe(args) -> int:
     suite = cfg.make_suite()
     suite.spec(args.task)                   # unknown task: InputError
     model = tinylm.load_model(args.checkpoint)
-    examples = suite.eval[args.task]
+    # Order 0 is the spec order, so the TAP demo pool is every other task's train data.
+    record = driver.probe_task(suite, cfg.plan, 0, args.seed, model, args.task)
     os.makedirs(cfg.output_dir, exist_ok=True)
-    wrote = []
-    if args.kind in ("partial", "both"):
-        grid = driver.probe_partial_rationale(model, examples, cfg.plan.k_grid,
-                                              cfg.plan.max_gen_len)
-        path = os.path.join(cfg.output_dir, f"probe_partial_{args.task}.csv")
-        artifacts.write_text(path, fileio.partial_probe_csv_text(
-            [(args.task, k, a) for k, a in grid]))
-        wrote.append(path)
-    if args.kind in ("tap", "both"):
-        pool = [ex for spec in suite.specs if spec.task_id != args.task
-                for ex in suite.train[spec.task_id]]
-        tap = driver.probe_tap(model, examples, pool, cfg.plan.demo_counts,
-                               cfg.plan.demo_draws, seed=args.seed,
-                               max_gen_len=cfg.plan.max_gen_len)
-        path = os.path.join(cfg.output_dir, f"probe_tap_{args.task}.csv")
-        artifacts.write_text(path, fileio.tap_probe_csv_text(
-            [(args.task, c, d, a) for c, d, a in tap.grid]))
-        wrote.append(path)
-    print("wrote " + ", ".join(wrote))
+    paths = [os.path.join(cfg.output_dir, f"probe_{kind}_{args.task}.csv")
+             for kind in ("partial", "tap")]
+    fileio.write_probe_csvs([record], *paths)
+    print("wrote " + ", ".join(paths))
     return 0
 
 
@@ -264,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--task", required=True)
-    p.add_argument("--kind", choices=("partial", "tap", "both"), default="both")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_probe)

@@ -27,6 +27,8 @@ class PerfMatrix:
         t = len(self.order)
         if t < 1:
             raise InputError("matrix needs at least one task")
+        if len(set(self.order)) != t:
+            raise InputError(f"each task may appear once in the order, got {list(self.order)}")
         if len(self.rows) != t or len(self.a0) != t:
             raise InputError("rows and a0 must have one entry per task")
         for i, row in enumerate(self.rows):

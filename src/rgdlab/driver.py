@@ -10,8 +10,8 @@ with the stage i-1 model.
 A stage's result depends on the run settings, the base model, the run seed,
 the order and the replay counts of every stage so far, never on the
 strategy that chose those counts.  Runs handed one ``stages`` dict train
-each distinct stage once and share its checkpoint, loss trace, accuracy row
-and RGD summaries; ``run_experiment`` runs each (seed, order) as one unit
+each distinct stage once and share its checkpoint, accuracy row and RGD
+summaries; ``run_experiment`` runs each (seed, order) as one unit
 on its worker pool and shares stages within it.  That unit also writes its
 stage checkpoints, each once, so they never travel back to the caller.
 Stage checkpoints are read-only: copy one before changing it.
@@ -105,10 +105,9 @@ class RunResult:
     summaries: list[dict[str, rgd.RgdSummary]]     # per stage, tasks seen so far
     plans: list[replay.AllocationPlan | None]      # per stage; None for stage 1
     checkpoints: list[tinylm.ModelState]           # may be shared; run_experiment's are empty
-    loss_traces: list[tuple[float, ...]]
 
 
-def build_base_model(suite: taskgen.Suite, cfg: RunConfig) -> tinylm.ModelState:
+def build_base_model(suite: taskgen.Suite, settings: RunSettings) -> tinylm.ModelState:
     """Fresh init plus the base-skills warmup phase.
 
     Both the warmup corpus and its training seeds derive from the suite
@@ -117,13 +116,14 @@ def build_base_model(suite: taskgen.Suite, cfg: RunConfig) -> tinylm.ModelState:
     model.  With warmup_examples=0 this is just a seeded init.
     """
     vocab = tinylm.Vocab.build(taskgen.suite_tokens(suite))
-    model = tinylm.init_model(vocab, cfg.dims.context_len, cfg.dims.embed_dim,
-                              cfg.dims.hidden_dim, seed=derive_seed(suite.seed, _SALT_INIT))
-    if cfg.warmup_examples == 0:
+    dims = settings.dims
+    model = tinylm.init_model(vocab, dims.context_len, dims.embed_dim, dims.hidden_dim,
+                              seed=derive_seed(suite.seed, _SALT_INIT))
+    if settings.warmup_examples == 0:
         return model
     warmup = taskgen.make_warmup_corpus(
-        cfg.warmup_examples, seed=derive_seed(suite.seed, _SALT_WARMUP))
-    model, _ = _train(model, warmup, cfg.warmup, derive_seed(suite.seed, _SALT_WARMUP, 1))
+        settings.warmup_examples, seed=derive_seed(suite.seed, _SALT_WARMUP))
+    model, _ = _train(model, warmup, settings.warmup, derive_seed(suite.seed, _SALT_WARMUP, 1))
     return model
 
 
@@ -192,14 +192,14 @@ def _run_stage(suite: taskgen.Suite, cfg: RunConfig, order, stage: int,
     for j, (prev_task, count) in enumerate(zip(order[:stage], counts)):
         examples += replay.sample_replay(suite.train[prev_task], count,
                                          seed=derive_seed(cfg.run_seed, _SALT_REPLAY, stage, j))
-    model, trace = _train(model, examples, cfg.train, derive_seed(cfg.run_seed, _SALT_STAGE, stage))
+    model, _ = _train(model, examples, cfg.train, derive_seed(cfg.run_seed, _SALT_STAGE, stage))
     for _, param in model.params():         # the checkpoint may be shared between runs
         param.setflags(write=False)
     row = tuple(evaluate_accuracy(model, suite.eval[order[j]], cfg.max_gen_len)
                 for j in range(stage + 1))
     summary = {order[j]: score_task_rgd(model, suite.probe[order[j]], cfg.rgd_eval_size)
                for j in range(stage + 1)}
-    return model, tuple(trace), row, summary
+    return model, row, summary
 
 
 def run_sequence(suite: taskgen.Suite, cfg: RunConfig, a0: dict[str, float],
@@ -226,7 +226,6 @@ def run_sequence(suite: taskgen.Suite, cfg: RunConfig, a0: dict[str, float],
     summaries: list[dict[str, rgd.RgdSummary]] = []
     plans: list[replay.AllocationPlan | None] = []
     checkpoints: list[tinylm.ModelState] = []
-    traces: list[tuple[float, ...]] = []
     prev_summaries: dict[str, rgd.RgdSummary] = {}
 
     for stage in range(len(order)):
@@ -238,8 +237,7 @@ def run_sequence(suite: taskgen.Suite, cfg: RunConfig, a0: dict[str, float],
         key += (counts,)
         if key not in stages:
             stages[key] = _run_stage(suite, cfg, order, stage, model, counts)
-        model, trace, row, prev_summaries = stages[key]
-        traces.append(trace)
+        model, row, prev_summaries = stages[key]
         checkpoints.append(model)
         rows.append(row)
         summaries.append(dict(prev_summaries))
@@ -247,26 +245,27 @@ def run_sequence(suite: taskgen.Suite, cfg: RunConfig, a0: dict[str, float],
     matrix = clmetrics.PerfMatrix(
         order=order, rows=tuple(rows), a0=tuple(a0[t] for t in order))
     return RunResult(order=order, matrix=matrix, summaries=summaries,
-                     plans=plans, checkpoints=checkpoints, loss_traces=traces)
+                     plans=plans, checkpoints=checkpoints)
 
 
-def run_single_baselines(suite: taskgen.Suite, cfg: RunConfig,
+def run_single_baselines(suite: taskgen.Suite, settings: RunSettings, run_seed: int,
                          base_model: tinylm.ModelState) -> dict[str, float]:
     """Per-task score of a base model trained on that task alone."""
     out = {}
     for i, spec in enumerate(suite.specs):
-        model, _ = _train(base_model, suite.train[spec.task_id], cfg.train,
-                          derive_seed(cfg.run_seed, _SALT_SINGLE, i))
-        out[spec.task_id] = evaluate_accuracy(model, suite.eval[spec.task_id], cfg.max_gen_len)
+        model, _ = _train(base_model, suite.train[spec.task_id], settings.train,
+                          derive_seed(run_seed, _SALT_SINGLE, i))
+        out[spec.task_id] = evaluate_accuracy(model, suite.eval[spec.task_id],
+                                              settings.max_gen_len)
     return out
 
 
-def run_multitask(suite: taskgen.Suite, cfg: RunConfig,
+def run_multitask(suite: taskgen.Suite, settings: RunSettings, run_seed: int,
                   base_model: tinylm.ModelState) -> dict[str, float]:
     """Per-task score of one model trained on the union of all train sets."""
     examples = [ex for spec in suite.specs for ex in suite.train[spec.task_id]]
-    model, _ = _train(base_model, examples, cfg.train, derive_seed(cfg.run_seed, _SALT_MULTI))
-    return {spec.task_id: evaluate_accuracy(model, suite.eval[spec.task_id], cfg.max_gen_len)
+    model, _ = _train(base_model, examples, settings.train, derive_seed(run_seed, _SALT_MULTI))
+    return {spec.task_id: evaluate_accuracy(model, suite.eval[spec.task_id], settings.max_gen_len)
             for spec in suite.specs}
 
 
@@ -284,25 +283,14 @@ def probe_partial_rationale(model: tinylm.ModelState, examples, k_grid=DEFAULT_K
     return results
 
 
-@dataclass(frozen=True)
-class TapResult:
-    best_count: int
-    best_draw: int
-    best_accuracy: float
-    instruction_only: float
-    grid: tuple[tuple[int, int, float], ...]   # (demo_count, draw, accuracy)
-    best_demo_ids: tuple[str, ...]
-
-
 def probe_tap(model: tinylm.ModelState, examples, demo_pool,
               demo_counts=DEFAULT_DEMO_COUNTS, draws: int = DEFAULT_DEMO_DRAWS,
-              seed: int = 0, max_gen_len: int = 18) -> TapResult:
-    """Grid search over demo counts and seeded demo draws.
+              seed: int = 0, max_gen_len: int = 18) -> list[tuple[int, int, float]]:
+    """Accuracy over demo counts and seeded demo draws: (count, draw, accuracy).
 
-    Every arm goes through ``taskgen.render_prompt``.  The zero-demo arm is
-    always evaluated and is the rendered instruction (no context template
-    or demos), so the search can never fall below instruction-only
-    accuracy; ties prefer fewer demos, then the earlier draw.
+    Every arm goes through ``taskgen.render_prompt``.  The first arm,
+    (0, 0, ...), is the rendered instruction alone: no demos and no context
+    template.
     """
     examples = list(examples)
     if not examples:
@@ -310,23 +298,16 @@ def probe_tap(model: tinylm.ModelState, examples, demo_pool,
     demo_pool = [d for d in demo_pool if d.task_id != examples[0].task_id]
     if not demo_pool:
         raise ConfigError("demo pool is empty after removing same-task examples")
-    instruction_only = _decoded_accuracy(
-        model, [taskgen.render_prompt(ex.instruction) for ex in examples], examples, max_gen_len)
-    grid: list[tuple[int, int, float]] = [(0, 0, instruction_only)]
-    best = (0, 0, instruction_only, ())
+    grid = [(0, 0, _decoded_accuracy(
+        model, [taskgen.render_prompt(ex.instruction) for ex in examples], examples, max_gen_len))]
     for count in demo_counts:
         for draw in range(draws):
             demos = replay.sample_replay(
                 demo_pool, count, seed=derive_seed(seed, _SALT_DEMOS, count, draw))
             prompts = [taskgen.render_prompt(taskgen.tap_prompt(ex, demos))
                        for ex in examples]
-            acc = _decoded_accuracy(model, prompts, examples, max_gen_len)
-            grid.append((count, draw, acc))
-            if acc > best[2]:
-                best = (count, draw, acc, tuple(d.id for d in demos))
-    return TapResult(
-        best_count=best[0], best_draw=best[1], best_accuracy=best[2],
-        instruction_only=instruction_only, grid=tuple(grid), best_demo_ids=best[3])
+            grid.append((count, draw, _decoded_accuracy(model, prompts, examples, max_gen_len)))
+    return grid
 
 
 def most_forgotten_tasks(report: clmetrics.MetricsReport, top: int = DEFAULT_TOP_FORGOTTEN) -> list[str]:
@@ -401,11 +382,9 @@ class RunRecord:
 
 @dataclass
 class ProbeRecord:
-    run_seed: int
-    order_index: int
     task_id: str
-    partial: list[tuple[float, float]]
-    tap: TapResult
+    partial: list[tuple[float, float]]              # (k, accuracy)
+    tap: list[tuple[int, int, float]]               # (demo_count, draw, accuracy)
 
 
 @dataclass
@@ -465,16 +444,20 @@ def _run_group(suite: taskgen.Suite, plan: ExperimentPlan, seed: int, order_inde
     yield results
 
 
-def _probe(suite: taskgen.Suite, plan: ExperimentPlan, seed: int, order_index: int,
-           model: tinylm.ModelState, task: str) -> ProbeRecord:
-    """Both probes of one forgotten task on a run's final checkpoint (a pool unit)."""
+def probe_task(suite: taskgen.Suite, plan: ExperimentPlan, order_index: int, seed: int,
+               model: tinylm.ModelState, task: str) -> ProbeRecord:
+    """Both probes of ``task`` on ``model``: the grid's probe unit, and ``rgdlab probe``.
+
+    The TAP demo pool is the train data of every other task in the order
+    ``order_index``, drawn with ``seed`` as given: ``run_experiment`` passes
+    ``derive_seed(run_seed, order_index)``.
+    """
     partial = probe_partial_rationale(model, suite.eval[task], plan.k_grid, plan.max_gen_len)
     pool_examples = [ex for other in suite.orders[order_index] if other != task
                      for ex in suite.train[other]]
     tap = probe_tap(model, suite.eval[task], pool_examples, plan.demo_counts, plan.demo_draws,
-                    seed=derive_seed(seed, order_index), max_gen_len=plan.max_gen_len)
-    return ProbeRecord(run_seed=seed, order_index=order_index, task_id=task,
-                       partial=partial, tap=tap)
+                    seed=seed, max_gen_len=plan.max_gen_len)
+    return ProbeRecord(task_id=task, partial=partial, tap=tap)
 
 
 def run_experiment(suite: taskgen.Suite, plan: ExperimentPlan,
@@ -501,13 +484,12 @@ def run_experiment(suite: taskgen.Suite, plan: ExperimentPlan,
     probes: dict[tuple[int, int], list[ProbeRecord | None]] = {}   # in forgetting order
 
     def after_base(base):
-        cfgs = {seed: plan.run_config(plan.strategies[0], seed, 0) for seed in plan.run_seeds}
         return ([(_run_group, (suite, plan, seed, order, base, runs_dir),
                   functools.partial(after_group, seed, order))
                  for seed in plan.run_seeds for order in plan.order_indices]
-                + [(run_single_baselines, (suite, cfgs[seed], base),
+                + [(run_single_baselines, (suite, plan, seed, base),
                     functools.partial(singles.__setitem__, seed)) for seed in plan.run_seeds]
-                + [(run_multitask, (suite, cfgs[seed], base),
+                + [(run_multitask, (suite, plan, seed, base),
                     functools.partial(multis.__setitem__, seed)) for seed in plan.run_seeds])
 
     def after_group(seed, order, value):
@@ -516,13 +498,12 @@ def run_experiment(suite: taskgen.Suite, plan: ExperimentPlan,
             return []
         model, tasks = value                    # the none run's end: probe it
         records = probes[seed, order] = [None] * len(tasks)
-        return [(_probe, (suite, plan, seed, order, model, task),
+        return [(probe_task, (suite, plan, order, derive_seed(seed, order), model, task),
                  functools.partial(records.__setitem__, i)) for i, task in enumerate(tasks)]
 
     from . import pool    # here: a process that runs no grid never loads the pool's modules
 
-    first = plan.run_config(plan.strategies[0], plan.run_seeds[0], 0)
-    pool.run(plan.threads, [(build_base_model, (suite, first), after_base)])
+    pool.run(plan.threads, [(build_base_model, (suite, plan), after_base)])
 
     runs = []
     for strategy in plan.strategies:

@@ -134,12 +134,16 @@ def read_matrix(path) -> clmetrics.PerfMatrix:
             if not row:
                 continue
             if row[0] == "a0":
-                a0 = tuple(float(v) for v in row[1:1 + len(order)])
+                if a0 is not None or len(row) > 1 + len(order):
+                    raise ValueError(f"expected one a0 row of {len(order)} scores")
+                a0 = tuple(float(v) for v in row[1:])
                 continue
             stage = int(row[0])
+            if stage >= 1 and any(v.strip() for v in row[1 + stage:]):
+                raise ValueError(f"stage {stage} scores a task it has not trained yet")
             rows.append((stage, tuple(float(v) for v in row[1:1 + stage])))
     except ValueError as err:
-        raise ParseError(f"{path}: bad matrix cell: {err}") from None
+        raise ParseError(f"{path}: bad matrix row: {err}") from None
     if a0 is None:
         raise ParseError(f"{path}: missing a0 row")
     rows.sort(key=lambda sr: sr[0])
@@ -250,16 +254,12 @@ def experiment_table_records(result: driver.ExperimentResult) -> list[TableRecor
 
 # --------------------------------------------------------------- probe CSVs
 
-def partial_probe_csv_text(rows) -> str:
-    """rows: iterable of (task, k, accuracy)."""
-    return csv_text([("task", "k", "accuracy"),
-                     *((task, repr(float(k)), repr(float(acc))) for task, k, acc in rows)])
-
-
-def tap_probe_csv_text(rows) -> str:
-    """rows: iterable of (task, demo_count, draw, accuracy)."""
-    return csv_text([("task", "demo_count", "draw", "accuracy"),
-                     *((task, count, draw, repr(float(acc))) for task, count, draw, acc in rows)])
+def write_probe_csvs(records, partial_path, tap_path) -> None:
+    """The partial-rationale and TAP grids of ``driver.ProbeRecord``s, one row per arm."""
+    artifacts.write_text(partial_path, csv_text([("task", "k", "accuracy"), *(
+        (p.task_id, repr(float(k)), repr(float(acc))) for p in records for k, acc in p.partial)]))
+    artifacts.write_text(tap_path, csv_text([("task", "demo_count", "draw", "accuracy"), *(
+        (p.task_id, n, draw, repr(float(acc))) for p in records for n, draw, acc in p.tap)]))
 
 
 # ------------------------------------------------------ experiment config

@@ -191,8 +191,9 @@ def test_criterion_08_partial_rationale_recovery(harness5):
 def test_criterion_09_tap_recovery(harness5):
     weak, strict = [], []
     for probe in harness5.result.probes:
-        weak.append(probe.tap.best_accuracy >= probe.tap.instruction_only)
-        strict.append(probe.tap.best_accuracy > probe.tap.instruction_only)
+        best, instruction_only = max(acc for _, _, acc in probe.tap), probe.tap[0][2]
+        weak.append(best >= instruction_only)
+        strict.append(best > instruction_only)
     strict_fraction = sum(strict) / len(strict)
     check(all(weak),
           f"criterion 9: best prefix-prompt accuracy >= instruction-only in every "

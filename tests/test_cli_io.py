@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from rgdlab import artifacts, cli, fileio, replay, rgd, taskgen, tinylm
+from rgdlab import artifacts, cli, driver, fileio, pool, replay, rgd, taskgen, tinylm
 from rgdlab.clmetrics import PerfMatrix
 from rgdlab.errors import ConfigError, InputError, ParseError
 
@@ -596,6 +596,52 @@ class TestCli:
             {**resolved, "output_dir": original.output_dir})
         assert again == original
 
+    def test_probe_command_reproduces_the_grid_probe(self, run_dir, monkeypatch, capsys):
+        """``rgdlab probe --seed derive_seed(run_seed, 0)`` on an order-0 ``none``
+        run's final checkpoint gives that run's probe rows, from the prompts
+        ``driver.probe_task`` decodes (at this size every accuracy may be 0.0).
+        Three tasks, so that the two orders' demo pools differ."""
+        config = json.loads((run_dir / "config.json").read_text())
+        config["suite"]["num_tasks"] = 3
+        cfg_path = run_dir / "probed-config.json"
+        cfg_path.write_text(json.dumps({**config, "run_probes": True}))
+        out = run_dir / "probed"
+        sent = []
+        send = pool._send
+
+        def recording_units(sock, message):
+            sent.append(message)
+            send(sock, message)
+
+        monkeypatch.setattr(pool, "_send", recording_units)
+        assert cli.main(["run-seq", "--config", str(cfg_path), "--out", str(out)]) == 0
+        partial = (out / "probe_partial.csv").read_text().splitlines()
+        tap = (out / "probe_tap.csv").read_text().splitlines()
+        task = partial[1].split(",")[0]
+        seed = driver.derive_seed(3, 0)
+        # The grid probes with these arguments: order 0, the derived seed.
+        assert (0, seed, task) in [(args[2], args[3], args[5]) for fn, args in sent
+                                   if fn is driver.probe_task]
+        prompts = []
+        original = driver._decoded_accuracy
+
+        def recording(model, batch, examples, max_gen_len):
+            prompts.append(list(batch))
+            return original(model, batch, examples, max_gen_len)
+
+        monkeypatch.setattr(driver, "_decoded_accuracy", recording)
+        ckpt = out / "runs/none-o0-s3/checkpoints/stage-03.json"
+        assert cli.main(["probe", "--config", str(cfg_path), "--checkpoint", str(ckpt),
+                         "--task", task, "--seed", str(seed), "--out", str(out / "cli")]) == 0
+        probed = [(out / "cli" / f"probe_{kind}_{task}.csv").read_text().splitlines()
+                  for kind in ("partial", "tap")]
+        assert probed == [[line for line in lines if line.split(",")[0] in ("task", task)]
+                          for lines in (partial, tap)]
+        cli_prompts, prompts[:] = list(prompts), []
+        cfg = fileio.load_experiment_config(cfg_path)
+        driver.probe_task(cfg.make_suite(), cfg.plan, 0, seed, tinylm.load_model(ckpt), task)
+        assert cli_prompts == prompts and len(prompts) == 7 + 1 + 4 * 3
+
     def test_probe_command(self, run_dir, capsys):
         out = run_dir / "out"
         ckpt = out / "runs/none-o0-s3/checkpoints/stage-02.json"
@@ -603,7 +649,7 @@ class TestCli:
         task = suite.specs[0].task_id
         rc = cli.main(["probe", "--config", str(run_dir / "config.json"),
                        "--checkpoint", str(ckpt), "--task", task,
-                       "--kind", "both", "--out", str(run_dir / "probes")])
+                       "--out", str(run_dir / "probes")])
         assert rc == 0
         partial = (run_dir / "probes" / f"probe_partial_{task}.csv").read_text().splitlines()
         assert partial[0] == "task,k,accuracy"
@@ -671,6 +717,26 @@ class TestCli:
         err = captured.err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and named in err[0], err
         assert captured.out == "" and not out_file.exists()
+
+    @pytest.mark.parametrize("text, named", [
+        # A repeated task id merged two tasks' forgetting: F.Ra -20.0, not 15.0.
+        ("stage,a,a,b\n1,50.0,,\n2,40.0,60.0,\n3,0.0,80.0,70.0\na0,50.0,50.0,50.0\n",
+         "each task may appear once in the order, got ['a', 'a', 'b']"),
+        ("stage,a,b\n1,50.0,99.0\n2,40.0,60.0\na0,50.0,50.0\n",
+         "stage 1 scores a task it has not trained yet"),
+        ("stage,a,b\n1,50.0,\n2,40.0,60.0\na0,50.0,50.0,7.0\n",
+         "expected one a0 row of 2 scores"),
+        ("stage,a,b\na0,50.0,50.0\n1,50.0,\n2,40.0,60.0\na0,50.0,70.0\n",
+         "expected one a0 row of 2 scores"),
+    ], ids=["repeated-task", "untrained-cell", "long-a0", "two-a0"])
+    def test_metrics_malformed_matrix_exits_one(self, tmp_path, capsys, text, named):
+        path = tmp_path / "matrix.csv"
+        path.write_text(text)
+        assert cli.main(["metrics", "--matrix", str(path)]) == 1
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and named in err[0], err
+        assert captured.out == ""
 
     def test_metrics_non_utf8_exits_one(self, tmp_path, capsys):
         path = tmp_path / "latin1.csv"

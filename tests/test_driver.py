@@ -120,18 +120,18 @@ class TestRunSequence:
 
 class TestBaselines:
     def test_single_baselines_shape_and_range(self, suite, base):
-        a0 = driver.run_single_baselines(suite, tiny_cfg(), base_model=base)
+        a0 = driver.run_single_baselines(suite, tiny_cfg(), 7, base_model=base)
         assert set(a0) == {s.task_id for s in suite.specs}
         assert all(0 <= v <= 100 for v in a0.values())
 
     def test_single_baselines_deterministic(self, suite, base):
-        one = driver.run_single_baselines(suite, tiny_cfg(), base_model=base)
-        two = driver.run_single_baselines(suite, tiny_cfg(), base_model=base)
+        one = driver.run_single_baselines(suite, tiny_cfg(), 7, base_model=base)
+        two = driver.run_single_baselines(suite, tiny_cfg(), 7, base_model=base)
         assert one == two
 
     def test_multitask_shape_and_determinism(self, suite, base):
-        one = driver.run_multitask(suite, tiny_cfg(), base_model=base)
-        two = driver.run_multitask(suite, tiny_cfg(), base_model=base)
+        one = driver.run_multitask(suite, tiny_cfg(), 7, base_model=base)
+        two = driver.run_multitask(suite, tiny_cfg(), 7, base_model=base)
         assert one == two
         assert set(one) == {s.task_id for s in suite.specs}
 
@@ -175,10 +175,8 @@ class TestProbes:
         pool = [ex for s in suite.specs if s.task_id != task for ex in suite.train[s.task_id]]
         tap = driver.probe_tap(base, suite.eval[task], pool, demo_counts=(1, 2),
                                draws=2, seed=3)
-        assert tap.grid[0] == (0, 0, tap.instruction_only)
-        assert tap.instruction_only == driver.evaluate_accuracy(base, suite.eval[task])
-        assert tap.best_accuracy >= tap.instruction_only
-        assert len(tap.grid) == 1 + 2 * 2
+        assert tap[0] == (0, 0, driver.evaluate_accuracy(base, suite.eval[task]))
+        assert [arm[:2] for arm in tap] == [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1)]
 
     def test_tap_prompts_are_rendered(self, suite, base, monkeypatch):
         task = suite.specs[0].task_id
@@ -207,6 +205,20 @@ class TestProbes:
         task = suite.specs[0].task_id
         with pytest.raises(ConfigError):
             driver.probe_tap(base, suite.eval[task], suite.train[task])
+
+    def test_one_probe_unit(self):
+        """Only ``driver.probe_task`` reaches the two probes, so ``run-seq`` and
+        ``rgdlab probe`` run one probe unit."""
+        package = Path(driver.__file__).parent
+        callers = []
+        for path in sorted(package.glob("*.py")):
+            for top in ast.parse(path.read_text()).body:
+                for node in ast.walk(top):
+                    name = getattr(node, "attr", getattr(node, "id", None))
+                    if name in ("probe_partial_rationale", "probe_tap"):
+                        callers.append((path.name, getattr(top, "name", None), name))
+        assert sorted(callers) == [("driver.py", "probe_task", "probe_partial_rationale"),
+                                   ("driver.py", "probe_task", "probe_tap")]
 
     def test_probe_needs_examples(self, base):
         with pytest.raises(InputError):
@@ -334,7 +346,7 @@ class TestExperiment:
         assert len(result.probes) == 2
         for probe in result.probes:
             assert [k for k, _ in probe.partial] == [0.0, 1.0]
-            assert probe.tap.best_accuracy >= probe.tap.instruction_only
+            assert [arm[:2] for arm in probe.tap] == [(0, 0), (1, 0)]
 
 
 def _stage_keys(record):
@@ -354,7 +366,6 @@ def _assert_same_run(shared, lone, checkpoints):
     assert shared.matrix == lone.matrix
     assert shared.summaries == lone.summaries
     assert [p and p.counts for p in shared.plans] == [p and p.counts for p in lone.plans]
-    assert shared.loss_traces == lone.loss_traces
     assert len(checkpoints) == len(lone.checkpoints) == len(shared.order)
     for mine, theirs in zip(checkpoints, lone.checkpoints):
         assert [p.tobytes() for _, p in mine.params()] == [p.tobytes() for _, p in theirs.params()]
@@ -419,7 +430,6 @@ class TestSharedStages:
             assert record.result.checkpoints == []
             _assert_same_run(record.result, lone, [
                 tinylm.load_model(path) for path in _checkpoint_files(runs_dir, record)])
-            assert all(isinstance(trace, tuple) for trace in record.result.loss_traces)
 
     def test_one_training_per_distinct_stage(self, suite, shared):
         plan, result, units, runs_dir = shared
