@@ -82,6 +82,10 @@ class RunSettings:
             raise ConfigError("replay_fraction must be in [0, 1]")
         if self.rgd_eval_size < 0:
             raise ConfigError("rgd_eval_size must be nonnegative (0 scores the whole probe slice)")
+        if self.warmup_examples < 0:
+            raise ConfigError("warmup_examples must be nonnegative (0 disables the warmup)")
+        if self.max_gen_len < 1:
+            raise ConfigError("max_gen_len must be >= 1")
 
 
 @dataclass(frozen=True)

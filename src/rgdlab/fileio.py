@@ -149,7 +149,10 @@ def read_matrix(path) -> clmetrics.PerfMatrix:
     rows.sort(key=lambda sr: sr[0])
     if [s for s, _ in rows] != list(range(1, len(order) + 1)):
         raise ParseError(f"{path}: stages must be 1..{len(order)}")
-    return clmetrics.PerfMatrix(order=order, rows=tuple(r for _, r in rows), a0=a0)
+    try:
+        return clmetrics.PerfMatrix(order=order, rows=tuple(r for _, r in rows), a0=a0)
+    except InputError as err:
+        raise ParseError(f"{path}: {err}") from None
 
 
 def report_json_doc(report: clmetrics.MetricsReport) -> dict:

@@ -211,13 +211,108 @@ def _validate_input(grammar: dict, words) -> None:
             raise InputError("topic inputs need a dominant group between the pair")
 
 
-# A suite is drawn from one Generator, and every draw stays as it is: same
-# method, same arguments (size= included), same order.  The stream fixes
-# every example, so every checkpoint trained on the suite; dropping even the
-# per-example seed draw in make_suite, whose value only names ad-hoc ids,
-# would change every checkpoint and re-roll acceptance criterion 6 (RGD vs
-# equal allocation), which is mostly noise.  Only the Python work around the
-# draws is cached or hoisted.
+# A suite reads PCG64's raw words, and _Sampler replays numpy 2.x Generator's
+# draws on them word for word.  numpy's compatibility policy (NEP 19) keeps a
+# bit generator's stream fixed but lets Generator methods change algorithm
+# between releases, so the replay keeps suites on the stream alone.  Each draw
+# keeps its kind, bounds and order, because together they fix every example
+# and so every checkpoint trained on the suite: dropping even the per-example
+# seed draw in make_suite, whose value only names ad-hoc ids, would change
+# every checkpoint and re-roll acceptance criterion 6 (RGD vs equal
+# allocation), which is mostly noise.  Only the Python work around the draws
+# is cached or hoisted.
+
+_LOW32 = 0xFFFFFFFF
+_BLOCK = 64     # words per random_raw call: amortizes the call, keeps few ints alive
+
+
+def _raw_words(bitgen: np.random.PCG64):
+    """PCG64's 64-bit outputs, in order."""
+    while True:
+        yield from bitgen.random_raw(_BLOCK).tolist()
+
+
+def _halves(words):
+    """The 32-bit outputs numpy takes from PCG64: a word's lower half, then
+    its upper half.  A whole word read from ``words`` while an upper half
+    waits is the word after, which is how PCG64 buffers its upper half."""
+    for word in words:
+        yield word & _LOW32
+        yield word >> 32
+
+
+class _Sampler:
+    """numpy 2.x ``Generator`` draws, replayed from ``PCG64(seed)``'s raw words.
+
+    Each method returns what the ``Generator`` method of the same name returns
+    for the same seed and call sequence, as Python ints and lists:
+    ``integers(low, high, size=None)`` for ``high - low <= 2**32``, ``random()``,
+    ``permutation(n)``, and ``choice(n, size)`` for ``replace=False``.
+    """
+
+    __slots__ = ("_word", "_uint32")
+
+    def __init__(self, seed: int):
+        words = _raw_words(np.random.PCG64(seed))
+        self._word = words.__next__
+        self._uint32 = _halves(words).__next__
+
+    def _below(self, n: int) -> int:
+        """Uniform in [0, n) by Lemire's 32-bit method; n == 1 reads no word."""
+        if n == 1:
+            return 0
+        m = self._uint32() * n
+        if (m & _LOW32) < n:
+            m = self._redraw(m, n)
+        return m >> 32
+
+    def _redraw(self, m: int, n: int) -> int:
+        """Lemire's rejection step: draw again while ``m`` falls in the biased part."""
+        threshold = (1 << 32) % n
+        while (m & _LOW32) < threshold:
+            m = self._uint32() * n
+        return m
+
+    def integers(self, low: int, high: int, size: int | None = None) -> int | list[int]:
+        n = high - low
+        if size is None:
+            return low + self._below(n)
+        if n == 1:
+            return [low] * size
+        uint32, out = self._uint32, []
+        for _ in range(size):           # _below, inlined: most of a suite's draws
+            m = uint32() * n
+            if (m & _LOW32) < n:
+                m = self._redraw(m, n)
+            out.append(low + (m >> 32))
+        return out
+
+    def random(self) -> float:
+        """A fresh 64-bit word, never the buffered half."""
+        return (self._word() >> 11) * (1.0 / 9007199254740992.0)
+
+    def permutation(self, n: int) -> list[int]:
+        """Fisher-Yates from the end, each index by masked rejection."""
+        out, uint32 = list(range(n)), self._uint32
+        for i in range(n - 1, 0, -1):
+            mask = (1 << i.bit_length()) - 1
+            j = uint32() & mask
+            while j > i:
+                j = uint32() & mask
+            out[i], out[j] = out[j], out[i]
+        return out
+
+    def choice(self, n: int, size: int) -> list[int]:
+        """Floyd's sample of ``size`` from range(n), then a Lemire shuffle of it."""
+        picks: list[int] = []
+        for j in range(n - size, n):
+            pick = self._below(j + 1)
+            picks.append(j if pick in picks else pick)
+        for i in range(size - 1, 0, -1):
+            j = self._below(i + 1)
+            picks[i], picks[j] = picks[j], picks[i]
+        return picks
+
 
 @functools.cache
 def _candidates(exclude: tuple[str, ...]) -> tuple[str, ...]:
@@ -225,28 +320,28 @@ def _candidates(exclude: tuple[str, ...]) -> tuple[str, ...]:
     return tuple(w for w in CONTENT_POOL if w not in exclude)
 
 
-def _draw(rng: np.random.Generator, n: int, candidates: tuple[str, ...]) -> list[str]:
-    return [candidates[i] for i in rng.integers(0, len(candidates), size=n).tolist()]
+def _draw(rng: _Sampler, n: int, candidates: tuple[str, ...]) -> list[str]:
+    return [candidates[i] for i in rng.integers(0, len(candidates), size=n)]
 
 
-def _sample_input(grammar: dict, rng: np.random.Generator) -> tuple[str, ...]:
+def _sample_input(grammar: dict, rng: _Sampler) -> tuple[str, ...]:
     family = grammar["family"]
     if family == "presence":
         marker = grammar["marker"]
         words = _draw(rng, INPUT_LEN, _candidates((marker,)))
         if rng.random() < 0.5:
-            words[int(rng.integers(0, INPUT_LEN))] = marker
+            words[rng.integers(0, INPUT_LEN)] = marker
         return tuple(words)
     if family == "position":
         marker = grammar["marker"]
         words = _draw(rng, INPUT_LEN, _candidates((marker,)))
-        words[int(rng.integers(0, INPUT_LEN))] = marker
+        words[rng.integers(0, INPUT_LEN)] = marker
         return tuple(words)
     if family == "parity":
         marker = grammar["marker"]
         words = _draw(rng, INPUT_LEN, _candidates((marker,)))
-        count = int(rng.integers(1, 3))
-        for slot in rng.choice(INPUT_LEN, size=count, replace=False).tolist():
+        count = rng.integers(1, 3)
+        for slot in rng.choice(INPUT_LEN, count):
             words[slot] = marker
         return tuple(words)
     if family == "relation":
@@ -257,13 +352,13 @@ def _sample_input(grammar: dict, rng: np.random.Generator) -> tuple[str, ...]:
         words[0], words[-1] = first, last
         return tuple(words)
     if family == "topic":
-        dominant = CONTENT_GROUPS[grammar["groups"][int(rng.integers(0, 2))]]
+        dominant = CONTENT_GROUPS[grammar["groups"][rng.integers(0, 2)]]
         words = _draw(rng, 4, dominant) + _draw(rng, 2, _candidates(dominant))
-        return tuple([words[i] for i in rng.permutation(INPUT_LEN).tolist()])
+        return tuple([words[i] for i in rng.permutation(INPUT_LEN)])
     raise ConfigError(f"unknown family {family!r}")
 
 
-def _build_specs(num_tasks: int, rng: np.random.Generator) -> tuple[TaskSpec, ...]:
+def _build_specs(num_tasks: int, rng: _Sampler) -> tuple[TaskSpec, ...]:
     marker_order = [CONTENT_POOL[i] for i in rng.permutation(len(CONTENT_POOL))]
     markers = iter(marker_order)
     family_markers: dict[str, tuple] = {}
@@ -352,7 +447,7 @@ def make_suite(num_tasks: int, train_per_task: int, eval_per_task: int, seed: in
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
 
-    rng = np.random.default_rng(seed)
+    rng = _Sampler(seed)
     specs = _build_specs(num_tasks, rng)
 
     splits = {"train": train_per_task, "eval": eval_per_task, "probe": probe_per_task}
@@ -373,7 +468,7 @@ def make_suite(num_tasks: int, train_per_task: int, eval_per_task: int, seed: in
                 seen.add(words)
                 ex_id = f"{spec.task_id}-{split}-{len(examples):04d}"
                 examples.append(render_example(
-                    spec, words, seed=int(rng.integers(0, 2**31)), ex_id=ex_id))
+                    spec, words, seed=rng.integers(0, 2**31), ex_id=ex_id))
             sets[split][spec.task_id] = tuple(examples)
 
     first = tuple(s.task_id for s in specs)
@@ -427,15 +522,15 @@ def make_warmup_corpus(n_examples: int, seed: int) -> tuple[Example, ...]:
     heads = [tuple(_WARMUP_PHRASE.split()) + (",", "hint", f, ",", "options")
              for f in GLOBAL_FEATURES]
     rationales = [tuple(f"{SCAFFOLD_BODY.format(feature=f)} .".split()) for f in GLOBAL_FEATURES]
-    rng = np.random.default_rng(seed)
+    rng = _Sampler(seed)
     examples = []
     for i in range(n_examples):
-        pick = int(rng.integers(0, 2))
-        first = lexicon[int(rng.integers(0, len(lexicon)))]
+        pick = rng.integers(0, 2)
+        first = lexicon[rng.integers(0, len(lexicon))]
         second = first
         while second == first:
-            second = lexicon[int(rng.integers(0, len(lexicon)))]
-        words = rng.integers(0, len(CONTENT_POOL), size=INPUT_LEN).tolist()
+            second = lexicon[rng.integers(0, len(lexicon))]
+        words = rng.integers(0, len(CONTENT_POOL), size=INPUT_LEN)
         if rng.random() < 0.5:
             instruction: tuple[str, ...] = ()
         else:

@@ -285,6 +285,8 @@ def test_checked_in_config_loads(path, tmp_path):
     ("strategies", "none", "strategies"),
     ("train.learning_rate", 0, "train: learning_rate"),
     ("rgd_eval_size", -4, "rgd_eval_size"),
+    ("warmup_examples", -1, "warmup_examples"),
+    ("max_gen_len", 0, "max_gen_len"),
     ("strategies", ["none", "none"], "each strategy may appear once"),
     ("run_seeds", [5, 5], "each run seed may appear once"),
     ("orders", [0, 0], "each order index may appear once"),
@@ -728,14 +730,18 @@ class TestCli:
          "expected one a0 row of 2 scores"),
         ("stage,a,b\na0,50.0,50.0\n1,50.0,\n2,40.0,60.0\na0,50.0,70.0\n",
          "expected one a0 row of 2 scores"),
-    ], ids=["repeated-task", "untrained-cell", "long-a0", "two-a0"])
+        ("stage,a,b\n1,50.0,\n2,40.0,60.0\na0,50.0\n",
+         "rows and a0 must have one entry per task"),
+        ("stage,a,b\n1,200.0,\n2,40.0,60.0\na0,50.0,50.0\n",
+         "performance 200.0 outside [0, 100]"),
+    ], ids=["repeated-task", "untrained-cell", "long-a0", "two-a0", "short-a0", "score-200"])
     def test_metrics_malformed_matrix_exits_one(self, tmp_path, capsys, text, named):
         path = tmp_path / "matrix.csv"
         path.write_text(text)
         assert cli.main(["metrics", "--matrix", str(path)]) == 1
         captured = capsys.readouterr()
         err = captured.err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ") and named in err[0], err
+        assert len(err) == 1 and err[0].startswith(f"error: {path}: ") and named in err[0], err
         assert captured.out == ""
 
     def test_metrics_non_utf8_exits_one(self, tmp_path, capsys):

@@ -1,12 +1,13 @@
 """Tests for the synthetic task suite and probing prompts."""
 
+import hashlib
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rgdlab import taskgen
+from rgdlab import driver, fileio, taskgen
 from rgdlab.errors import ConfigError, InputError
 from rgdlab.taskgen import (
     DEFAULT_TAP_TEMPLATE,
@@ -389,3 +390,123 @@ class TestReferenceEquivalence:
         with pytest.raises(ConfigError, match="standalone"):
             render_example(self.hand_spec(template), ("dog", "cat", "fox", "owl", "bee", "elk"),
                            seed=9)
+
+    def test_small_suites_match_reference_across_seeds(self):
+        for seed in range(200):
+            num_tasks = 2 + seed % 14
+            assert (make_suite(num_tasks, 3, 2, seed=seed, probe_per_task=2)
+                    == reference_suite(num_tasks, 3, 2, seed, 2)), seed
+            n_examples = 1 + seed % 40
+            assert (make_warmup_corpus(n_examples, seed)
+                    == reference_warmup_corpus(n_examples, seed)), seed
+
+
+def generator_draw(rng, method, args, size=None):
+    if method == "choice":
+        return rng.choice(*args, size=size, replace=False).tolist()
+    if method == "integers":
+        return np.asarray(rng.integers(*args, size=size)).tolist()
+    return np.asarray(getattr(rng, method)(*args)).tolist()
+
+
+def sampler_draw(sampler, method, args, size=None):
+    if method == "choice":
+        return sampler.choice(*args, size)
+    if method == "integers":
+        return sampler.integers(*args, size=size)
+    return getattr(sampler, method)(*args)
+
+
+class TestSampler:
+    """taskgen's sampler against numpy's Generator on the same seed, with the
+    draws interleaved in the same order: every value must be the same."""
+
+    SCRIPT = [
+        ("integers", (0, 6)),               # a fresh word's lower half; the upper waits
+        ("random", ()),                     # a fresh word, not the waiting half
+        ("integers", (0, 22), 6),
+        ("integers", (5, 6)),               # a range of one value reads no word
+        ("integers", (5, 6), 3),
+        ("permutation", (6,)),
+        ("random", ()),
+        ("choice", (6,), 2),
+        ("choice", (6,), 1),
+        ("choice", (4,), 4),                # Floyd's first pick, from range(1), reads no word
+        ("integers", (0, 2**31)),
+        ("integers", (0, 3 * 2**30), 64),   # Lemire rejects about a quarter of these
+        ("permutation", (33,)),             # masks to 63, so about half the first draws reject
+        ("integers", (1, 3)),
+        ("permutation", (1,)),
+        ("integers", (0, 2**32), 3),
+    ]
+
+    @staticmethod
+    def assert_same(seed, script):
+        rng, sampler = np.random.default_rng(seed), taskgen._Sampler(seed)
+        for step, (method, args, *size) in enumerate(script):
+            want = generator_draw(rng, method, args, *size)
+            assert sampler_draw(sampler, method, args, *size) == want, (seed, step, method)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 11, 104729, 3054673087, 2**63 + 5])
+    def test_interleaved_draws_match_generator(self, seed):
+        self.assert_same(seed, self.SCRIPT * 40)
+
+    def test_lemire_rejections_match_generator(self):
+        # 2**32 % (3 * 2**30) == 2**30: a quarter of the draws are redrawn
+        self.assert_same(5, [("integers", (0, 3 * 2**30), 1000), ("integers", (0, 3 * 2**30))] * 20)
+
+    def test_masked_rejection_in_permutation_matches_generator(self):
+        self.assert_same(5, [("permutation", (n,)) for n in (5, 6, 9, 17, 33, 65)] * 50)
+
+    def test_floyd_collisions_in_choice_match_generator(self):
+        # the second pick repeats the first in a sixth of the draws, and is then 5
+        self.assert_same(5, [("choice", (6,), 2)] * 600)
+
+    def test_suites_build_no_generator(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a numpy Generator was built")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        monkeypatch.setattr(np.random, "Generator", refuse)
+        make_suite(7, 5, 3, seed=2, probe_per_task=2)
+        make_warmup_corpus(50, seed=2)
+
+
+def examples_text(examples, tmp_path):
+    path = tmp_path / "examples.jsonl"
+    fileio.write_examples(examples, path)
+    return path.read_bytes()
+
+
+CONFIGS = Path(__file__).parent.parent / "configs"
+
+
+class TestPinnedContent:
+    """sha256 digests of the written examples, recorded when suites were
+    drawn from numpy's Generator: the suites every checkpoint trains on."""
+
+    @pytest.mark.parametrize("source, digest", [
+        ("harness5", "22a874cf5e690ec01e28adeb3b9995384691edfadb9bf0178c40f872cef162b1"),
+        ("harness8", "7ae44528b45cf03f69fc2cc0b46fc25c16bebcf72dd341efbbe8b4b023fe17c4"),
+        # perfbench's grid suite at --seed 1
+        ((5, 60, 30, 3054673087, 32),
+         "c5436f4483e68afca84277f62cc5ff57fb4dcbfaf454f293ec2f6a993911cdb7"),
+    ], ids=["harness5", "harness8", "perfbench-grid-seed1"])
+    def test_suite(self, source, digest, tmp_path):
+        if isinstance(source, str):         # a checked-in config
+            suite = fileio.load_experiment_config(CONFIGS / f"{source}.json",
+                                                  output_dir=tmp_path).make_suite()
+        else:                               # make_suite's arguments
+            suite = make_suite(*source)
+        h = hashlib.sha256()
+        for table in (suite.train, suite.eval, suite.probe):
+            h.update(examples_text([ex for spec in suite.specs for ex in table[spec.task_id]],
+                                   tmp_path))
+        h.update(repr(suite.orders).encode())
+        assert h.hexdigest() == digest
+
+    def test_harness_warmup_corpus(self, tmp_path):
+        seed = driver.derive_seed(11, driver._SALT_WARMUP)      # both harness suites use seed 11
+        text = examples_text(make_warmup_corpus(2000, seed), tmp_path)
+        assert (hashlib.sha256(text).hexdigest()
+                == "acda7360cb7b4523c9af7bf377d8e497a44cdbd8856b66099347d13980389f50")
