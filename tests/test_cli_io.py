@@ -285,8 +285,6 @@ def test_checked_in_config_loads(path, tmp_path):
     ("strategies", "none", "strategies"),
     ("train.learning_rate", 0, "train: learning_rate"),
     ("rgd_eval_size", -4, "rgd_eval_size"),
-    ("warmup_examples", -1, "warmup_examples"),
-    ("max_gen_len", 0, "max_gen_len"),
     ("strategies", ["none", "none"], "each strategy may appear once"),
     ("run_seeds", [5, 5], "each run seed may appear once"),
     ("orders", [0, 0], "each order index may appear once"),
@@ -297,6 +295,8 @@ def test_checked_in_config_loads(path, tmp_path):
     ("probes.top_forgotten", 0, "top_forgotten"),
     ("suite.seed", -3, "seed must be >= 0"),
     ("run_seeds", [-5], "run seeds must be >= 0"),
+    ("warmup_examples", -1, "warmup_examples"),
+    ("max_gen_len", 0, "max_gen_len"),
 ])
 def test_bad_config_value_exits_one(tmp_path, capsys, key, value, named):
     doc = good_config()
