@@ -91,7 +91,7 @@ def _cmd_run_seq(args) -> int:
     from . import pool    # here, as in driver.run_experiment: only a grid needs it
 
     cfg = fileio.load_experiment_config(args.config, output_dir=args.out)
-    pool.start(cfg.plan.threads)            # the workers start while the suite is made
+    pool.start(cfg.plan.workers)            # the workers start while the suite is made
     suite = cfg.make_suite()
     # The pool workers write the stage checkpoints (see driver.run_experiment).
     runs_dir = os.path.join(cfg.output_dir, "runs") if cfg.plan.keep_checkpoints else None

@@ -323,9 +323,9 @@ def most_forgotten_tasks(report: clmetrics.MetricsReport, top: int = DEFAULT_TOP
 class ExperimentPlan(RunSettings):
     """Grid of sequential runs plus baselines and optional probes.
 
-    ``threads`` is the number of worker processes that run the grid's units
-    (see ``run_experiment``); by default, the CPUs this process may use.
-    Results do not depend on it.  ``keep_checkpoints`` (the config key
+    ``threads`` is the most worker processes that run the grid's units (see
+    ``run_experiment``); by default, the CPUs this process may use.  Results
+    do not depend on it.  ``keep_checkpoints`` (the config key
     ``save_checkpoints``) has ``rgdlab run-seq`` hand ``run_experiment`` a
     directory to write the stage checkpoints to.
     """
@@ -369,6 +369,15 @@ class ExperimentPlan(RunSettings):
                               "final checkpoint of the no-replay run")
         for strategy in self.strategies:        # checks the shared settings too
             self.run_config(strategy, self.run_seeds[0], self.order_indices[0])
+
+    @property
+    def workers(self) -> int:
+        """``threads``, capped at the units that can run at once after the base
+        build: each (seed, order) group, each seed's two baselines, and the
+        probes of every group's ``none`` run."""
+        seeds, orders = len(self.run_seeds), len(self.order_indices)
+        probes = seeds * orders * self.top_forgotten if self.run_probes else 0
+        return min(self.threads, seeds * (orders + 2) + probes)
 
     def run_config(self, strategy: str, seed: int, order_index: int) -> RunConfig:
         shared = {f.name: getattr(self, f.name) for f in fields(RunSettings)}
@@ -468,7 +477,7 @@ def run_experiment(suite: taskgen.Suite, plan: ExperimentPlan,
                    runs_dir: str | None = None) -> ExperimentResult:
     """Baselines plus every (strategy, seed, order) run, optionally probed.
 
-    The grid's independent units run on ``plan.threads`` worker processes
+    The grid's independent units run on ``plan.workers`` worker processes
     (``rgdlab.pool``), each with one BLAS thread, and the results do not
     depend on the worker count.  The units are the base-model build; then
     the runs of each (seed, order), which share every stage whose replay
@@ -507,7 +516,7 @@ def run_experiment(suite: taskgen.Suite, plan: ExperimentPlan,
 
     from . import pool    # here: a process that runs no grid never loads the pool's modules
 
-    pool.run(plan.threads, [(build_base_model, (suite, plan), after_base)])
+    pool.run(plan.workers, [(build_base_model, (suite, plan), after_base)])
 
     runs = []
     for strategy in plan.strategies:

@@ -1,21 +1,18 @@
 """Worker processes that run the independent units of an experiment grid.
 
 A unit is one call ``fn(*args)`` of a module-level function.  Each worker is
-a fresh Python process started with one BLAS thread and one socket to the
-parent; it runs one unit at a time and keeps nothing between units but its
-imported modules.  The parent dispatches from its own thread (it starts no
-helper thread) and waits on every worker's socket at once.
-
-Messages are pickled with protocol 5 and carry their arrays as out-of-band
-buffers: a received array sits on the bytes read from the socket, with no
-second copy, and is read-only.  One message pickles all of a unit's result,
-so objects shared inside it (a stage checkpoint held by several runs) stay
-shared.
+a fresh Python process started with one BLAS thread and one
+``multiprocessing.connection`` pipe to the parent; it runs one unit at a
+time and keeps nothing between units but its imported modules.  The parent
+dispatches from its own thread (it starts no helper thread) and waits on
+every worker's connection at once.  A message is one pickled object, so a
+received array is an ordinary writable copy, and objects shared inside one
+unit's result (a stage checkpoint held by several runs) stay shared.
 
 The pool lives as long as the process.  ``run`` starts it on first use and
 again only when the worker count changes; a failure discards it, so the next
 call starts a fresh one.  Workers are stopped at exit, and a worker whose
-socket closes exits on its own.  A unit may write files (``_run_group``
+connection closes exits on its own.  A unit may write files (``_run_group``
 writes its stage checkpoints): a worker is stopped with SIGTERM, which
 unwinds the unit so that an atomic write removes its temporary file, and is
 killed only if it has not exited after ``_STOP_GRACE_S`` seconds.
@@ -25,15 +22,12 @@ from __future__ import annotations
 
 import atexit
 import os
-import pickle
-import selectors
 import signal
-import socket
-import struct
 import subprocess
 import sys
 import traceback
 import types
+from multiprocessing.connection import Connection, Pipe, wait
 
 from .errors import RgdLabError
 
@@ -46,40 +40,12 @@ _PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _STOP_GRACE_S = 5.0
 
 
-def _send(sock: socket.socket, message) -> None:
-    """Frame: the part count, each part's size, the pickle, then its buffers."""
-    buffers = []
-    head = pickle.dumps(message, protocol=5, buffer_callback=buffers.append)
-    parts = [memoryview(head), *(b.raw() for b in buffers)]
-    sock.sendall(struct.pack(f"<{len(parts) + 1}Q", len(parts), *(p.nbytes for p in parts)))
-    for part in parts:
-        sock.sendall(part)
-
-
-def _recv_exact(sock: socket.socket, size: int) -> bytearray:
-    data = bytearray(size)
-    view = memoryview(data)
-    while view:
-        got = sock.recv_into(view)
-        if not got:
-            raise EOFError
-        view = view[got:]
-    return data
-
-
-def _recv(sock: socket.socket):
-    (count,) = struct.unpack("<Q", _recv_exact(sock, 8))
-    sizes = struct.unpack(f"<{count}Q", _recv_exact(sock, 8 * count))
-    head, *buffers = (_recv_exact(sock, size) for size in sizes)
-    return pickle.loads(head, buffers=[memoryview(b).toreadonly() for b in buffers])
-
-
 def _exit_on_signal(signum, frame):
     raise SystemExit(128 + signum)        # unwinds the running unit, unlike SIG_DFL
 
 
 def serve(fd: int) -> None:
-    """Worker loop, until socket ``fd`` closes: run each unit received on it
+    """Worker loop, until connection ``fd`` closes: run each unit received on it
     and send back ``(True, value)`` for each of its values, then ``(False,
     None)`` when it ends or ``(False, (exception, traceback))`` when it fails."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)      # Ctrl-C is the parent's to handle
@@ -87,22 +53,19 @@ def serve(fd: int) -> None:
     # After the imports, which leave nothing to clean up: a worker stopped
     # while importing ends by the default action, not midway through numpy's.
     signal.signal(signal.SIGTERM, _exit_on_signal)
-    sock = socket.socket(fileno=fd)
+    conn = Connection(fd)
     try:
         while True:
-            try:
-                fn, args = _recv(sock)
-            except EOFError:
-                return
+            fn, args = conn.recv()
             try:
                 values = fn(*args)
                 for value in values if isinstance(values, types.GeneratorType) else (values,):
-                    _send(sock, (True, value))
+                    conn.send((True, value))
                 reply = (False, None)
             except Exception as err:                  # re-raised by the parent
                 reply = (False, (err, traceback.format_exc()))
-            _send(sock, reply)
-    except OSError:                                   # the parent is gone
+            conn.send(reply)
+    except (EOFError, OSError):                       # the parent is gone
         return
     finally:          # no unit to unwind: exiting Python must not see SystemExit
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
@@ -115,22 +78,25 @@ class _WorkerTraceback(Exception):
 class _Worker:
     def __init__(self, index: int):
         self.index = index
-        self.sock, theirs = socket.socketpair()
+        self.conn, theirs = Pipe()
         with theirs:
             self.proc = subprocess.Popen(
                 [sys.executable, "-c", _BOOT, _PACKAGE_ROOT, str(theirs.fileno())],
                 pass_fds=(theirs.fileno(),), stdin=subprocess.DEVNULL,
                 env={**os.environ, **_WORKER_ENV})
 
+    def fileno(self) -> int:            # so that ``wait`` takes and returns workers
+        return self.conn.fileno()
+
     def send(self, message) -> None:
         try:
-            _send(self.sock, message)
+            self.conn.send(message)
         except OSError:
             raise self._died() from None
 
     def recv(self):
         try:
-            return _recv(self.sock)
+            return self.conn.recv()
         except (EOFError, OSError):
             raise self._died() from None
 
@@ -141,11 +107,7 @@ class _Worker:
 
 class _Pool:
     def __init__(self, size: int):
-        self.size = size
         self.workers = [_Worker(i) for i in range(size)]
-        self.selector = selectors.DefaultSelector()
-        for worker in self.workers:
-            self.selector.register(worker.sock, selectors.EVENT_READ, worker)
 
     def run(self, units) -> None:
         queue = list(units)
@@ -157,8 +119,7 @@ class _Pool:
                 fn, args, then = queue.pop(0)
                 worker.send((fn, args))
                 busy[worker] = then
-            for key, _ in self.selector.select():     # an idle worker is ready only at EOF
-                worker = key.data
+            for worker in wait(self.workers):       # an idle worker is ready only at EOF
                 more, value = worker.recv()
                 if more:
                     queue[:0] = busy[worker](value) or ()
@@ -170,9 +131,8 @@ class _Pool:
                     raise error from _WorkerTraceback(text)
 
     def stop(self) -> None:
-        self.selector.close()
         for worker in self.workers:           # all at once, then wait for each
-            worker.sock.close()
+            worker.conn.close()
             worker.proc.terminate()
         for worker in self.workers:
             try:
@@ -188,7 +148,7 @@ _pool: _Pool | None = None
 def start(size: int) -> None:
     """Have ``size`` workers running, starting them if needed."""
     global _pool
-    if _pool is None or _pool.size != size:
+    if _pool is None or len(_pool.workers) != size:
         shutdown()
         _pool = _Pool(size)
 

@@ -616,7 +616,7 @@ def _decode_array(name: str, d: dict, shape: tuple) -> np.ndarray:
     if d["dtype"] != "float64" or d["shape"] != list(shape):
         raise ValueError(f"{name} is {d['dtype']!r} of shape {d['shape']}, but must be "
                          f"'float64' of shape {list(shape)}, as the vocab and dims give")
-    raw = base64.b64decode(d["data"])
+    raw = base64.b64decode(d.pop("data"))      # the string is freed as its array is made
     if len(raw) != 8 * math.prod(shape):
         raise ValueError(f"{name} has {len(raw)} data bytes, not {8 * math.prod(shape)}")
     return np.frombuffer(raw, dtype=np.float64).reshape(shape).copy()
@@ -628,9 +628,10 @@ def save_model(model: ModelState, path, *copies) -> None:
     The checkpoint is encoded once and written to ``path`` and to every
     path in ``copies``.
     """
-    # json lays out the document with each array's name in place of its
-    # base64 data, which is spliced in after: base64 needs no JSON escaping,
-    # and scanning it for escapes took most of the encoding time.
+    # json lays out the document with empty data, and each array's base64 is
+    # spliced in after, in one join: base64 needs no JSON escaping, and
+    # scanning it for escapes took most of the encoding time.  A JSON string
+    # escapes its quotes, so '"data": "' occurs only where json wrote a key.
     params = dict(model.params())
     doc = {
         "format": CHECKPOINT_FORMAT,
@@ -639,13 +640,15 @@ def save_model(model: ModelState, path, *copies) -> None:
         "embed_dim": model.embed_dim,
         "hidden_dim": model.hidden_dim,
         "rng_seed": model.rng_seed,
-        "params": {name: {"shape": list(p.shape), "dtype": "float64", "data": name}
+        "params": {name: {"shape": list(p.shape), "dtype": "float64", "data": ""}
                    for name, p in params.items()},
     }
-    text = artifacts.json_text(doc, sort_keys=True)
-    for name, p in params.items():
-        data = base64.b64encode(np.ascontiguousarray(p, dtype=np.float64)).decode("ascii")
-        text = text.replace(f'"data": "{name}"', f'"data": "{data}"', 1)
+    head, *tails = artifacts.json_text(doc, sort_keys=True).split('"data": "')
+    chunks = [head]
+    for name, tail in zip(sorted(params), tails):       # the arrays in document order
+        data = base64.b64encode(np.ascontiguousarray(params[name], dtype=np.float64))
+        chunks += ['"data": "', data.decode("ascii"), tail]
+    text = "".join(chunks)
     for target in (path, *copies):
         artifacts.write_text(target, text)
 

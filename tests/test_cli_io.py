@@ -609,13 +609,13 @@ class TestCli:
         cfg_path.write_text(json.dumps({**config, "run_probes": True}))
         out = run_dir / "probed"
         sent = []
-        send = pool._send
+        send = pool._Worker.send
 
-        def recording_units(sock, message):
+        def recording_units(worker, message):
             sent.append(message)
-            send(sock, message)
+            send(worker, message)
 
-        monkeypatch.setattr(pool, "_send", recording_units)
+        monkeypatch.setattr(pool._Worker, "send", recording_units)
         assert cli.main(["run-seq", "--config", str(cfg_path), "--out", str(out)]) == 0
         partial = (out / "probe_partial.csv").read_text().splitlines()
         tap = (out / "probe_tap.csv").read_text().splitlines()

@@ -380,13 +380,13 @@ def _checkpoint_files(runs_dir, record):
 def _counting_units(monkeypatch):
     """Names of the unit functions the parent sends to its pool workers."""
     sent = []
-    original = pool._send
+    original = pool._Worker.send
 
-    def counting(sock, message):
+    def counting(worker, message):
         sent.append(message[0].__name__)
-        original(sock, message)
+        original(worker, message)
 
-    monkeypatch.setattr(pool, "_send", counting)
+    monkeypatch.setattr(pool._Worker, "send", counting)
     return sent
 
 

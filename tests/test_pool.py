@@ -5,14 +5,16 @@ import json
 import operator
 import os
 import re
+import signal
 import subprocess
 import sys
 import time
+import types
 from pathlib import Path
 
 import pytest
 
-from rgdlab import driver, pool, taskgen, tinylm
+from rgdlab import cli, driver, pool, taskgen, tinylm
 from rgdlab.errors import ConfigError
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -147,3 +149,64 @@ print(len(result.runs), len(result.probes), *(w.proc.pid for w in pool._pool.wor
     runs, probes, *pids = map(int, proc.stdout.split())
     assert (runs, probes, len(pids)) == (2, 1, 2)
     assert _gone(pids)                          # stopped when the script ended
+
+
+def test_workers_exit_when_their_parent_is_killed():
+    """A parent killed with SIGKILL runs no ``atexit``: its workers end at the
+    end of their input."""
+    script = f"""
+import os, signal, sys
+sys.path.insert(0, {str(SRC)!r})
+from rgdlab import pool
+pool.start(2)
+print(*(worker.proc.pid for worker in pool._pool.workers), flush=True)
+os.kill(os.getpid(), signal.SIGKILL)
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == -signal.SIGKILL, proc.stderr
+    pids = [int(pid) for pid in proc.stdout.split()]
+    assert len(pids) == 2 and _gone(pids)
+
+
+def test_workers_are_capped_at_the_units_the_grid_can_run_at_once(tmp_path, monkeypatch):
+    """``threads`` 10**6 starts S·(O+2) + S·O·top_forgotten workers (here
+    1·4 + 1·2·1), once for ``run-seq``'s early start and its grid, and
+    ``config.json`` keeps the value given.  The pool is a fake that starts no
+    process: it runs every unit here, one at a time."""
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, size):
+            sizes.append(size)
+            assert size <= 6, f"asked for {size} workers"
+            self.workers = [None] * size
+
+        def run(self, units):
+            queue = list(units)
+            while queue:
+                fn, args, then = queue.pop(0)
+                values = fn(*args)
+                for value in values if isinstance(values, types.GeneratorType) else (values,):
+                    queue[:0] = then(value) or ()
+
+        def stop(self):
+            pass
+
+    monkeypatch.setattr(pool, "_Pool", InlinePool)
+    monkeypatch.setattr(pool, "_pool", None)
+    config = {
+        "suite": {"num_tasks": 2, "train_per_task": 12, "eval_per_task": 4,
+                  "probe_per_task": 4, "seed": 3},
+        "warmup_examples": 40, "strategies": ["none", "equal"], "run_seeds": [1],
+        "orders": [0, 1], "run_probes": True, "threads": 10**6,
+        "probes": {"k_grid": [0.0, 1.0], "demo_counts": [1], "demo_draws": 1,
+                   "top_forgotten": 1},
+        "output_dir": str(tmp_path / "out"),
+    }
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    assert cli.main(["run-seq", "--config", str(cfg_path)]) == 0
+    assert sizes == [6]
+    snapshot = json.loads((tmp_path / "out" / "config.json").read_text())
+    assert snapshot["given"]["threads"] == snapshot["resolved"]["threads"] == 10**6

@@ -820,7 +820,8 @@ class TestCheckpoint:
     def test_bytes_are_the_json_of_the_whole_document(self, tmp_path):
         """Splicing in the base64 data gives the bytes ``json`` gives the
         document with the data in it, vocab escapes included."""
-        vocab = Vocab(tokens=tinylm.RESERVED + ('say "hi"', "café", "data", "embed"))
+        vocab = Vocab(tokens=tinylm.RESERVED + ('say "hi"', "café", "data", "embed",
+                                                '"data": "', 'w_out": "data": "'))
         m = init_model(vocab, 3, 5, 7, seed=42)
         doc = {"format": tinylm.CHECKPOINT_FORMAT, "vocab": list(vocab.tokens),
                "context_len": 3, "embed_dim": 5, "hidden_dim": 7, "rng_seed": 42,
