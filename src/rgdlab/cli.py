@@ -174,21 +174,20 @@ def _parse_kv(flag: str, text: str, convert) -> dict:
     return out
 
 
-# The flag that carries each allocation strategy's input.
-_ALLOCATE_INPUT = {"equal": "--tasks", "rgd": "--scores", "inscl": "--distances"}
+# Each allocation strategy: the flag that carries its input, its parser, the allocator.
+_ALLOCATE = {
+    "equal": ("--tasks", lambda flag, text: text.split(","), replay.allocate_equal),
+    "rgd": ("--scores", functools.partial(_parse_kv, convert=float), replay.allocate_rgd),
+    "inscl": ("--distances", functools.partial(_parse_kv, convert=float), replay.allocate_inscl),
+}
 
 
 def _cmd_allocate(args) -> int:
-    flag = _ALLOCATE_INPUT[args.strategy]
+    flag, parse, allocate = _ALLOCATE[args.strategy]
     text = getattr(args, flag[2:])
     if not text:
         raise InputError(f"{args.strategy} allocation needs {flag}")
-    if args.strategy == "equal":
-        plan = replay.allocate_equal(text.split(","), args.alpha)
-    elif args.strategy == "rgd":
-        plan = replay.allocate_rgd(_parse_kv(flag, text, float), args.alpha)
-    else:
-        plan = replay.allocate_inscl(_parse_kv(flag, text, float), args.alpha)
+    plan = allocate(parse(flag, text), args.alpha)
     if args.pools:
         plan = replay.fit_to_pools(plan, _parse_kv("--pools", args.pools, int))
     doc = fileio.plan_doc(plan)
@@ -258,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_score_rgd)
 
     p = subcommand("allocate", help="compute a replay allocation plan")
-    p.add_argument("--strategy", choices=tuple(_ALLOCATE_INPUT), required=True)
+    p.add_argument("--strategy", choices=tuple(_ALLOCATE), required=True)
     p.add_argument("--alpha", type=int, required=True)
     p.add_argument("--tasks", default=None, help="comma-separated ids (equal)")
     p.add_argument("--scores", default=None, help="task=score,... (rgd)")

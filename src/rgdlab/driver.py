@@ -28,8 +28,6 @@ import numpy as np
 from . import clmetrics, rgd, replay, taskgen, tinylm
 from .errors import ConfigError, InputError
 
-STRATEGIES = ("none", "equal", "inscl", "rgd-mean")
-
 DEFAULT_K_GRID = (0.0, 0.1, 0.2, 0.4, 0.6, 0.8, 1.0)
 DEFAULT_DEMO_COUNTS = (1, 2, 4, 8)
 DEFAULT_DEMO_DRAWS = 3
@@ -76,8 +74,8 @@ class RunSettings:
     max_gen_len: int = 18
 
     def __post_init__(self):
-        if self.replay_budget is not None and self.replay_budget < 0:
-            raise ConfigError("replay_budget must be nonnegative")
+        if self.replay_budget is not None and not 0 <= self.replay_budget <= replay.MAX_BUDGET:
+            raise ConfigError(f"replay_budget must be in [0, {replay.MAX_BUDGET}]")
         if not 0 <= self.replay_fraction <= 1:
             raise ConfigError("replay_fraction must be in [0, 1]")
         if self.rgd_eval_size < 0:
@@ -168,24 +166,38 @@ def score_task_rgd(model: tinylm.ModelState, examples, limit: int | None = None)
     return rgd.task_rgd(rgd.rgd_records(model, chosen))
 
 
-def _stage_plan(cfg: RunConfig, suite: taskgen.Suite, order, stage: int,
-                prev_summaries: dict[str, rgd.RgdSummary]) -> replay.AllocationPlan:
-    prev = list(order[:stage])
-    if cfg.replay_budget is not None:
-        alpha = cfg.replay_budget
-    else:
-        alpha = round(cfg.replay_fraction * sum(len(suite.train[t]) for t in prev))
-    if cfg.strategy == "equal":
-        plan = replay.allocate_equal(prev, alpha)
-    elif cfg.strategy == "inscl":
-        current = [ex.instruction for ex in suite.train[order[stage]]]
-        distances = {t: replay.instruction_distance(
-            [ex.instruction for ex in suite.train[t]], current) for t in prev}
-        plan = replay.allocate_inscl(distances, alpha)
-    else:
-        scores = {t: rgd.summary_scalar(prev_summaries[t]) for t in prev}
-        plan = replay.allocate_rgd(scores, alpha)
-    return replay.fit_to_pools(plan, {t: len(suite.train[t]) for t in prev})
+@dataclass(frozen=True)
+class PlanInputs:
+    """What a replay strategy reads to plan stage ``stage`` of ``order``."""
+
+    suite: taskgen.Suite
+    order: tuple[str, ...]
+    stage: int                                  # the previous tasks are order[:stage]
+    summaries: dict[str, rgd.RgdSummary]        # theirs, under the stage i-1 checkpoint
+
+
+def _inscl(inputs: PlanInputs, alpha: int) -> replay.AllocationPlan:
+    train, order, stage = inputs.suite.train, inputs.order, inputs.stage
+    current = [ex.instruction for ex in train[order[stage]]]
+    return replay.allocate_inscl({t: replay.instruction_distance(
+        [ex.instruction for ex in train[t]], current) for t in order[:stage]}, alpha)
+
+
+# Each replay strategy's allocator; a new one also needs a fileio.REPORT_STRATEGY_LABELS label.
+ALLOCATORS = {
+    "equal": lambda inputs, alpha: replay.allocate_equal(inputs.order[:inputs.stage], alpha),
+    "inscl": _inscl,
+    "rgd-mean": lambda inputs, alpha: replay.allocate_rgd(
+        {t: rgd.summary_scalar(s) for t, s in inputs.summaries.items()}, alpha),
+}
+STRATEGIES = ("none", *ALLOCATORS)
+
+
+def _stage_plan(cfg: RunConfig, inputs: PlanInputs) -> replay.AllocationPlan:
+    pools = {t: len(inputs.suite.train[t]) for t in inputs.order[:inputs.stage]}
+    alpha = (cfg.replay_budget if cfg.replay_budget is not None
+             else round(cfg.replay_fraction * sum(pools.values())))
+    return replay.fit_to_pools(ALLOCATORS[cfg.strategy](inputs, alpha), pools)
 
 
 def _run_stage(suite: taskgen.Suite, cfg: RunConfig, order, stage: int,
@@ -233,9 +245,8 @@ def run_sequence(suite: taskgen.Suite, cfg: RunConfig, a0: dict[str, float],
     prev_summaries: dict[str, rgd.RgdSummary] = {}
 
     for stage in range(len(order)):
-        plan = None
-        if stage > 0 and cfg.strategy != "none":
-            plan = _stage_plan(cfg, suite, order, stage, prev_summaries)
+        plan = (_stage_plan(cfg, PlanInputs(suite, order, stage, prev_summaries))
+                if stage > 0 and cfg.strategy in ALLOCATORS else None)
         plans.append(plan)
         counts = tuple(plan.counts[t] if plan else 0 for t in order[:stage])
         key += (counts,)
@@ -330,7 +341,7 @@ class ExperimentPlan(RunSettings):
     directory to write the stage checkpoints to.
     """
 
-    strategies: tuple[str, ...] = ("none", "equal", "inscl", "rgd-mean")
+    strategies: tuple[str, ...] = STRATEGIES
     run_seeds: tuple[int, ...]
     order_indices: tuple[int, ...] = (0, 1)
     run_probes: bool = False

@@ -20,6 +20,11 @@ import numpy as np
 from .errors import ConfigError, InputError
 
 
+# The largest replay budget: far above any corpus, and small enough that the
+# float shares of largest-remainder rounding floor to counts that sum exactly.
+MAX_BUDGET = 2**31
+
+
 @dataclass(frozen=True)
 class AllocationPlan:
     budget: int
@@ -42,6 +47,11 @@ def largest_remainder(weights, total: int) -> list[int]:
     if s <= 0:
         raise InputError("at least one weight must be positive")
     shares = [total * w / s for w in weights]
+    if not all(map(math.isfinite, [s, *shares])):     # overflow: use weights over their max
+        top = max(weights)
+        weights = [w / top for w in weights]
+        s = sum(weights)
+        shares = [total * w / s for w in weights]
     base = [math.floor(x) for x in shares]
     leftover = total - sum(base)
     by_fraction = sorted(range(len(weights)), key=lambda i: (base[i] - shares[i], i))
@@ -54,6 +64,8 @@ def _apportion(strategy: str, weights: dict[str, float], alpha: int) -> Allocati
     """The plan that splits budget ``alpha`` over the tasks in proportion to ``weights``."""
     if alpha < 0:
         raise ConfigError("budget must be nonnegative")
+    if alpha > MAX_BUDGET:
+        raise ConfigError(f"budget must be at most {MAX_BUDGET}")
     counts = largest_remainder(weights.values(), alpha)
     return AllocationPlan(budget=alpha, strategy=strategy,
                           counts=dict(zip(weights, counts)), weights=weights)

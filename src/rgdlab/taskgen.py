@@ -58,7 +58,6 @@ CONTENT_GROUPS = {
     "foods": ("bread", "corn", "rice", "plum", "kale", "oat"),
 }
 CONTENT_POOL = tuple(w for group in CONTENT_GROUPS.values() for w in group)
-GROUP_NAMES = tuple(CONTENT_GROUPS)
 _CONTENT_SET = frozenset(CONTENT_POOL)
 _GROUP_SETS = {name: frozenset(group) for name, group in CONTENT_GROUPS.items()}
 

@@ -195,8 +195,8 @@ class TrainSettings:
     shuffle: bool = True
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:      # NaN fails too
+            raise ConfigError("learning_rate must be positive and finite")
         if self.epochs < 0:
             raise ConfigError("epochs must be nonnegative")
         if self.batch_size <= 0:

@@ -248,6 +248,14 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match="run_seeds"):
             fileio.experiment_config_from_dict(doc)
 
+    @pytest.mark.parametrize("group", ["train", "warmup"])
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    def test_non_finite_learning_rate_rejected(self, group, rate):
+        # Python's json reads NaN and Infinity in a config file.
+        doc = json.loads(json.dumps({**good_config(), group: {"learning_rate": rate}}))
+        with pytest.raises(ConfigError, match=f"{group}: learning_rate"):
+            fileio.experiment_config_from_dict(doc)
+
     def test_orders_validation(self):
         doc = good_config()
         doc["orders"] = [0]
@@ -297,6 +305,7 @@ def test_checked_in_config_loads(path, tmp_path):
     ("run_seeds", [-5], "run seeds must be >= 0"),
     ("warmup_examples", -1, "warmup_examples"),
     ("max_gen_len", 0, "max_gen_len"),
+    ("replay.budget", 2**31 + 1, "replay_budget"),
 ])
 def test_bad_config_value_exits_one(tmp_path, capsys, key, value, named):
     doc = good_config()
@@ -708,10 +717,14 @@ class TestCli:
         (["--strategy", "rgd", "--scores", "=1,b=1"], "--scores: empty task id in '=1'"),
         (["--strategy", "rgd", "--scores", "a=1", "--pools", "a=1,a=2"],
          "--pools: task 'a' is given twice"),
+        # the last --alpha given wins
+        (["--strategy", "equal", "--tasks", "a,b", "--alpha", str(10**400)],
+         f"budget must be at most {replay.MAX_BUDGET}"),
     ], ids=["score-not-a-number", "score-without-value", "pool-not-a-number",
             "pool-not-an-integer", "rgd-without-scores", "inscl-without-distances",
             "equal-without-tasks", "nan-score", "inf-distance", "repeated-task",
-            "empty-task", "repeated-score", "empty-score-task", "repeated-pool"])
+            "empty-task", "repeated-score", "empty-score-task", "repeated-pool",
+            "budget-above-the-bound"])
     def test_allocate_bad_input_exits_one(self, tmp_path, capsys, argv, named):
         out_file = tmp_path / "plan.json"
         assert cli.main(["allocate", "--alpha", "5", *argv, "--out-file", str(out_file)]) == 1
@@ -752,6 +765,16 @@ class TestCli:
         assert cli.main(["metrics", "--matrix", str(path)]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and "latin1.csv" in err[0], err
+
+    def test_allocate_huge_score(self, capsys):
+        assert cli.main(["allocate", "--strategy", "rgd", "--alpha", "3",
+                         "--scores", "a=1e308"]) == 0
+        assert json.loads(capsys.readouterr().out)["counts"] == {"a": 3}
+
+    def test_allocate_strategies_are_the_table(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["allocate", "--help"])
+        assert "--strategy {%s}" % ",".join(cli._ALLOCATE) in capsys.readouterr().out
 
     def test_allocate_with_pools(self, capsys):
         rc = cli.main(["allocate", "--strategy", "rgd", "--alpha", "10",

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rgdlab import driver, pool, rgd, taskgen, tinylm
+from rgdlab import driver, fileio, pool, rgd, taskgen, tinylm
 from rgdlab.errors import ConfigError, InputError
 
 TINY_TRAIN = driver.TrainSettings(learning_rate=0.15, epochs=3, batch_size=16)
@@ -61,6 +61,15 @@ class TestRunConfig:
     def test_fraction_bounds(self):
         with pytest.raises(ConfigError):
             tiny_cfg(replay_fraction=1.5)
+
+
+class TestStrategyTable:
+    def test_every_strategy_has_a_report_label(self):
+        assert set(driver.STRATEGIES) <= set(fileio.REPORT_STRATEGY_LABELS)
+
+    def test_grids_run_every_strategy_by_default(self):
+        assert driver.ExperimentPlan(run_seeds=(1,)).strategies == driver.STRATEGIES
+        assert driver.STRATEGIES == ("none", *driver.ALLOCATORS)
 
 
 class TestRunSequence:
@@ -295,7 +304,7 @@ class TestInsclPlans:
         suite = taskgen.make_suite(5, 60, 5, seed=3, probe_per_task=4)
         cfg = driver.RunConfig(strategy="inscl", run_seed=7, replay_budget=10)
         order = suite.orders[0]
-        print(json.dumps([driver._stage_plan(cfg, suite, order, stage, {}).counts
+        print(json.dumps([driver._stage_plan(cfg, driver.PlanInputs(suite, order, stage, {})).counts
                           for stage in range(1, len(order))]))
         """)
 
@@ -403,7 +412,7 @@ def _counting_train(monkeypatch):
 
 
 class TestSharedStages:
-    STRATEGIES = ("none", "equal", "inscl", "rgd-mean")
+    STRATEGIES = driver.STRATEGIES
 
     def plan(self, **kw):
         """A grid whose replay strategies allocate alike."""

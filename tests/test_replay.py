@@ -7,6 +7,7 @@ import pytest
 
 from rgdlab.errors import ConfigError, InputError
 from rgdlab.replay import (
+    MAX_BUDGET,
     allocate_equal,
     allocate_inscl,
     allocate_rgd,
@@ -36,6 +37,11 @@ class TestAllocateEqual:
     def test_negative_budget_rejected(self):
         with pytest.raises(ConfigError):
             allocate_equal(["a"], -1)
+
+    def test_budget_above_the_bound_rejected(self):
+        assert sum(allocate_equal(["a", "b"], MAX_BUDGET).counts.values()) == MAX_BUDGET
+        with pytest.raises(ConfigError, match="at most"):
+            allocate_equal(["a", "b"], MAX_BUDGET + 1)
 
     def test_matches_floor_split_formula(self):
         # reference: the floor split, with the remainder to the earliest tasks
@@ -249,3 +255,18 @@ class TestLargestRemainder:
     def test_non_finite_weights_rejected(self, bad):
         with pytest.raises(InputError, match="finite"):
             largest_remainder([1.0, bad], 5)
+
+    @pytest.mark.parametrize("weights, counts", [
+        ([1e308, 1e308], [2, 1]),          # the sum overflows
+        ([1e308, 1.0], [3, 0]),            # a share overflows
+    ])
+    def test_huge_weights_apportion_by_their_ratios(self, weights, counts):
+        assert largest_remainder(weights, 3) == counts
+
+    def test_counts_sum_to_any_total_up_to_the_bound(self):
+        rng = np.random.default_rng(20261020)
+        for _ in range(3000):
+            weights = rng.random(int(rng.integers(1, 12))) * 10.0 ** rng.integers(-3, 4)
+            total = int(rng.integers(0, MAX_BUDGET, endpoint=True))
+            counts = largest_remainder(weights, total)
+            assert sum(counts) == total and min(counts) >= 0
