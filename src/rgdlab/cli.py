@@ -287,6 +287,9 @@ def main(argv=None) -> int:
     except (RgdLabError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    except MemoryError as err:              # e.g. model dims too large to allocate
+        print(f"error: out of memory: {err}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -32,6 +32,7 @@ DEFAULT_K_GRID = (0.0, 0.1, 0.2, 0.4, 0.6, 0.8, 1.0)
 DEFAULT_DEMO_COUNTS = (1, 2, 4, 8)
 DEFAULT_DEMO_DRAWS = 3
 DEFAULT_TOP_FORGOTTEN = 3
+MAX_GEN_LEN = 18            # tokens greedy decoding may add to any scored prompt
 
 # Salts for deriving per-purpose seeds from the run seed.
 _SALT_INIT = 101
@@ -52,26 +53,18 @@ def derive_seed(*parts: int) -> int:
 TrainSettings = tinylm.TrainSettings      # config files and callers name it here
 
 
-@dataclass(frozen=True)
-class ModelDims:
-    context_len: int = 28
-    embed_dim: int = 12
-    hidden_dim: int = 128
-
-
 @dataclass(frozen=True, kw_only=True)
 class RunSettings:
     """Settings every run of a grid shares; the grid adds strategy, seed and order."""
 
-    dims: ModelDims = field(default_factory=ModelDims)
+    dims: tinylm.ModelDims = field(default_factory=tinylm.ModelDims)
     train: TrainSettings = field(default_factory=TrainSettings)
     warmup: TrainSettings = field(default_factory=lambda: TrainSettings(
         learning_rate=0.25, epochs=25, batch_size=32))
-    warmup_examples: int = 2000               # 0 disables the base-skills phase
+    warmup_examples: int = 2000               # size of the base-skills warmup corpus
     replay_budget: int | None = None          # absolute per-stage budget
     replay_fraction: float = 0.05             # of cumulative previous train data
     rgd_eval_size: int = 32                   # probe examples scored per task and stage; 0: all
-    max_gen_len: int = 18
 
     def __post_init__(self):
         if self.replay_budget is not None and not 0 <= self.replay_budget <= replay.MAX_BUDGET:
@@ -80,10 +73,8 @@ class RunSettings:
             raise ConfigError("replay_fraction must be in [0, 1]")
         if self.rgd_eval_size < 0:
             raise ConfigError("rgd_eval_size must be nonnegative (0 scores the whole probe slice)")
-        if self.warmup_examples < 0:
-            raise ConfigError("warmup_examples must be nonnegative (0 disables the warmup)")
-        if self.max_gen_len < 1:
-            raise ConfigError("max_gen_len must be >= 1")
+        if self.warmup_examples < 1:
+            raise ConfigError("warmup_examples must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -115,17 +106,15 @@ def build_base_model(suite: taskgen.Suite, settings: RunSettings) -> tinylm.Mode
     Both the warmup corpus and its training seeds derive from the suite
     seed, so every run over a suite starts from one shared checkpoint — the
     analogue of fine-tuning runs all starting from the same pretrained
-    model.  With warmup_examples=0 this is just a seeded init.
+    model.  Nothing here binds the warmup corpus, so ``_train`` can free it.
     """
     vocab = tinylm.Vocab.build(taskgen.suite_tokens(suite))
     dims = settings.dims
     model = tinylm.init_model(vocab, dims.context_len, dims.embed_dim, dims.hidden_dim,
                               seed=derive_seed(suite.seed, _SALT_INIT))
-    if settings.warmup_examples == 0:
-        return model
-    warmup = taskgen.make_warmup_corpus(
-        settings.warmup_examples, seed=derive_seed(suite.seed, _SALT_WARMUP))
-    model, _ = _train(model, warmup, settings.warmup, derive_seed(suite.seed, _SALT_WARMUP, 1))
+    model, _ = _train(model, taskgen.make_warmup_corpus(
+        settings.warmup_examples, seed=derive_seed(suite.seed, _SALT_WARMUP)),
+        settings.warmup, derive_seed(suite.seed, _SALT_WARMUP, 1))
     return model
 
 
@@ -140,24 +129,25 @@ def _train(model: tinylm.ModelState, examples, settings: TrainSettings, seed: in
     """``tinylm.train`` on the teacher-forcing pairs of ``examples``: the one
     place a training phase's settings and seed become a ``TrainConfig``."""
     corpus = [training_pair(model.vocab, ex) for ex in examples]
+    del examples            # a corpus that only this call holds is freed before training
     return tinylm.train(model, corpus, tinylm.TrainConfig(**vars(settings), seed=seed))
 
 
-def _decoded_accuracy(model: tinylm.ModelState, prompts, examples, max_gen_len: int) -> float:
+def _decoded_accuracy(model: tinylm.ModelState, prompts, examples) -> float:
     """Greedy-decode each token prompt and score the answers against ``examples``."""
     vocab = model.vocab
-    outputs = tinylm.generate_batch(model, [vocab.encode(p) for p in prompts], max_gen_len)
+    outputs = tinylm.generate_batch(model, [vocab.encode(p) for p in prompts], MAX_GEN_LEN)
     return clmetrics.answer_accuracy([vocab.decode(ids) for ids in outputs],
                                      [ex.answer for ex in examples])
 
 
-def evaluate_accuracy(model: tinylm.ModelState, examples, max_gen_len: int = 18) -> float:
+def evaluate_accuracy(model: tinylm.ModelState, examples) -> float:
     """Greedy-decode each instruction and score the parsed answers."""
     examples = list(examples)
     if not examples:
         raise InputError("no examples to evaluate")
     return _decoded_accuracy(model, [taskgen.render_prompt(ex.instruction) for ex in examples],
-                             examples, max_gen_len)
+                             examples)
 
 
 def score_task_rgd(model: tinylm.ModelState, examples, limit: int | None = None) -> rgd.RgdSummary:
@@ -211,8 +201,7 @@ def _run_stage(suite: taskgen.Suite, cfg: RunConfig, order, stage: int,
     model, _ = _train(model, examples, cfg.train, derive_seed(cfg.run_seed, _SALT_STAGE, stage))
     for _, param in model.params():         # the checkpoint may be shared between runs
         param.setflags(write=False)
-    row = tuple(evaluate_accuracy(model, suite.eval[order[j]], cfg.max_gen_len)
-                for j in range(stage + 1))
+    row = tuple(evaluate_accuracy(model, suite.eval[order[j]]) for j in range(stage + 1))
     summary = {order[j]: score_task_rgd(model, suite.probe[order[j]], cfg.rgd_eval_size)
                for j in range(stage + 1)}
     return model, row, summary
@@ -270,8 +259,7 @@ def run_single_baselines(suite: taskgen.Suite, settings: RunSettings, run_seed: 
     for i, spec in enumerate(suite.specs):
         model, _ = _train(base_model, suite.train[spec.task_id], settings.train,
                           derive_seed(run_seed, _SALT_SINGLE, i))
-        out[spec.task_id] = evaluate_accuracy(model, suite.eval[spec.task_id],
-                                              settings.max_gen_len)
+        out[spec.task_id] = evaluate_accuracy(model, suite.eval[spec.task_id])
     return out
 
 
@@ -280,12 +268,12 @@ def run_multitask(suite: taskgen.Suite, settings: RunSettings, run_seed: int,
     """Per-task score of one model trained on the union of all train sets."""
     examples = [ex for spec in suite.specs for ex in suite.train[spec.task_id]]
     model, _ = _train(base_model, examples, settings.train, derive_seed(run_seed, _SALT_MULTI))
-    return {spec.task_id: evaluate_accuracy(model, suite.eval[spec.task_id], settings.max_gen_len)
+    return {spec.task_id: evaluate_accuracy(model, suite.eval[spec.task_id])
             for spec in suite.specs}
 
 
-def probe_partial_rationale(model: tinylm.ModelState, examples, k_grid=DEFAULT_K_GRID,
-                            max_gen_len: int = 18) -> list[tuple[float, float]]:
+def probe_partial_rationale(model: tinylm.ModelState, examples,
+                            k_grid=DEFAULT_K_GRID) -> list[tuple[float, float]]:
     """Accuracy with the first k fraction of the gold rationale appended."""
     examples = list(examples)
     if not examples:
@@ -294,13 +282,13 @@ def probe_partial_rationale(model: tinylm.ModelState, examples, k_grid=DEFAULT_K
     for k in k_grid:
         prompts = [taskgen.render_prompt(taskgen.partial_rationale_prompt(ex, k))
                    for ex in examples]
-        results.append((float(k), _decoded_accuracy(model, prompts, examples, max_gen_len)))
+        results.append((float(k), _decoded_accuracy(model, prompts, examples)))
     return results
 
 
 def probe_tap(model: tinylm.ModelState, examples, demo_pool,
               demo_counts=DEFAULT_DEMO_COUNTS, draws: int = DEFAULT_DEMO_DRAWS,
-              seed: int = 0, max_gen_len: int = 18) -> list[tuple[int, int, float]]:
+              seed: int = 0) -> list[tuple[int, int, float]]:
     """Accuracy over demo counts and seeded demo draws: (count, draw, accuracy).
 
     Every arm goes through ``taskgen.render_prompt``.  The first arm,
@@ -314,14 +302,14 @@ def probe_tap(model: tinylm.ModelState, examples, demo_pool,
     if not demo_pool:
         raise ConfigError("demo pool is empty after removing same-task examples")
     grid = [(0, 0, _decoded_accuracy(
-        model, [taskgen.render_prompt(ex.instruction) for ex in examples], examples, max_gen_len))]
+        model, [taskgen.render_prompt(ex.instruction) for ex in examples], examples))]
     for count in demo_counts:
         for draw in range(draws):
             demos = replay.sample_replay(
                 demo_pool, count, seed=derive_seed(seed, _SALT_DEMOS, count, draw))
             prompts = [taskgen.render_prompt(taskgen.tap_prompt(ex, demos))
                        for ex in examples]
-            grid.append((count, draw, _decoded_accuracy(model, prompts, examples, max_gen_len)))
+            grid.append((count, draw, _decoded_accuracy(model, prompts, examples)))
     return grid
 
 
@@ -360,7 +348,7 @@ class ExperimentPlan(RunSettings):
         if any(seed < 0 for seed in self.run_seeds):
             raise ConfigError(f"run seeds must be >= 0, got {list(self.run_seeds)}")
         if not self.order_indices or any(o not in (0, 1) for o in self.order_indices):
-            raise ConfigError("order indices must be a nonempty list of 0 and 1")
+            raise ConfigError("order_indices must be a nonempty list of 0 and 1")
         for values, what in ((self.strategies, "strategy"), (self.run_seeds, "run seed"),
                              (self.order_indices, "order index")):
             if len(set(values)) != len(values):
@@ -476,11 +464,11 @@ def probe_task(suite: taskgen.Suite, plan: ExperimentPlan, order_index: int, see
     ``order_index``, drawn with ``seed`` as given: ``run_experiment`` passes
     ``derive_seed(run_seed, order_index)``.
     """
-    partial = probe_partial_rationale(model, suite.eval[task], plan.k_grid, plan.max_gen_len)
+    partial = probe_partial_rationale(model, suite.eval[task], plan.k_grid)
     pool_examples = [ex for other in suite.orders[order_index] if other != task
                      for ex in suite.train[other]]
     tap = probe_tap(model, suite.eval[task], pool_examples, plan.demo_counts, plan.demo_draws,
-                    seed=seed, max_gen_len=plan.max_gen_len)
+                    seed=seed)
     return ProbeRecord(task_id=task, partial=partial, tap=tap)
 
 

@@ -285,27 +285,16 @@ _GROUPS = {key.split(".")[0] for key in _PLAN_KEYS.values() if "." in key}
 
 
 @dataclass(frozen=True)
-class SuiteSettings:
-    num_tasks: int
-    train_per_task: int
-    eval_per_task: int
-    seed: int                       # required: seeds are never implicit
-    probe_per_task: int = 32
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     """Validated, fully-resolved description of a run-seq experiment."""
 
-    suite: SuiteSettings
+    suite: taskgen.SuiteSettings
     plan: driver.ExperimentPlan
     output_dir: str
     raw: dict = field(default_factory=dict, compare=False)
 
     def make_suite(self) -> taskgen.Suite:
-        s = self.suite
-        return taskgen.make_suite(s.num_tasks, s.train_per_task, s.eval_per_task,
-                                  seed=s.seed, probe_per_task=s.probe_per_task)
+        return taskgen.make_suite(**vars(self.suite))
 
 
 def _convert(value, hint, path: str):
@@ -350,8 +339,10 @@ def _build(cls, doc: dict, path: str = ""):
             raise ConfigError(f"{where(key)} is required")
     try:
         return cls(**kwargs)
-    except ConfigError as err:
-        raise ConfigError(f"{path}: {err}" if path else str(err)) from None
+    except ConfigError as err:       # a message that opens with a field names its key
+        name, space, rest = str(err).partition(" ")
+        message = keys.get(name, name) + space + rest
+        raise ConfigError(f"{path}: {message}" if path else message) from None
 
 
 def load_experiment_config(path, output_dir=None) -> ExperimentConfig:
@@ -365,7 +356,7 @@ def experiment_config_from_dict(doc: dict, output_dir=None, where="config") -> E
         raise ConfigError(f"{where}: config must be a JSON object")
     if "suite" not in doc:
         raise ConfigError("suite is required")
-    suite = _convert(doc["suite"], SuiteSettings, "suite")
+    suite = _convert(doc["suite"], taskgen.SuiteSettings, "suite")
 
     settings = {}
     for key, value in doc.items():

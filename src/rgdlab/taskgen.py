@@ -434,18 +434,28 @@ def render_example(spec: TaskSpec, raw_input, seed: int, ex_id: str | None = Non
     )
 
 
+@dataclass(frozen=True)
+class SuiteSettings:
+    num_tasks: int
+    train_per_task: int
+    eval_per_task: int
+    seed: int                       # required: seeds are never implicit
+    probe_per_task: int = 32
+
+    def __post_init__(self):
+        if not 2 <= self.num_tasks <= MAX_TASKS:
+            raise ConfigError(f"num_tasks must be in [2, {MAX_TASKS}], got {self.num_tasks}")
+        for name in ("train_per_task", "eval_per_task", "probe_per_task"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+
+
 def make_suite(num_tasks: int, train_per_task: int, eval_per_task: int, seed: int,
                probe_per_task: int = 32) -> Suite:
     """Generate specs plus disjoint train/eval/probe sets and two task orders."""
-    if num_tasks < 2:
-        raise ConfigError("a suite needs at least 2 tasks")
-    if num_tasks > MAX_TASKS:
-        raise ConfigError(f"at most {MAX_TASKS} tasks are supported")
-    if train_per_task <= 0 or eval_per_task <= 0 or probe_per_task <= 0:
-        raise ConfigError("per-task sizes must be positive")
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
-
+    SuiteSettings(num_tasks, train_per_task, eval_per_task, seed, probe_per_task)  # checks them
     rng = _Sampler(seed)
     specs = _build_specs(num_tasks, rng)
 

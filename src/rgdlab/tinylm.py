@@ -91,6 +91,7 @@ CHECKPOINT_FORMAT = "tinylm-checkpoint-v1"
 
 # The dtype of every training step (see the module docstring).
 _TRAIN_DTYPE = np.float32
+MOMENTUM = 0.9              # of every SGD step
 
 # A mean training NLL beyond this means some assigned probability underflowed
 # the training dtype (about 103.3 for float32, whose smallest positive value
@@ -185,24 +186,32 @@ class NllResult:
 
 
 @dataclass(frozen=True)
+class ModelDims:
+    context_len: int = 28
+    embed_dim: int = 12
+    hidden_dim: int = 128
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if value < 1:
+                raise ConfigError(f"{name} must be >= 1, got {value}")
+
+
+@dataclass(frozen=True)
 class TrainSettings:
     """Optimizer settings of one training phase, as a config file gives them."""
 
     learning_rate: float = 0.15
     epochs: int = 10
     batch_size: int = 16
-    momentum: float = 0.9
-    shuffle: bool = True
 
     def __post_init__(self):
         if not 0 < self.learning_rate < math.inf:      # NaN fails too
             raise ConfigError("learning_rate must be positive and finite")
-        if self.epochs < 0:
-            raise ConfigError("epochs must be nonnegative")
+        if self.epochs < 1:
+            raise ConfigError("epochs must be >= 1")
         if self.batch_size <= 0:
             raise ConfigError("batch_size must be positive")
-        if not 0 <= self.momentum < 1:
-            raise ConfigError("momentum must be in [0, 1)")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -215,8 +224,7 @@ class TrainConfig(TrainSettings):
 def init_model(vocab: Vocab, context_len: int, embed_dim: int, hidden_dim: int,
                seed: int) -> ModelState:
     """Fresh model with uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) weights."""
-    if context_len <= 0 or embed_dim <= 0 or hidden_dim <= 0:
-        raise ConfigError("context_len, embed_dim and hidden_dim must be positive")
+    ModelDims(context_len, embed_dim, hidden_dim)      # checks them
     if len(vocab) < 5:
         raise ConfigError("vocab needs at least one content token beyond the reserved ids")
     rng = np.random.default_rng(seed)
@@ -472,13 +480,13 @@ def _batch_grads(model: ModelState, ws: _Workspace, d_hidden: np.ndarray, window
 
 
 def train(model: ModelState, corpus, cfg: TrainConfig):
-    """Minibatch SGD with momentum over (context, target) pairs.
+    """Minibatch SGD with momentum ``MOMENTUM`` over (context, target) pairs.
 
-    Batches are whole pairs; the loss of a batch is the mean NLL over all
-    target tokens it contains.  Returns a new float64 state plus the
-    per-epoch mean loss trace; the input model is left untouched.  Every
-    step runs in float32, so the returned parameters are float32 values
-    (with zero epochs, an exact copy of the input's).  Parameters,
+    Every epoch takes the pairs in a fresh seeded permutation, and batches
+    are whole pairs; the loss of a batch is the mean NLL over all target
+    tokens it contains.  Returns a new float64 state plus the per-epoch
+    mean loss trace; the input model is left untouched.  Every step runs
+    in float32, so the returned parameters are float32 values.  Parameters,
     velocities and gradients each live in one flat buffer, so the momentum
     update is four ufunc calls over all parameters at once.  Each epoch is
     planned before its first step, and every step computes each distinct
@@ -489,9 +497,6 @@ def train(model: ModelState, corpus, cfg: TrainConfig):
         raise ConfigError("corpus must be nonempty")
     windows, targets, lens = _pair_windows(
         model, corpus, ConfigError("corpus contains a pair with an empty target"))
-    if cfg.epochs == 0:
-        return model.copy(), []
-
     params, out = _flat_copy(model, _TRAIN_DTYPE)
     ids = _window_ids(windows)
     grad, grads = _flat_views(model, _TRAIN_DTYPE)
@@ -507,7 +512,7 @@ def train(model: ModelState, corpus, cfg: TrainConfig):
     n_pairs = len(corpus)
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.epochs):
-            order = rng.permutation(n_pairs) if cfg.shuffle else np.arange(n_pairs)
+            order = rng.permutation(n_pairs)
             pair_lens = lens[order]
             # The epoch's rows: each pair's rows, in the order of its pairs.
             rows = np.repeat(starts[order] - (np.cumsum(pair_lens) - pair_lens), pair_lens)
@@ -525,7 +530,7 @@ def train(model: ModelState, corpus, cfg: TrainConfig):
                     raise DivergenceError(f"diverged loss {loss} in epoch {epoch}")
                 epoch_nll += loss * n
                 epoch_tokens += n
-                velocity *= cfg.momentum
+                velocity *= MOMENTUM
                 velocity += grad
                 np.multiply(cfg.learning_rate, velocity, out=grad)
                 params -= grad

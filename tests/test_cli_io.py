@@ -230,6 +230,14 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match="sneaky"):
             fileio.experiment_config_from_dict(doc)
 
+    @pytest.mark.parametrize("section, key", [("model", "context_len"),
+                                              ("suite", "probe_per_task")])
+    def test_sizes_are_checked_at_load(self, section, key):
+        doc = good_config()
+        doc.setdefault(section, {})[key] = 0
+        with pytest.raises(ConfigError, match=f"^{section}: {key} must be >= 1, got 0$"):
+            fileio.experiment_config_from_dict(doc)
+
     def test_unknown_nested_key_named(self):
         doc = good_config()
         doc["train"] = {"learning_rate": 0.1, "warp": 9}
@@ -284,6 +292,20 @@ def test_checked_in_config_loads(path, tmp_path):
     assert cfg.output_dir == str(tmp_path)
 
 
+def test_readme_example_config_loads():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    section = readme.split("### Configuration file", 1)[1]
+    doc = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+    cfg = fileio.experiment_config_from_dict(doc)
+    assert cfg.output_dir == doc["output_dir"]
+    resolved = json.loads(json.dumps(fileio.resolved_config_doc(cfg)))   # tuples as lists
+    for key, value in doc.items():          # the resolved config keeps every value given
+        if isinstance(value, dict):
+            assert resolved[key] == {**resolved[key], **value}, key
+        elif key not in ("orders", "output_dir"):
+            assert resolved[key] == value, key
+
+
 @pytest.mark.parametrize("key, value, named", [
     ("run_seeds", ["x"], "run_seeds[0]"),
     ("run_probes", "false", "run_probes"),
@@ -305,7 +327,21 @@ def test_checked_in_config_loads(path, tmp_path):
     ("run_seeds", [-5], "run seeds must be >= 0"),
     ("warmup_examples", -1, "warmup_examples"),
     ("max_gen_len", 0, "max_gen_len"),
-    ("replay.budget", 2**31 + 1, "replay_budget"),
+    ("replay.budget", 2**31 + 1, "replay.budget must be in [0, 2147483648]"),
+    ("replay.budget", -1, "replay.budget must be in [0, 2147483648]"),
+    ("replay.budget_fraction", 2, "replay.budget_fraction must be in [0, 1]"),
+    ("probes.demo_counts", [0], "probes.demo_counts must be >= 1"),
+    ("orders", [], "orders must be a nonempty list"),
+    ("model.context_len", 0, "model: context_len must be >= 1, got 0"),
+    ("model.hidden_dim", -2, "model: hidden_dim must be >= 1, got -2"),
+    ("suite.probe_per_task", 0, "suite: probe_per_task must be >= 1, got 0"),
+    ("suite.num_tasks", 16, "suite: num_tasks must be in [2, 15], got 16"),
+    ("train.momentum", 0.9, "unknown key 'train.momentum'"),
+    ("train.shuffle", True, "unknown key 'train.shuffle'"),
+    ("warmup.shuffle", True, "unknown key 'warmup.shuffle'"),
+    ("max_gen_len", 18, "unknown key 'max_gen_len'"),
+    ("warmup_examples", 0, "warmup_examples must be >= 1"),
+    ("train.epochs", 0, "train: epochs must be >= 1"),
 ])
 def test_bad_config_value_exits_one(tmp_path, capsys, key, value, named):
     doc = good_config()
@@ -443,6 +479,19 @@ class TestCli:
         assert examples == expected
         manifest = json.loads((out / "suite.json").read_text())
         assert len(manifest["orders"]) == 2
+
+    def test_out_of_memory_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        message = "Unable to allocate 7.45 GiB for an array with shape (1000000000,)"
+
+        def too_big(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(driver, "run_experiment", too_big)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(good_config()))
+        assert cli.main(["run-seq", "--config", str(cfg_path), "--out",
+                         str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: out of memory: {message}"]
 
     def test_gen_suite_negative_seed_exits_one(self, tmp_path, capsys):
         out = tmp_path / "suite"
@@ -636,9 +685,9 @@ class TestCli:
         prompts = []
         original = driver._decoded_accuracy
 
-        def recording(model, batch, examples, max_gen_len):
+        def recording(model, batch, examples):
             prompts.append(list(batch))
-            return original(model, batch, examples, max_gen_len)
+            return original(model, batch, examples)
 
         monkeypatch.setattr(driver, "_decoded_accuracy", recording)
         ckpt = out / "runs/none-o0-s3/checkpoints/stage-03.json"

@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -144,6 +145,27 @@ class TestBaselines:
         assert one == two
         assert set(one) == {s.task_id for s in suite.specs}
 
+    def test_warmup_corpus_is_freed_before_training(self, suite, monkeypatch):
+        class Corpus(list):                 # a tuple cannot be weakly referenced
+            pass
+
+        refs, alive = [], []
+        make_corpus, train = taskgen.make_warmup_corpus, tinylm.train
+
+        def making(*args, **kwargs):
+            corpus = Corpus(make_corpus(*args, **kwargs))
+            refs.append(weakref.ref(corpus))
+            return corpus
+
+        def training(*args):
+            alive.append(refs[0]() is not None)
+            return train(*args)
+
+        monkeypatch.setattr(taskgen, "make_warmup_corpus", making)
+        monkeypatch.setattr(tinylm, "train", training)
+        driver.build_base_model(suite, tiny_cfg(warmup_examples=20))
+        assert alive == [False]
+
     def test_one_function_trains(self):
         package = Path(driver.__file__).parent
         calls = []
@@ -193,9 +215,9 @@ class TestProbes:
         prompts = []
         original = driver._decoded_accuracy
 
-        def recording(model, batch, examples, max_gen_len):
+        def recording(model, batch, examples):
             prompts.extend(batch)
-            return original(model, batch, examples, max_gen_len)
+            return original(model, batch, examples)
 
         monkeypatch.setattr(driver, "_decoded_accuracy", recording)
         driver.probe_tap(base, suite.eval[task], pool, demo_counts=(1, 2), draws=2, seed=3)

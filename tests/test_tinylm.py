@@ -229,7 +229,7 @@ def reference_train(model, corpus, cfg):
     velocity = {name: np.zeros_like(p) for name, p in out.params()}
     trace = []
     for _ in range(cfg.epochs):
-        order = rng.permutation(len(corpus)) if cfg.shuffle else np.arange(len(corpus))
+        order = rng.permutation(len(corpus))
         epoch_nll, epoch_tokens = 0.0, 0
         for lo in range(0, len(corpus), cfg.batch_size):
             batch = order[lo:lo + cfg.batch_size]
@@ -241,7 +241,7 @@ def reference_train(model, corpus, cfg):
             epoch_tokens += len(y)
             for name, p in out.params():
                 v = velocity[name]
-                v *= cfg.momentum
+                v *= tinylm.MOMENTUM
                 v += grads[name]
                 p -= cfg.learning_rate * v
         trace.append(epoch_nll / epoch_tokens)
@@ -357,7 +357,7 @@ def reference_dedup_train(model, corpus, cfg):
     rng = np.random.default_rng(cfg.seed)
     trace, steps = [], {"repeats": 0, "plain": 0}
     for _ in range(cfg.epochs):
-        order = rng.permutation(len(corpus)) if cfg.shuffle else np.arange(len(corpus))
+        order = rng.permutation(len(corpus))
         epoch_nll, epoch_tokens = 0.0, 0
         for lo in range(0, len(corpus), cfg.batch_size):
             rows = np.concatenate([starts[i] + np.arange(lens[i])
@@ -373,7 +373,7 @@ def reference_dedup_train(model, corpus, cfg):
                                        counts)
             epoch_nll += loss * len(y)
             epoch_tokens += len(y)
-            velocity *= cfg.momentum
+            velocity *= tinylm.MOMENTUM
             velocity += grad
             params -= cfg.learning_rate * velocity
         trace.append(epoch_nll / epoch_tokens)
@@ -428,53 +428,46 @@ class TestExactKernels:
             assert np.array_equal(windows, want)
             assert targets.tolist() == [6, top, 8, 5, EOS]
 
-    @pytest.mark.parametrize("shuffle, batch_size", [(True, 3), (False, 3), (True, 50)])
-    def test_train_matches_reference_loop(self, shuffle, batch_size):
+    @pytest.mark.parametrize("batch_size", [3, 50])
+    def test_train_matches_reference_loop(self, batch_size):
         for n_content in CONTENT_SIZES:
             m = init_model(make_vocab(n_content), 5, 6, 9, seed=4)
             before = [p.copy() for _, p in m.params()]
             corpus = mixed_corpus(11, len(m.vocab), seed=8)     # 11 pairs: the last batch of 3 is short
-            cfg = TrainConfig(learning_rate=0.3, epochs=4, batch_size=batch_size, momentum=0.9,
-                              seed=6, shuffle=shuffle)
+            cfg = TrainConfig(learning_rate=0.3, epochs=4, batch_size=batch_size, seed=6)
             trained, trace = train(m, corpus, cfg)
             ref, ref_trace, repeated = reference_train(m, corpus, cfg)
             # Two empty contexts in one batch share the all-BOS window, which train
             # computes once, weighted by two: the same sums, rounded differently.
-            assert repeated == (shuffle or batch_size > 3)
-            if repeated:
-                np.testing.assert_allclose(trace, ref_trace, rtol=REPEATS_TOL)
-            else:
-                assert trace == ref_trace
-            assert_params(trained, ref, exact=not repeated)
+            assert repeated
+            np.testing.assert_allclose(trace, ref_trace, rtol=REPEATS_TOL)
+            assert_params(trained, ref, exact=False)
             for (_, p), b in zip(m.params(), before):
                 assert np.array_equal(p, b)
 
-    @pytest.mark.parametrize("shuffle, batch_size", [(True, 3), (False, 4), (True, 50)])
-    def test_train_without_repeats_is_bit_exact(self, shuffle, batch_size):
+    @pytest.mark.parametrize("batch_size", [3, 4, 50])
+    def test_train_without_repeats_is_bit_exact(self, batch_size):
         m = init_model(make_vocab(12), 5, 6, 9, seed=4)
         corpus = distinct_corpus(11, len(m.vocab), seed=8)
         windows, _, _ = tinylm._pair_windows(m, corpus, ValueError())
         ids = tinylm._window_ids(windows)
         assert len(np.unique(ids)) == len(ids) == len(windows)
-        cfg = TrainConfig(learning_rate=0.3, epochs=4, batch_size=batch_size, momentum=0.9,
-                          seed=6, shuffle=shuffle)
+        cfg = TrainConfig(learning_rate=0.3, epochs=4, batch_size=batch_size, seed=6)
         trained, trace = train(m, corpus, cfg)
         ref, ref_trace, repeated = reference_train(m, corpus, cfg)
         assert not repeated
         assert trace == ref_trace
         assert_params(trained, ref, exact=True)
 
-    @pytest.mark.parametrize("shuffle, batch_size", [(True, 1), (False, 1), (True, 3),
-                                                     (False, 3), (True, 50), (False, 50)])
-    def test_train_matches_per_batch_dedup_bit_for_bit(self, shuffle, batch_size):
+    @pytest.mark.parametrize("batch_size", [1, 3, 50])
+    def test_train_matches_per_batch_dedup_bit_for_bit(self, batch_size):
         for n_content in CONTENT_SIZES:
             m = init_model(make_vocab(n_content), 5, 6, 9, seed=4)
             # 13 pairs, so the last batch of 3 is short; the two added pairs each
             # repeat the window [6, 6, 6, 6, 6] within themselves.
             corpus = mixed_corpus(11, len(m.vocab), seed=8) + [([], [6] * 8 + [EOS]),
                                                               ([7], [6] * 7)]
-            cfg = TrainConfig(learning_rate=0.3, epochs=4, batch_size=batch_size, momentum=0.9,
-                              seed=6, shuffle=shuffle)
+            cfg = TrainConfig(learning_rate=0.3, epochs=4, batch_size=batch_size, seed=6)
             trained, trace = train(m, corpus, cfg)
             ref, ref_trace, steps = reference_dedup_train(m, corpus, cfg)
             assert steps["repeats"] > 0
@@ -552,7 +545,7 @@ class TestExactKernels:
 
     def test_train_results_share_no_memory(self):
         m = init_model(make_vocab(8), 3, 4, 8, seed=5)
-        cfg = TrainConfig(learning_rate=0.2, epochs=2, batch_size=2, momentum=0.9, seed=9)
+        cfg = TrainConfig(learning_rate=0.2, epochs=2, batch_size=2, seed=9)
         corpus = mixed_corpus(5, len(m.vocab), seed=1)
         t1, _ = train(m, corpus, cfg)
         t2, _ = train(m, corpus, cfg)
@@ -564,7 +557,7 @@ class TestExactKernels:
         m = init_model(make_vocab(10), 4, 8, 16, seed=1)
         corpus = [([4, 5], [6, EOS]), ([7], [8, 9, 10, EOS]), ([10, 11], [EOS]),
                   ([12, 13], [4, 5, 6, 7, 8, 9, 10, 11, 12])]
-        cfg = TrainConfig(learning_rate=0.1, epochs=80, batch_size=1, momentum=0.9, seed=2)
+        cfg = TrainConfig(learning_rate=0.1, epochs=80, batch_size=1, seed=2)
         trained, _ = train(m, corpus, cfg)
         prompts = [ctx for ctx, _ in corpus] + [[], [4, 5, 6, 7, 8, 9, 10, 11, 12, 13], [9]]
         got = generate_batch(trained, prompts, max_len=6)
@@ -601,31 +594,22 @@ class TestTrain:
         v = make_vocab(8)
         m = init_model(v, 4, 8, 16, seed=1)
         pair = ([4, 5, 6], [7, 8, 9, EOS])
-        cfg = TrainConfig(learning_rate=0.1, epochs=50, batch_size=1, momentum=0.9, seed=2)
+        cfg = TrainConfig(learning_rate=0.1, epochs=50, batch_size=1, seed=2)
         trained, trace = train(m, [pair], cfg)
         assert len(trace) == 50
         assert trace[-1] < 0.1
 
-    def test_zero_epochs_identity(self):
-        m = init_model(make_vocab(6), 3, 4, 4, seed=1)
-        cfg = TrainConfig(learning_rate=0.1, epochs=0, batch_size=2, momentum=0.0, seed=0)
-        trained, trace = train(m, [([4], [5])], cfg)
-        assert trace == []
-        for (_, pa), (_, pb) in zip(m.params(), trained.params()):
-            assert pb.dtype == np.float64 and pa.tobytes() == pb.tobytes()
-            assert not np.shares_memory(pa, pb)
-
     def test_input_model_untouched(self):
         m = init_model(make_vocab(6), 3, 4, 4, seed=1)
         before = m.copy()
-        cfg = TrainConfig(learning_rate=0.5, epochs=3, batch_size=1, momentum=0.5, seed=0)
+        cfg = TrainConfig(learning_rate=0.5, epochs=3, batch_size=1, seed=0)
         train(m, [([4], [5, EOS])], cfg)
         for (name, p), (_, q) in zip(m.params(), before.params()):
             assert p.dtype == np.float64 and p.tobytes() == q.tobytes(), name
 
     def test_huge_learning_rate_diverges(self):
         m = init_model(make_vocab(6), 3, 4, 4, seed=1)
-        cfg = TrainConfig(learning_rate=1e6, epochs=20, batch_size=1, momentum=0.9, seed=0)
+        cfg = TrainConfig(learning_rate=1e6, epochs=20, batch_size=1, seed=0)
         with pytest.raises(DivergenceError, match="epoch"):
             train(m, [([4], [5, 4, 5, EOS])], cfg)
 
@@ -634,21 +618,21 @@ class TestTrain:
         # below the smallest float32, the training dtype.
         m = zeroed(init_model(make_vocab(6), 3, 4, 4, seed=1))
         m.b_out[4] = 200.0
-        cfg = TrainConfig(learning_rate=0.1, epochs=1, batch_size=1, momentum=0.0, seed=0)
+        cfg = TrainConfig(learning_rate=0.1, epochs=1, batch_size=1, seed=0)
         assert tinylm.DIVERGENCE_NLL < 200.0 < np.finfo(np.float32).max
         with pytest.raises(DivergenceError, match="diverged loss 200.0 in epoch 0"):
             train(m, [([4], [5])], cfg)
 
     def test_empty_corpus_rejected(self):
         m = init_model(make_vocab(6), 3, 4, 4, seed=1)
-        cfg = TrainConfig(learning_rate=0.1, epochs=1, batch_size=1, momentum=0.0, seed=0)
+        cfg = TrainConfig(learning_rate=0.1, epochs=1, batch_size=1, seed=0)
         with pytest.raises(ConfigError):
             train(m, [], cfg)
 
     def test_deterministic(self):
         m = init_model(make_vocab(8), 3, 4, 8, seed=5)
         corpus = [([4, 5], [6, 7, EOS]), ([5, 6], [7, 8, EOS]), ([6], [4, EOS])]
-        cfg = TrainConfig(learning_rate=0.2, epochs=5, batch_size=2, momentum=0.9, seed=9)
+        cfg = TrainConfig(learning_rate=0.2, epochs=5, batch_size=2, seed=9)
         t1, trace1 = train(m, corpus, cfg)
         t2, trace2 = train(m, corpus, cfg)
         assert trace1 == trace2
@@ -657,16 +641,16 @@ class TestTrain:
 
     def test_config_bounds(self):
         with pytest.raises(ConfigError):
-            TrainConfig(learning_rate=0.0, epochs=1, batch_size=1, momentum=0.0, seed=0)
-        with pytest.raises(ConfigError):
-            TrainConfig(learning_rate=0.1, epochs=1, batch_size=1, momentum=1.0, seed=0)
+            TrainConfig(learning_rate=0.0, epochs=1, batch_size=1, seed=0)
+        with pytest.raises(ConfigError, match="epochs must be >= 1"):
+            TrainConfig(learning_rate=0.1, epochs=0, batch_size=1, seed=0)
 
 
 class TestTrainPrecision:
     """``train`` steps in float32; its results, checkpoints, scoring, decoding
     and ``grad_check`` are float64."""
 
-    CFG = TrainConfig(learning_rate=0.2, epochs=3, batch_size=2, momentum=0.9, seed=9)
+    CFG = TrainConfig(learning_rate=0.2, epochs=3, batch_size=2, seed=9)
 
     def test_returns_float64_holding_float32_values(self):
         m = init_model(make_vocab(8), 3, 4, 8, seed=5)
@@ -734,7 +718,7 @@ class TestGenerate:
         v = make_vocab(8)
         m = init_model(v, 4, 8, 16, seed=1)
         context, target = [4, 5, 6], [7, 8, 9, EOS]
-        cfg = TrainConfig(learning_rate=0.1, epochs=60, batch_size=1, momentum=0.9, seed=2)
+        cfg = TrainConfig(learning_rate=0.1, epochs=60, batch_size=1, seed=2)
         trained, _ = train(m, [(context, target)], cfg)
         assert generate_batch(trained, [context], max_len=8)[0] == [7, 8, 9]
 
