@@ -642,6 +642,8 @@ class TestTrain:
     def test_config_bounds(self):
         with pytest.raises(ConfigError):
             TrainConfig(learning_rate=0.0, epochs=1, batch_size=1, seed=0)
+
+    def test_zero_epochs_rejected(self):
         with pytest.raises(ConfigError, match="epochs must be >= 1"):
             TrainConfig(learning_rate=0.1, epochs=0, batch_size=1, seed=0)
 
