@@ -94,7 +94,7 @@ def _cmd_run_seq(args) -> int:
     pool.start(cfg.plan.workers)            # the workers start while the suite is made
     suite = cfg.make_suite()
     # The pool workers write the stage checkpoints (see driver.run_experiment).
-    runs_dir = os.path.join(cfg.output_dir, "runs") if cfg.plan.keep_checkpoints else None
+    runs_dir = os.path.join(cfg.output_dir, "runs") if cfg.plan.save_checkpoints else None
     result = driver.run_experiment(suite, cfg.plan, runs_dir)
     _write_run_artifacts(result, cfg)
     print(f"experiment artifacts written to {cfg.output_dir}")

@@ -53,24 +53,34 @@ def derive_seed(*parts: int) -> int:
 TrainSettings = tinylm.TrainSettings      # config files and callers name it here
 
 
+@dataclass(frozen=True)
+class ReplaySettings:
+    """A stage's replay budget: ``budget`` samples, or when it is None,
+    ``budget_fraction`` of the cumulative previous train data."""
+
+    budget: int | None = None
+    budget_fraction: float = 0.05
+
+    def __post_init__(self):
+        if self.budget is not None and not 0 <= self.budget <= replay.MAX_BUDGET:
+            raise ConfigError(f"budget must be in [0, {replay.MAX_BUDGET}]")
+        if not 0 <= self.budget_fraction <= 1:
+            raise ConfigError("budget_fraction must be in [0, 1]")
+
+
 @dataclass(frozen=True, kw_only=True)
 class RunSettings:
     """Settings every run of a grid shares; the grid adds strategy, seed and order."""
 
-    dims: tinylm.ModelDims = field(default_factory=tinylm.ModelDims)
+    model: tinylm.ModelDims = field(default_factory=tinylm.ModelDims)
     train: TrainSettings = field(default_factory=TrainSettings)
     warmup: TrainSettings = field(default_factory=lambda: TrainSettings(
         learning_rate=0.25, epochs=25, batch_size=32))
     warmup_examples: int = 2000               # size of the base-skills warmup corpus
-    replay_budget: int | None = None          # absolute per-stage budget
-    replay_fraction: float = 0.05             # of cumulative previous train data
+    replay: ReplaySettings = field(default_factory=ReplaySettings)
     rgd_eval_size: int = 32                   # probe examples scored per task and stage; 0: all
 
     def __post_init__(self):
-        if self.replay_budget is not None and not 0 <= self.replay_budget <= replay.MAX_BUDGET:
-            raise ConfigError(f"replay_budget must be in [0, {replay.MAX_BUDGET}]")
-        if not 0 <= self.replay_fraction <= 1:
-            raise ConfigError("replay_fraction must be in [0, 1]")
         if self.rgd_eval_size < 0:
             raise ConfigError("rgd_eval_size must be nonnegative (0 scores the whole probe slice)")
         if self.warmup_examples < 1:
@@ -88,7 +98,8 @@ class RunConfig(RunSettings):
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"unknown strategy {self.strategy!r}; expected one of {STRATEGIES}")
         if self.strategy.startswith("rgd") and self.rgd_eval_size < 1:
-            raise ConfigError("rgd strategies need an evaluation subset of >= 1 examples")
+            raise ConfigError("rgd_eval_size: rgd strategies need an evaluation subset "
+                              "of >= 1 examples")
 
 
 @dataclass
@@ -109,7 +120,7 @@ def build_base_model(suite: taskgen.Suite, settings: RunSettings) -> tinylm.Mode
     model.  Nothing here binds the warmup corpus, so ``_train`` can free it.
     """
     vocab = tinylm.Vocab.build(taskgen.suite_tokens(suite))
-    dims = settings.dims
+    dims = settings.model
     model = tinylm.init_model(vocab, dims.context_len, dims.embed_dim, dims.hidden_dim,
                               seed=derive_seed(suite.seed, _SALT_INIT))
     model, _ = _train(model, taskgen.make_warmup_corpus(
@@ -185,8 +196,8 @@ STRATEGIES = ("none", *ALLOCATORS)
 
 def _stage_plan(cfg: RunConfig, inputs: PlanInputs) -> replay.AllocationPlan:
     pools = {t: len(inputs.suite.train[t]) for t in inputs.order[:inputs.stage]}
-    alpha = (cfg.replay_budget if cfg.replay_budget is not None
-             else round(cfg.replay_fraction * sum(pools.values())))
+    alpha = (cfg.replay.budget if cfg.replay.budget is not None
+             else round(cfg.replay.budget_fraction * sum(pools.values())))
     return replay.fit_to_pools(ALLOCATORS[cfg.strategy](inputs, alpha), pools)
 
 
@@ -324,21 +335,21 @@ class ExperimentPlan(RunSettings):
 
     ``threads`` is the most worker processes that run the grid's units (see
     ``run_experiment``); by default, the CPUs this process may use.  Results
-    do not depend on it.  ``keep_checkpoints`` (the config key
-    ``save_checkpoints``) has ``rgdlab run-seq`` hand ``run_experiment`` a
-    directory to write the stage checkpoints to.
+    do not depend on it.  ``save_checkpoints`` has ``rgdlab run-seq`` hand
+    ``run_experiment`` a directory to write the stage checkpoints to.  Each
+    field's name is its config key.
     """
 
     strategies: tuple[str, ...] = STRATEGIES
     run_seeds: tuple[int, ...]
-    order_indices: tuple[int, ...] = (0, 1)
+    orders: tuple[int, ...] = (0, 1)
     run_probes: bool = False
     k_grid: tuple[float, ...] = DEFAULT_K_GRID
     demo_counts: tuple[int, ...] = DEFAULT_DEMO_COUNTS
     demo_draws: int = DEFAULT_DEMO_DRAWS
     top_forgotten: int = DEFAULT_TOP_FORGOTTEN
     threads: int = field(default_factory=lambda: len(os.sched_getaffinity(0)))
-    keep_checkpoints: bool = True
+    save_checkpoints: bool = True
 
     def __post_init__(self):
         if not self.strategies:
@@ -347,12 +358,13 @@ class ExperimentPlan(RunSettings):
             raise ConfigError("at least one run seed is required")
         if any(seed < 0 for seed in self.run_seeds):
             raise ConfigError(f"run seeds must be >= 0, got {list(self.run_seeds)}")
-        if not self.order_indices or any(o not in (0, 1) for o in self.order_indices):
-            raise ConfigError("order_indices must be a nonempty list of 0 and 1")
-        for values, what in ((self.strategies, "strategy"), (self.run_seeds, "run seed"),
-                             (self.order_indices, "order index")):
+        if not self.orders or any(o not in (0, 1) for o in self.orders):
+            raise ConfigError("orders must be a nonempty list of 0 and 1")
+        for key, what in (("strategies", "strategy"), ("run_seeds", "run seed"),
+                          ("orders", "order index")):
+            values = getattr(self, key)
             if len(set(values)) != len(values):
-                raise ConfigError(f"each {what} may appear once, got {list(values)}")
+                raise ConfigError(f"{key}: each {what} may appear once, got {list(values)}")
         if any(not 0 <= k <= 1 for k in self.k_grid):
             raise ConfigError(f"k_grid values must be in [0, 1], got {list(self.k_grid)}")
         if any(count < 1 for count in self.demo_counts):
@@ -367,14 +379,14 @@ class ExperimentPlan(RunSettings):
             raise ConfigError('run_probes needs "none" in strategies: probes run on the '
                               "final checkpoint of the no-replay run")
         for strategy in self.strategies:        # checks the shared settings too
-            self.run_config(strategy, self.run_seeds[0], self.order_indices[0])
+            self.run_config(strategy, self.run_seeds[0], self.orders[0])
 
     @property
     def workers(self) -> int:
         """``threads``, capped at the units that can run at once after the base
         build: each (seed, order) group, each seed's two baselines, and the
         probes of every group's ``none`` run."""
-        seeds, orders = len(self.run_seeds), len(self.order_indices)
+        seeds, orders = len(self.run_seeds), len(self.orders)
         probes = seeds * orders * self.top_forgotten if self.run_probes else 0
         return min(self.threads, seeds * (orders + 2) + probes)
 
@@ -498,7 +510,7 @@ def run_experiment(suite: taskgen.Suite, plan: ExperimentPlan,
     def after_base(base):
         return ([(_run_group, (suite, plan, seed, order, base, runs_dir),
                   functools.partial(after_group, seed, order))
-                 for seed in plan.run_seeds for order in plan.order_indices]
+                 for seed in plan.run_seeds for order in plan.orders]
                 + [(run_single_baselines, (suite, plan, seed, base),
                     functools.partial(singles.__setitem__, seed)) for seed in plan.run_seeds]
                 + [(run_multitask, (suite, plan, seed, base),
@@ -520,7 +532,7 @@ def run_experiment(suite: taskgen.Suite, plan: ExperimentPlan,
     runs = []
     for strategy in plan.strategies:
         for seed in plan.run_seeds:
-            for order in plan.order_indices:
+            for order in plan.orders:
                 result = groups[seed, order][strategy]
                 result.matrix = replace(result.matrix,
                                         a0=tuple(singles[seed][t] for t in result.order))
@@ -531,5 +543,5 @@ def run_experiment(suite: taskgen.Suite, plan: ExperimentPlan,
         suite=suite, plan=plan,
         singles={seed: singles[seed] for seed in plan.run_seeds},
         multis={seed: multis[seed] for seed in plan.run_seeds},
-        runs=runs, probes=[record for seed in plan.run_seeds for order in plan.order_indices
+        runs=runs, probes=[record for seed in plan.run_seeds for order in plan.orders
                            for record in probes.get((seed, order), ())])

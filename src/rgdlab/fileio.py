@@ -166,19 +166,20 @@ def report_csv_text(report: clmetrics.MetricsReport) -> str:
 
 # --------------------------------------------------------- comparison table
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class TableRecord:
-    """One run's metric set plus the grouping metadata used for averaging."""
+    """One run's metric set plus the grouping metadata used for averaging;
+    its fields, in order, are the keys of a ``report_raw.json`` row."""
 
     strategy: str                       # key of REPORT_STRATEGY_LABELS
     run_seed: int
     order_index: int
-    suite_fingerprint: str
+    suite: str                          # suite_fingerprint of the run's suite
     fap: float
-    cap: float
     f_ra: float | None = None
     bwt: float | None = None
     fwt: float | None = None
+    cap: float
 
 
 def suite_fingerprint(suite: taskgen.Suite) -> str:
@@ -196,7 +197,7 @@ def emit_report(records, path_csv, path_raw=None) -> str:
     records = list(records)
     if not records:
         raise InputError("no records to report")
-    prints = {r.suite_fingerprint for r in records}
+    prints = {r.suite for r in records}
     if len(prints) != 1:
         raise InputError(f"records mix different suites: {sorted(prints)}")
 
@@ -219,10 +220,7 @@ def emit_report(records, path_csv, path_raw=None) -> str:
     if path_csv is not None:
         artifacts.write_text(path_csv, text)
     if path_raw is not None:
-        artifacts.write_json(path_raw, [{
-            "strategy": r.strategy, "run_seed": r.run_seed, "order_index": r.order_index,
-            "suite": r.suite_fingerprint, **{f: getattr(r, f) for f in METRIC_FIELDS},
-        } for r in records])
+        artifacts.write_json(path_raw, [dataclasses.asdict(r) for r in records])
     return text
 
 
@@ -242,15 +240,15 @@ def experiment_table_records(result: driver.ExperimentResult) -> list[TableRecor
     for seed, scores in result.singles.items():
         mean = sum(scores.values()) / len(scores)
         records.append(TableRecord(strategy="single", run_seed=seed, order_index=0,
-                                   suite_fingerprint=fingerprint, fap=mean, cap=mean))
+                                   suite=fingerprint, fap=mean, cap=mean))
     for seed, scores in result.multis.items():
         mean = sum(scores.values()) / len(scores)
         records.append(TableRecord(strategy="multi", run_seed=seed, order_index=0,
-                                   suite_fingerprint=fingerprint, fap=mean, cap=mean))
+                                   suite=fingerprint, fap=mean, cap=mean))
     for run in result.runs:
         records.append(TableRecord(
             strategy=run.strategy, run_seed=run.run_seed, order_index=run.order_index,
-            suite_fingerprint=fingerprint, fap=run.report.fap, cap=run.report.cap,
+            suite=fingerprint, fap=run.report.fap, cap=run.report.cap,
             f_ra=run.report.f_ra, bwt=run.report.bwt, fwt=run.report.fwt))
     return records
 
@@ -266,23 +264,6 @@ def write_probe_csvs(records, partial_path, tap_path) -> None:
 
 
 # ------------------------------------------------------ experiment config
-
-# JSON keys of the dataclass fields whose names differ.  A dotted key sits in
-# a nested object: "replay.budget" is {"replay": {"budget": ...}}.
-_PLAN_KEYS = {
-    "dims": "model",
-    "replay_budget": "replay.budget",
-    "replay_fraction": "replay.budget_fraction",
-    "k_grid": "probes.k_grid",
-    "demo_counts": "probes.demo_counts",
-    "demo_draws": "probes.demo_draws",
-    "top_forgotten": "probes.top_forgotten",
-    "order_indices": "orders",
-    "keep_checkpoints": "save_checkpoints",
-}
-_JSON_KEYS = {driver.ExperimentPlan: _PLAN_KEYS, TableRecord: {"suite_fingerprint": "suite"}}
-_GROUPS = {key.split(".")[0] for key in _PLAN_KEYS.values() if "." in key}
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -320,29 +301,29 @@ def _convert(value, hint, path: str):
 
 
 def _build(cls, doc: dict, path: str = ""):
-    """Dataclass ``cls`` from a JSON object; absent keys take the field defaults."""
-    keys = _JSON_KEYS.get(cls, {})
-    by_key = {keys.get(f.name, f.name): f for f in dataclasses.fields(cls)}
+    """Dataclass ``cls`` from a JSON object keyed by its field names; absent
+    keys take the field defaults, and an error ``cls`` raises is prefixed
+    with ``path``."""
     hints = typing.get_type_hints(cls)
 
     def where(key):
         return f"{path}.{key}" if path else key
 
     for key in doc:
-        if key not in by_key:
+        if key not in hints:
             raise ConfigError(f"unknown key {where(key)!r}")
     kwargs = {}
-    for key, f in by_key.items():
-        if key in doc:
-            kwargs[f.name] = _convert(doc[key], hints[f.name], where(key))
+    for f in dataclasses.fields(cls):
+        if f.name in doc:
+            kwargs[f.name] = _convert(doc[f.name], hints[f.name], where(f.name))
         elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
-            raise ConfigError(f"{where(key)} is required")
+            raise ConfigError(f"{where(f.name)} is required")
     try:
         return cls(**kwargs)
-    except ConfigError as err:       # a message that opens with a field names its key
-        name, space, rest = str(err).partition(" ")
-        message = keys.get(name, name) + space + rest
-        raise ConfigError(f"{path}: {message}" if path else message) from None
+    except ConfigError as err:
+        if not path:
+            raise
+        raise ConfigError(f"{path}: {err}") from None
 
 
 def load_experiment_config(path, output_dir=None) -> ExperimentConfig:
@@ -352,24 +333,16 @@ def load_experiment_config(path, output_dir=None) -> ExperimentConfig:
 
 
 def experiment_config_from_dict(doc: dict, output_dir=None, where="config") -> ExperimentConfig:
+    """Besides ``suite`` and ``output_dir``, every key of ``doc`` is a field of
+    ``driver.ExperimentPlan``, and a nested object's keys are the fields of
+    that field's settings class."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{where}: config must be a JSON object")
     if "suite" not in doc:
         raise ConfigError("suite is required")
     suite = _convert(doc["suite"], taskgen.SuiteSettings, "suite")
-
-    settings = {}
-    for key, value in doc.items():
-        if key in _GROUPS:
-            if not isinstance(value, dict):
-                raise ConfigError(f"{key}: expected an object, got {value!r}")
-            settings.update((f"{key}.{k}", v) for k, v in value.items())
-        elif key not in ("suite", "output_dir"):
-            settings[key] = value
-    if settings.get("orders") == "both":
-        settings["orders"] = [0, 1]
-    plan = _build(driver.ExperimentPlan, settings)
-
+    plan = _build(driver.ExperimentPlan,
+                  {k: v for k, v in doc.items() if k not in ("suite", "output_dir")})
     out = (output_dir or _convert(doc.get("output_dir"), str | None, "output_dir")
            or os.environ.get("RGDLAB_OUT"))
     if not out:
@@ -379,8 +352,4 @@ def experiment_config_from_dict(doc: dict, output_dir=None, where="config") -> E
 
 def resolved_config_doc(cfg: ExperimentConfig) -> dict:
     """Every effective setting, defaults included, keyed as in a config file."""
-    doc = {"suite": dataclasses.asdict(cfg.suite)}
-    for name, value in dataclasses.asdict(cfg.plan).items():
-        group, _, key = _PLAN_KEYS.get(name, name).rpartition(".")
-        (doc.setdefault(group, {}) if group else doc)[key] = value
-    return doc
+    return {"suite": dataclasses.asdict(cfg.suite), **dataclasses.asdict(cfg.plan)}

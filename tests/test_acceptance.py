@@ -130,7 +130,7 @@ def test_criterion_04_forgetting_occurs(harness5):
     within_budget = harness5.elapsed < 300.0
     check(f_ra >= 10.0 and within_budget,
           f"criterion 4: no-replay F.Ra {f_ra:.2f} >= 10 over "
-          f"{len(plan.run_seeds)} seeds x {len(plan.order_indices)} orders, "
+          f"{len(plan.run_seeds)} seeds x {len(plan.orders)} orders, "
           f"harness {harness5.elapsed:.0f}s < 300s")
 
 
@@ -146,7 +146,7 @@ def test_criterion_06_rgd_allocation_vs_equal(harness8):
     plan = harness8.result.plan
     diffs = []
     for seed in plan.run_seeds:
-        for order in plan.order_indices:
+        for order in plan.orders:
             rgd_fap = harness8.runs[("rgd-mean", seed, order)].report.fap
             eq_fap = harness8.runs[("equal", seed, order)].report.fap
             diffs.append(rgd_fap - eq_fap)
@@ -161,7 +161,7 @@ def test_criterion_07_rgd_rises_with_forgetting(harness5):
     plan = harness5.result.plan
     rises = []
     for seed in plan.run_seeds:
-        for order in plan.order_indices:
+        for order in plan.orders:
             record = harness5.runs[("none", seed, order)]
             for task in driver.most_forgotten_tasks(record.report):
                 own_stage = record.result.order.index(task)
@@ -209,7 +209,7 @@ def test_criterion_10_reproducibility(tmp_path):
         "warmup_examples": 400,
         "strategies": ["none", "rgd-mean"],
         "run_seeds": [7],
-        "orders": "both",
+        "orders": [0, 1],
         "replay": {"budget": 8},
         "output_dir": "unused",
     }

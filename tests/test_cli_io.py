@@ -1,11 +1,13 @@
 """Codec, configuration and command-line surface tests."""
 
+import dataclasses
 import filecmp
 import json
 import math
 import os
 import stat
 import threading
+import typing
 from pathlib import Path
 
 import pytest
@@ -179,7 +181,7 @@ class TestEmitReport:
         base = dict(fap=70.0, cap=80.0, f_ra=5.0, bwt=-4.0, fwt=1.0)
         base.update(kw)
         return fileio.TableRecord(strategy=strategy, run_seed=seed, order_index=order,
-                                  suite_fingerprint=fp, **base)
+                                  suite=fp, **base)
 
     def test_single_run_single_row(self, tmp_path):
         text = fileio.emit_report([self.record("none")], None, None)
@@ -268,7 +270,7 @@ class TestExperimentConfig:
         doc = good_config()
         doc["orders"] = [0]
         cfg = fileio.experiment_config_from_dict(doc)
-        assert cfg.plan.order_indices == (0,)
+        assert cfg.plan.orders == (0,)
         doc["orders"] = [2]
         with pytest.raises(ConfigError):
             fileio.experiment_config_from_dict(doc)
@@ -285,7 +287,15 @@ class TestExperimentConfig:
                 os.environ["RGDLAB_OUT"] = old
 
 
-@pytest.mark.parametrize("path", sorted(Path(__file__).parent.parent.glob("configs/*.json")),
+ROOT = Path(__file__).parent.parent
+
+
+def readme_example_config() -> dict:
+    section = (ROOT / "README.md").read_text().split("### Configuration file", 1)[1]
+    return json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("configs/*.json")),
                          ids=lambda path: path.name)
 def test_checked_in_config_loads(path, tmp_path):
     cfg = fileio.load_experiment_config(path, output_dir=tmp_path)
@@ -293,17 +303,37 @@ def test_checked_in_config_loads(path, tmp_path):
 
 
 def test_readme_example_config_loads():
-    readme = (Path(__file__).parent.parent / "README.md").read_text()
-    section = readme.split("### Configuration file", 1)[1]
-    doc = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+    doc = readme_example_config()
     cfg = fileio.experiment_config_from_dict(doc)
     assert cfg.output_dir == doc["output_dir"]
     resolved = json.loads(json.dumps(fileio.resolved_config_doc(cfg)))   # tuples as lists
     for key, value in doc.items():          # the resolved config keeps every value given
         if isinstance(value, dict):
             assert resolved[key] == {**resolved[key], **value}, key
-        elif key not in ("orders", "output_dir"):
+        elif key != "output_dir":
             assert resolved[key] == value, key
+
+
+@pytest.mark.parametrize("name", ["README.md", "harness5.json", "harness8.json"])
+def test_resolved_config_keys_are_field_names(name):
+    """A resolved config loads back to the same experiment, and each of its
+    keys is the name of the field it sets, nested objects included."""
+    doc = (readme_example_config() if name == "README.md"
+           else artifacts.read_json(ROOT / "configs" / name))
+    cfg = fileio.experiment_config_from_dict(doc, output_dir="out")
+    resolved = json.loads(json.dumps(fileio.resolved_config_doc(cfg)))   # as config.json has it
+    again = fileio.experiment_config_from_dict({**resolved, "output_dir": "out"})
+    assert (again.suite, again.plan, again.output_dir) == (cfg.suite, cfg.plan, cfg.output_dir)
+
+    def assert_keys_are_fields(doc, cls):
+        hints = typing.get_type_hints(cls)
+        assert set(doc) <= {f.name for f in dataclasses.fields(cls)}, cls
+        for key, value in doc.items():
+            if isinstance(value, dict):
+                assert_keys_are_fields(value, hints[key])
+
+    assert_keys_are_fields(resolved.pop("suite"), taskgen.SuiteSettings)
+    assert_keys_are_fields(resolved, driver.ExperimentPlan)
 
 
 @pytest.mark.parametrize("key, value, named", [
@@ -315,22 +345,22 @@ def test_readme_example_config_loads():
     ("strategies", "none", "strategies"),
     ("train.learning_rate", 0, "train: learning_rate"),
     ("rgd_eval_size", -4, "rgd_eval_size"),
-    ("strategies", ["none", "none"], "each strategy may appear once"),
-    ("run_seeds", [5, 5], "each run seed may appear once"),
-    ("orders", [0, 0], "each order index may appear once"),
-    ("probes.k_grid", [0.0, 1.5], "k_grid"),
-    ("probes.k_grid", [-0.1], "k_grid"),
-    ("probes.demo_counts", [0, 1], "demo_counts"),
-    ("probes.demo_draws", 0, "demo_draws"),
-    ("probes.top_forgotten", 0, "top_forgotten"),
+    ("strategies", ["none", "none"], "strategies: each strategy may appear once"),
+    ("run_seeds", [5, 5], "run_seeds: each run seed may appear once"),
+    ("orders", [0, 0], "orders: each order index may appear once, got [0, 0]"),
+    ("k_grid", [0.0, 1.5], "k_grid values must be in [0, 1]"),
+    ("k_grid", [-0.1], "k_grid values must be in [0, 1]"),
+    ("demo_counts", [0, 1], "demo_counts must be >= 1, got [0, 1]"),
+    ("demo_draws", 0, "demo_draws must be >= 1"),
+    ("top_forgotten", 0, "top_forgotten must be >= 1"),
     ("suite.seed", -3, "seed must be >= 0"),
     ("run_seeds", [-5], "run seeds must be >= 0"),
     ("warmup_examples", -1, "warmup_examples"),
     ("max_gen_len", 0, "max_gen_len"),
-    ("replay.budget", 2**31 + 1, "replay.budget must be in [0, 2147483648]"),
-    ("replay.budget", -1, "replay.budget must be in [0, 2147483648]"),
-    ("replay.budget_fraction", 2, "replay.budget_fraction must be in [0, 1]"),
-    ("probes.demo_counts", [0], "probes.demo_counts must be >= 1"),
+    ("replay.budget", 2**31 + 1, "replay: budget must be in [0, 2147483648]"),
+    ("replay.budget", -1, "replay: budget must be in [0, 2147483648]"),
+    ("replay.budget_fraction", 2, "replay: budget_fraction must be in [0, 1]"),
+    ("demo_counts", [0], "demo_counts must be >= 1"),
     ("orders", [], "orders must be a nonempty list"),
     ("model.context_len", 0, "model: context_len must be >= 1, got 0"),
     ("model.hidden_dim", -2, "model: hidden_dim must be >= 1, got -2"),
@@ -342,6 +372,8 @@ def test_readme_example_config_loads():
     ("max_gen_len", 18, "unknown key 'max_gen_len'"),
     ("warmup_examples", 0, "warmup_examples must be >= 1"),
     ("train.epochs", 0, "train: epochs must be >= 1"),
+    ("rgd_eval_size", 0, "rgd_eval_size: rgd strategies need an evaluation subset"),
+    ("orders", "both", "orders: expected a list, got 'both'"),
 ])
 def test_bad_config_value_exits_one(tmp_path, capsys, key, value, named):
     doc = good_config()
@@ -553,9 +585,8 @@ class TestCli:
         snapshot, which records the given value, depends on it."""
         config = json.loads((run_dir / "config.json").read_text())
         config.update(strategies=["none", "equal", "rgd-mean"], run_seeds=[3, 4], orders=[0, 1],
-                      run_probes=True, replay={"budget": 30},
-                      probes={"k_grid": [0.0, 1.0], "demo_counts": [1], "demo_draws": 1,
-                              "top_forgotten": 1})
+                      run_probes=True, replay={"budget": 30}, k_grid=[0.0, 1.0],
+                      demo_counts=[1], demo_draws=1, top_forgotten=1)
         config["suite"] = {**config["suite"], "num_tasks": 3}
         trees = []
         for threads in (1, 2, 3):

@@ -61,7 +61,7 @@ class TestRunConfig:
 
     def test_fraction_bounds(self):
         with pytest.raises(ConfigError):
-            tiny_cfg(replay_fraction=1.5)
+            tiny_cfg(replay=driver.ReplaySettings(budget_fraction=1.5))
 
 
 class TestStrategyTable:
@@ -92,7 +92,7 @@ class TestRunSequence:
 
     def test_replay_plans_budget_and_pools(self, suite, base):
         a0 = {s.task_id: 50.0 for s in suite.specs}
-        cfg = tiny_cfg(strategy="equal", replay_fraction=0.1)
+        cfg = tiny_cfg(strategy="equal", replay=driver.ReplaySettings(budget_fraction=0.1))
         res = driver.run_sequence(suite, cfg, a0=a0, base_model=base)
         for stage, plan in enumerate(res.plans):
             if stage == 0:
@@ -107,8 +107,8 @@ class TestRunSequence:
     def test_all_strategies_run(self, suite, base):
         a0 = {s.task_id: 50.0 for s in suite.specs}
         for strategy in driver.STRATEGIES:
-            res = driver.run_sequence(suite, tiny_cfg(strategy=strategy, replay_budget=6),
-                                      a0=a0, base_model=base)
+            cfg = tiny_cfg(strategy=strategy, replay=driver.ReplaySettings(budget=6))
+            res = driver.run_sequence(suite, cfg, a0=a0, base_model=base)
             assert res.matrix.num_tasks == 3
 
     def test_summaries_cover_seen_tasks(self, suite, base):
@@ -303,7 +303,8 @@ class TestReplayMitigates:
         # row for the majority of earlier tasks
         a0 = {s.task_id: 50.0 for s in suite.specs}
         cfg_kw = dict(train=driver.TrainSettings(learning_rate=0.15, epochs=6, batch_size=16),
-                      warmup=TINY_WARM, warmup_examples=300, replay_fraction=0.15)
+                      warmup=TINY_WARM, warmup_examples=300,
+                      replay=driver.ReplaySettings(budget_fraction=0.15))
         none = driver.run_sequence(
             suite, driver.RunConfig(strategy="none", run_seed=7, order_index=0, **cfg_kw),
             a0=a0, base_model=base)
@@ -324,7 +325,8 @@ class TestInsclPlans:
         import json
         from rgdlab import driver, taskgen
         suite = taskgen.make_suite(5, 60, 5, seed=3, probe_per_task=4)
-        cfg = driver.RunConfig(strategy="inscl", run_seed=7, replay_budget=10)
+        cfg = driver.RunConfig(strategy="inscl", run_seed=7,
+                               replay=driver.ReplaySettings(budget=10))
         order = suite.orders[0]
         print(json.dumps([driver._stage_plan(cfg, driver.PlanInputs(suite, order, stage, {})).counts
                           for stage in range(1, len(order))]))
@@ -345,9 +347,9 @@ class TestInsclPlans:
 class TestExperiment:
     def test_grid_and_report_records(self, suite):
         plan = driver.ExperimentPlan(strategies=("none", "equal"), run_seeds=(7,),
-                                     order_indices=(0,), train=TINY_TRAIN,
+                                     orders=(0,), train=TINY_TRAIN,
                                      warmup=TINY_WARM, warmup_examples=300,
-                                     replay_budget=6)
+                                     replay=driver.ReplaySettings(budget=6))
         result = driver.run_experiment(suite, plan)
         assert [(r.strategy, r.run_seed, r.order_index) for r in result.runs] == [
             ("none", 7, 0), ("equal", 7, 0)]
@@ -357,10 +359,11 @@ class TestExperiment:
     @pytest.mark.parametrize("save", [False, True], ids=["probes", "probes-and-checkpoints"])
     def test_runs_carry_no_checkpoints(self, suite, tmp_path, save):
         plan = driver.ExperimentPlan(strategies=("none", "equal"), run_seeds=(7,),
-                                     order_indices=(0,), train=TINY_TRAIN,
+                                     orders=(0,), train=TINY_TRAIN,
                                      warmup=TINY_WARM, warmup_examples=300,
-                                     replay_budget=6, run_probes=True, k_grid=(0.0,),
-                                     demo_counts=(1,), demo_draws=1, top_forgotten=1)
+                                     replay=driver.ReplaySettings(budget=6), run_probes=True,
+                                     k_grid=(0.0,), demo_counts=(1,), demo_draws=1,
+                                     top_forgotten=1)
         result = driver.run_experiment(suite, plan, str(tmp_path / "runs") if save else None)
         assert len(result.probes) == 1
         assert [r.result.checkpoints for r in result.runs] == [[], []]
@@ -369,7 +372,7 @@ class TestExperiment:
 
     def test_probes_on_no_replay_runs(self, suite):
         plan = driver.ExperimentPlan(strategies=("none",), run_seeds=(7,),
-                                     order_indices=(0,), train=TINY_TRAIN,
+                                     orders=(0,), train=TINY_TRAIN,
                                      warmup=TINY_WARM, warmup_examples=300,
                                      run_probes=True, k_grid=(0.0, 1.0),
                                      demo_counts=(1,), demo_draws=1, top_forgotten=2)
@@ -440,12 +443,12 @@ class TestSharedStages:
         """A grid whose replay strategies allocate alike."""
         return driver.ExperimentPlan(strategies=self.STRATEGIES, train=TINY_TRAIN,
                                      warmup=TINY_WARM, warmup_examples=300,
-                                     replay_budget=6, **kw)
+                                     replay=driver.ReplaySettings(budget=6), **kw)
 
     @pytest.fixture(scope="class")
     def shared(self, suite, tmp_path_factory):
         """The grid, the units it ran and the directory of its run directories."""
-        plan = self.plan(run_seeds=(7, 8), order_indices=(0, 1))
+        plan = self.plan(run_seeds=(7, 8), orders=(0, 1))
         runs_dir = tmp_path_factory.mktemp("shared") / "runs"
         with pytest.MonkeyPatch.context() as mp:
             units = _counting_units(mp)
@@ -471,7 +474,7 @@ class TestSharedStages:
         assert len(keys) < sum(len(r.result.order) for r in result.runs)
         seeds = len(plan.run_seeds)
         assert units == {"build_base_model": 1, "run_single_baselines": seeds,
-                         "run_multitask": seeds, "_run_group": seeds * len(plan.order_indices)}
+                         "run_multitask": seeds, "_run_group": seeds * len(plan.orders)}
         # Training happens in the workers.  Each stage training makes one new
         # checkpoint, whose bytes every run of its group that reaches the
         # stage holds.
@@ -492,7 +495,8 @@ class TestSharedStages:
             assert firsts.setdefault((record.run_seed, record.order_index), first) == first
         assert len(set(firsts.values())) == len(firsts)
         stages = {}
-        runs = [driver.run_sequence(suite, tiny_cfg(strategy, replay_budget=6),
+        runs = [driver.run_sequence(suite,
+                                    tiny_cfg(strategy, replay=driver.ReplaySettings(budget=6)),
                                     a0=result.singles[7], base_model=base, stages=stages)
                 for strategy in self.STRATEGIES]
         assert all(run.checkpoints[0] is runs[0].checkpoints[0] for run in runs)
@@ -505,12 +509,12 @@ class TestSharedStages:
         plan, result, _, _ = shared
         assert [(r.strategy, r.run_seed, r.order_index) for r in result.runs] == [
             (strategy, seed, order) for strategy in plan.strategies
-            for seed in plan.run_seeds for order in plan.order_indices]
+            for seed in plan.run_seeds for order in plan.orders]
 
     def test_group_saves_each_stage_once(self, suite, base, tmp_path, monkeypatch):
         """The group unit, run here: one save per stage training, to every
         run that holds the stage, and runs yielded without checkpoints."""
-        plan = self.plan(run_seeds=(7,), order_indices=(1,), run_probes=True, top_forgotten=1)
+        plan = self.plan(run_seeds=(7,), orders=(1,), run_probes=True, top_forgotten=1)
         trains = _counting_train(monkeypatch)
         saved = []
         save = tinylm.save_model
@@ -534,7 +538,8 @@ class TestSharedStages:
 
     def test_diverging_plans_share_only_their_prefix(self, suite, base, monkeypatch):
         a0 = {s.task_id: 50.0 for s in suite.specs}
-        cfgs = [tiny_cfg(strategy, order=1, replay_budget=30) for strategy in ("equal", "rgd-mean")]
+        cfgs = [tiny_cfg(strategy, order=1, replay=driver.ReplaySettings(budget=30))
+                for strategy in ("equal", "rgd-mean")]
         lone = [driver.run_sequence(suite, cfg, a0=a0, base_model=base) for cfg in cfgs]
         assert lone[0].plans[1].counts == lone[1].plans[1].counts
         assert lone[0].plans[2].counts != lone[1].plans[2].counts

@@ -136,10 +136,10 @@ import sys
 sys.path.insert(0, {str(SRC)!r})
 from rgdlab import driver, pool, taskgen
 suite = taskgen.make_suite(2, 12, 4, seed=3, probe_per_task=4)
-plan = driver.ExperimentPlan(strategies=("none", "equal"), run_seeds=(1,), order_indices=(0,),
-                             warmup_examples=40, replay_budget=4, run_probes=True,
-                             k_grid=(0.0, 1.0), demo_counts=(1,), demo_draws=1,
-                             top_forgotten=1, threads=2)
+plan = driver.ExperimentPlan(strategies=("none", "equal"), run_seeds=(1,), orders=(0,),
+                             warmup_examples=40, replay=driver.ReplaySettings(budget=4),
+                             run_probes=True, k_grid=(0.0, 1.0), demo_counts=(1,),
+                             demo_draws=1, top_forgotten=1, threads=2)
 result = driver.run_experiment(suite, plan)
 print(len(result.runs), len(result.probes), *(w.proc.pid for w in pool._pool.workers))
 """
@@ -200,8 +200,7 @@ def test_workers_are_capped_at_the_units_the_grid_can_run_at_once(tmp_path, monk
                   "probe_per_task": 4, "seed": 3},
         "warmup_examples": 40, "strategies": ["none", "equal"], "run_seeds": [1],
         "orders": [0, 1], "run_probes": True, "threads": 10**6,
-        "probes": {"k_grid": [0.0, 1.0], "demo_counts": [1], "demo_draws": 1,
-                   "top_forgotten": 1},
+        "k_grid": [0.0, 1.0], "demo_counts": [1], "demo_draws": 1, "top_forgotten": 1,
         "output_dir": str(tmp_path / "out"),
     }
     cfg_path = tmp_path / "config.json"
