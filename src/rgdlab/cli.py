@@ -139,8 +139,7 @@ def _cmd_score_rgd(args) -> int:
         if args.task:
             suite.spec(args.task)           # unknown task: InputError
         model = tinylm.load_model(args.checkpoint)
-        summaries = [driver.score_task_rgd(model, suite.probe[spec.task_id],
-                                           cfg.plan.rgd_eval_size)
+        summaries = [driver.score_task_rgd(model, suite.probe[spec.task_id])
                      for spec in suite.specs if not args.task or spec.task_id == args.task]
     docs = [{**fileio.summary_doc(s), "scalar": rgd.summary_scalar(s)}
             for s in summaries]

@@ -29,9 +29,10 @@ from . import clmetrics, rgd, replay, taskgen, tinylm
 from .errors import ConfigError, InputError
 
 DEFAULT_K_GRID = (0.0, 0.1, 0.2, 0.4, 0.6, 0.8, 1.0)
-DEFAULT_DEMO_COUNTS = (1, 2, 4, 8)
-DEFAULT_DEMO_DRAWS = 3
-DEFAULT_TOP_FORGOTTEN = 3
+DEMO_COUNTS = (1, 2, 4, 8)  # the TAP probe's demo counts, each drawn DEMO_DRAWS times
+DEMO_DRAWS = 3
+TOP_FORGOTTEN = 3           # most-forgotten tasks probed per no-replay run
+RGD_EVAL_SIZE = 32          # leading probe examples RGD scores per task and stage
 MAX_GEN_LEN = 18            # tokens greedy decoding may add to any scored prompt
 
 # Salts for deriving per-purpose seeds from the run seed.
@@ -78,11 +79,8 @@ class RunSettings:
         learning_rate=0.25, epochs=25, batch_size=32))
     warmup_examples: int = 2000               # size of the base-skills warmup corpus
     replay: ReplaySettings = field(default_factory=ReplaySettings)
-    rgd_eval_size: int = 32                   # probe examples scored per task and stage; 0: all
 
     def __post_init__(self):
-        if self.rgd_eval_size < 0:
-            raise ConfigError("rgd_eval_size must be nonnegative (0 scores the whole probe slice)")
         if self.warmup_examples < 1:
             raise ConfigError("warmup_examples must be >= 1")
 
@@ -97,9 +95,6 @@ class RunConfig(RunSettings):
         super().__post_init__()
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"unknown strategy {self.strategy!r}; expected one of {STRATEGIES}")
-        if self.strategy.startswith("rgd") and self.rgd_eval_size < 1:
-            raise ConfigError("rgd_eval_size: rgd strategies need an evaluation subset "
-                              "of >= 1 examples")
 
 
 @dataclass
@@ -161,10 +156,10 @@ def evaluate_accuracy(model: tinylm.ModelState, examples) -> float:
                              examples)
 
 
-def score_task_rgd(model: tinylm.ModelState, examples, limit: int | None = None) -> rgd.RgdSummary:
-    """Difficulty summary of a task's probe slice under one checkpoint."""
-    chosen = list(examples)[:limit] if limit else list(examples)
-    return rgd.task_rgd(rgd.rgd_records(model, chosen))
+def score_task_rgd(model: tinylm.ModelState, examples) -> rgd.RgdSummary:
+    """Difficulty summary of the first ``RGD_EVAL_SIZE`` of a task's probe
+    examples under one checkpoint."""
+    return rgd.task_rgd(rgd.rgd_records(model, list(examples)[:RGD_EVAL_SIZE]))
 
 
 @dataclass(frozen=True)
@@ -213,7 +208,7 @@ def _run_stage(suite: taskgen.Suite, cfg: RunConfig, order, stage: int,
     for _, param in model.params():         # the checkpoint may be shared between runs
         param.setflags(write=False)
     row = tuple(evaluate_accuracy(model, suite.eval[order[j]]) for j in range(stage + 1))
-    summary = {order[j]: score_task_rgd(model, suite.probe[order[j]], cfg.rgd_eval_size)
+    summary = {order[j]: score_task_rgd(model, suite.probe[order[j]])
                for j in range(stage + 1)}
     return model, row, summary
 
@@ -298,9 +293,9 @@ def probe_partial_rationale(model: tinylm.ModelState, examples,
 
 
 def probe_tap(model: tinylm.ModelState, examples, demo_pool,
-              demo_counts=DEFAULT_DEMO_COUNTS, draws: int = DEFAULT_DEMO_DRAWS,
               seed: int = 0) -> list[tuple[int, int, float]]:
-    """Accuracy over demo counts and seeded demo draws: (count, draw, accuracy).
+    """Accuracy over ``DEMO_COUNTS`` and ``DEMO_DRAWS`` seeded demo draws of
+    each: (count, draw, accuracy).
 
     Every arm goes through ``taskgen.render_prompt``.  The first arm,
     (0, 0, ...), is the rendered instruction alone: no demos and no context
@@ -314,8 +309,8 @@ def probe_tap(model: tinylm.ModelState, examples, demo_pool,
         raise ConfigError("demo pool is empty after removing same-task examples")
     grid = [(0, 0, _decoded_accuracy(
         model, [taskgen.render_prompt(ex.instruction) for ex in examples], examples))]
-    for count in demo_counts:
-        for draw in range(draws):
+    for count in DEMO_COUNTS:
+        for draw in range(DEMO_DRAWS):
             demos = replay.sample_replay(
                 demo_pool, count, seed=derive_seed(seed, _SALT_DEMOS, count, draw))
             prompts = [taskgen.render_prompt(taskgen.tap_prompt(ex, demos))
@@ -324,9 +319,9 @@ def probe_tap(model: tinylm.ModelState, examples, demo_pool,
     return grid
 
 
-def most_forgotten_tasks(report: clmetrics.MetricsReport, top: int = DEFAULT_TOP_FORGOTTEN) -> list[str]:
+def most_forgotten_tasks(report: clmetrics.MetricsReport) -> list[str]:
     ranked = sorted(report.per_task_forgetting.items(), key=lambda kv: (-kv[1], kv[0]))
-    return [task for task, _ in ranked[:top]]
+    return [task for task, _ in ranked[:TOP_FORGOTTEN]]
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -337,27 +332,35 @@ class ExperimentPlan(RunSettings):
     ``run_experiment``); by default, the CPUs this process may use.  Results
     do not depend on it.  ``save_checkpoints`` has ``rgdlab run-seq`` hand
     ``run_experiment`` a directory to write the stage checkpoints to.  Each
-    field's name is its config key.
+    field's name is its config key.  The probe grid and the RGD slice are
+    fixed; the plan shows them as read-only attributes.
     """
+
+    demo_counts = DEMO_COUNTS           # unannotated, so not fields and no config keys
+    demo_draws = DEMO_DRAWS
+    top_forgotten = TOP_FORGOTTEN
+    rgd_eval_size = RGD_EVAL_SIZE
 
     strategies: tuple[str, ...] = STRATEGIES
     run_seeds: tuple[int, ...]
     orders: tuple[int, ...] = (0, 1)
     run_probes: bool = False
     k_grid: tuple[float, ...] = DEFAULT_K_GRID
-    demo_counts: tuple[int, ...] = DEFAULT_DEMO_COUNTS
-    demo_draws: int = DEFAULT_DEMO_DRAWS
-    top_forgotten: int = DEFAULT_TOP_FORGOTTEN
     threads: int = field(default_factory=lambda: len(os.sched_getaffinity(0)))
     save_checkpoints: bool = True
 
     def __post_init__(self):
+        super().__post_init__()
         if not self.strategies:
-            raise ConfigError("at least one strategy is required")
+            raise ConfigError("strategies: at least one strategy is required")
+        for strategy in self.strategies:
+            if strategy not in STRATEGIES:
+                raise ConfigError(f"strategies: unknown strategy {strategy!r}; "
+                                  f"expected one of {STRATEGIES}")
         if not self.run_seeds:
-            raise ConfigError("at least one run seed is required")
+            raise ConfigError("run_seeds: at least one run seed is required")
         if any(seed < 0 for seed in self.run_seeds):
-            raise ConfigError(f"run seeds must be >= 0, got {list(self.run_seeds)}")
+            raise ConfigError(f"run_seeds: each run seed must be >= 0, got {list(self.run_seeds)}")
         if not self.orders or any(o not in (0, 1) for o in self.orders):
             raise ConfigError("orders must be a nonempty list of 0 and 1")
         for key, what in (("strategies", "strategy"), ("run_seeds", "run seed"),
@@ -367,19 +370,11 @@ class ExperimentPlan(RunSettings):
                 raise ConfigError(f"{key}: each {what} may appear once, got {list(values)}")
         if any(not 0 <= k <= 1 for k in self.k_grid):
             raise ConfigError(f"k_grid values must be in [0, 1], got {list(self.k_grid)}")
-        if any(count < 1 for count in self.demo_counts):
-            raise ConfigError(f"demo_counts must be >= 1, got {list(self.demo_counts)}")
-        if self.demo_draws < 1:
-            raise ConfigError("demo_draws must be >= 1")
-        if self.top_forgotten < 1:
-            raise ConfigError("top_forgotten must be >= 1")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
         if self.run_probes and "none" not in self.strategies:
             raise ConfigError('run_probes needs "none" in strategies: probes run on the '
                               "final checkpoint of the no-replay run")
-        for strategy in self.strategies:        # checks the shared settings too
-            self.run_config(strategy, self.run_seeds[0], self.orders[0])
 
     @property
     def workers(self) -> int:
@@ -387,7 +382,7 @@ class ExperimentPlan(RunSettings):
         build: each (seed, order) group, each seed's two baselines, and the
         probes of every group's ``none`` run."""
         seeds, orders = len(self.run_seeds), len(self.orders)
-        probes = seeds * orders * self.top_forgotten if self.run_probes else 0
+        probes = seeds * orders * TOP_FORGOTTEN if self.run_probes else 0
         return min(self.threads, seeds * (orders + 2) + probes)
 
     def run_config(self, strategy: str, seed: int, order_index: int) -> RunConfig:
@@ -451,7 +446,7 @@ def _run_group(suite: taskgen.Suite, plan: ExperimentPlan, seed: int, order_inde
             base_model=base, stages=stages)
         if plan.run_probes and strategy == "none":      # forgetting ignores the baseline row
             yield result.checkpoints[-1], most_forgotten_tasks(
-                clmetrics.compute_report(result.matrix), plan.top_forgotten)
+                clmetrics.compute_report(result.matrix))
     if runs_dir is not None:
         paths: dict[int, tuple[tinylm.ModelState, list[str]]] = {}
         for strategy, result in results.items():
@@ -479,8 +474,7 @@ def probe_task(suite: taskgen.Suite, plan: ExperimentPlan, order_index: int, see
     partial = probe_partial_rationale(model, suite.eval[task], plan.k_grid)
     pool_examples = [ex for other in suite.orders[order_index] if other != task
                      for ex in suite.train[other]]
-    tap = probe_tap(model, suite.eval[task], pool_examples, plan.demo_counts, plan.demo_draws,
-                    seed=seed)
+    tap = probe_tap(model, suite.eval[task], pool_examples, seed=seed)
     return ProbeRecord(task_id=task, partial=partial, tap=tap)
 
 

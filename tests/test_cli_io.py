@@ -344,23 +344,23 @@ def test_resolved_config_keys_are_field_names(name):
     ("model.hidden_dim", 1.5, "model.hidden_dim"),
     ("strategies", "none", "strategies"),
     ("train.learning_rate", 0, "train: learning_rate"),
-    ("rgd_eval_size", -4, "rgd_eval_size"),
+    ("rgd_eval_size", -4, "unknown key 'rgd_eval_size'"),
     ("strategies", ["none", "none"], "strategies: each strategy may appear once"),
     ("run_seeds", [5, 5], "run_seeds: each run seed may appear once"),
     ("orders", [0, 0], "orders: each order index may appear once, got [0, 0]"),
     ("k_grid", [0.0, 1.5], "k_grid values must be in [0, 1]"),
     ("k_grid", [-0.1], "k_grid values must be in [0, 1]"),
-    ("demo_counts", [0, 1], "demo_counts must be >= 1, got [0, 1]"),
-    ("demo_draws", 0, "demo_draws must be >= 1"),
-    ("top_forgotten", 0, "top_forgotten must be >= 1"),
+    ("demo_counts", [0, 1], "unknown key 'demo_counts'"),
+    ("demo_draws", 0, "unknown key 'demo_draws'"),
+    ("top_forgotten", 0, "unknown key 'top_forgotten'"),
     ("suite.seed", -3, "seed must be >= 0"),
-    ("run_seeds", [-5], "run seeds must be >= 0"),
+    ("run_seeds", [-5], "run_seeds: each run seed must be >= 0, got [-5]"),
     ("warmup_examples", -1, "warmup_examples"),
     ("max_gen_len", 0, "max_gen_len"),
     ("replay.budget", 2**31 + 1, "replay: budget must be in [0, 2147483648]"),
     ("replay.budget", -1, "replay: budget must be in [0, 2147483648]"),
     ("replay.budget_fraction", 2, "replay: budget_fraction must be in [0, 1]"),
-    ("demo_counts", [0], "demo_counts must be >= 1"),
+    ("demo_counts", [0], "unknown key 'demo_counts'"),
     ("orders", [], "orders must be a nonempty list"),
     ("model.context_len", 0, "model: context_len must be >= 1, got 0"),
     ("model.hidden_dim", -2, "model: hidden_dim must be >= 1, got -2"),
@@ -372,8 +372,11 @@ def test_resolved_config_keys_are_field_names(name):
     ("max_gen_len", 18, "unknown key 'max_gen_len'"),
     ("warmup_examples", 0, "warmup_examples must be >= 1"),
     ("train.epochs", 0, "train: epochs must be >= 1"),
-    ("rgd_eval_size", 0, "rgd_eval_size: rgd strategies need an evaluation subset"),
+    ("rgd_eval_size", 0, "unknown key 'rgd_eval_size'"),
     ("orders", "both", "orders: expected a list, got 'both'"),
+    ("run_seeds", [], "run_seeds: at least one run seed is required"),
+    ("strategies", [], "strategies: at least one strategy is required"),
+    ("strategies", ["bogus"], "strategies: unknown strategy 'bogus'"),
 ])
 def test_bad_config_value_exits_one(tmp_path, capsys, key, value, named):
     doc = good_config()
@@ -585,9 +588,8 @@ class TestCli:
         snapshot, which records the given value, depends on it."""
         config = json.loads((run_dir / "config.json").read_text())
         config.update(strategies=["none", "equal", "rgd-mean"], run_seeds=[3, 4], orders=[0, 1],
-                      run_probes=True, replay={"budget": 30}, k_grid=[0.0, 1.0],
-                      demo_counts=[1], demo_draws=1, top_forgotten=1)
-        config["suite"] = {**config["suite"], "num_tasks": 3}
+                      run_probes=True, replay={"budget": 30}, k_grid=[0.0, 1.0])
+        config["suite"] = {**config["suite"], "num_tasks": 3, "eval_per_task": 2}
         trees = []
         for threads in (1, 2, 3):
             cfg_path = run_dir / f"threads-{threads}-config.json"

@@ -46,19 +46,6 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             tiny_cfg(strategy="magic")
 
-    def test_rgd_needs_eval_subset(self):
-        with pytest.raises(ConfigError):
-            tiny_cfg(strategy="rgd-mean", rgd_eval_size=0)
-
-    def test_negative_eval_size_rejected(self):
-        with pytest.raises(ConfigError, match="rgd_eval_size"):
-            tiny_cfg(rgd_eval_size=-4)
-
-    def test_zero_eval_size_scores_whole_slice(self, suite, base):
-        task = suite.specs[0].task_id
-        summary = driver.score_task_rgd(base, suite.probe[task], tiny_cfg(rgd_eval_size=0).rgd_eval_size)
-        assert summary.n == len(suite.probe[task])
-
     def test_fraction_bounds(self):
         with pytest.raises(ConfigError):
             tiny_cfg(replay=driver.ReplaySettings(budget_fraction=1.5))
@@ -204,10 +191,11 @@ class TestProbes:
     def test_tap_zero_arm_is_instruction_only(self, suite, base):
         task = suite.specs[0].task_id
         pool = [ex for s in suite.specs if s.task_id != task for ex in suite.train[s.task_id]]
-        tap = driver.probe_tap(base, suite.eval[task], pool, demo_counts=(1, 2),
-                               draws=2, seed=3)
-        assert tap[0] == (0, 0, driver.evaluate_accuracy(base, suite.eval[task]))
-        assert [arm[:2] for arm in tap] == [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1)]
+        examples = suite.eval[task][:4]
+        tap = driver.probe_tap(base, examples, pool, seed=3)
+        assert tap[0] == (0, 0, driver.evaluate_accuracy(base, examples))
+        assert [arm[:2] for arm in tap] == [(0, 0)] + [
+            (count, draw) for count in (1, 2, 4, 8) for draw in range(3)]
 
     def test_tap_prompts_are_rendered(self, suite, base, monkeypatch):
         task = suite.specs[0].task_id
@@ -220,8 +208,8 @@ class TestProbes:
             return original(model, batch, examples)
 
         monkeypatch.setattr(driver, "_decoded_accuracy", recording)
-        driver.probe_tap(base, suite.eval[task], pool, demo_counts=(1, 2), draws=2, seed=3)
-        assert len(prompts) == len(suite.eval[task]) * (1 + 2 * 2)
+        driver.probe_tap(base, suite.eval[task][:4], pool, seed=3)
+        assert len(prompts) == 4 * (1 + 4 * 3)
         prefix = taskgen.PROMPT_PREFIX
         assert all(tuple(prompt[:len(prefix)]) == prefix for prompt in prompts)
 
@@ -259,8 +247,18 @@ class TestProbes:
 class TestScoreTaskRgd:
     def test_matches_per_example_records(self, suite, base):
         examples = suite.probe[suite.specs[0].task_id]
-        expected = rgd.task_rgd([rgd.rgd_from_model(base, ex) for ex in examples[:6]])
-        assert driver.score_task_rgd(base, examples, 6) == expected
+        expected = rgd.task_rgd([rgd.rgd_from_model(base, ex) for ex in examples])
+        assert driver.score_task_rgd(base, examples) == expected
+
+    @pytest.mark.parametrize("probe_per_task, n", [(4, 4), (40, 32)])
+    def test_scores_the_first_32_probe_examples(self, base, probe_per_task, n):
+        """``RGD_EVAL_SIZE`` caps the slice; a shorter slice is scored whole."""
+        suite = taskgen.make_suite(3, 40, 10, seed=5, probe_per_task=probe_per_task)
+        examples = suite.probe[suite.specs[0].task_id]
+        summary = driver.score_task_rgd(base, examples)
+        assert driver.RGD_EVAL_SIZE == driver.ExperimentPlan.rgd_eval_size == 32
+        assert summary.n == n
+        assert summary == rgd.task_rgd(rgd.rgd_records(base, examples[:n]))
 
     def test_scores_the_prompt_the_model_trained_on(self, suite, base, monkeypatch):
         examples = suite.probe[suite.specs[0].task_id]
@@ -362,10 +360,9 @@ class TestExperiment:
                                      orders=(0,), train=TINY_TRAIN,
                                      warmup=TINY_WARM, warmup_examples=300,
                                      replay=driver.ReplaySettings(budget=6), run_probes=True,
-                                     k_grid=(0.0,), demo_counts=(1,), demo_draws=1,
-                                     top_forgotten=1)
+                                     k_grid=(0.0,))
         result = driver.run_experiment(suite, plan, str(tmp_path / "runs") if save else None)
-        assert len(result.probes) == 1
+        assert len(result.probes) == len(suite.specs) - 1     # every task the run can forget
         assert [r.result.checkpoints for r in result.runs] == [[], []]
         written = [path for path in tmp_path.rglob("*") if path.is_file()]
         assert len(written) == (2 * len(suite.specs) if save else 0)
@@ -374,13 +371,13 @@ class TestExperiment:
         plan = driver.ExperimentPlan(strategies=("none",), run_seeds=(7,),
                                      orders=(0,), train=TINY_TRAIN,
                                      warmup=TINY_WARM, warmup_examples=300,
-                                     run_probes=True, k_grid=(0.0, 1.0),
-                                     demo_counts=(1,), demo_draws=1, top_forgotten=2)
+                                     run_probes=True, k_grid=(0.0, 1.0))
         result = driver.run_experiment(suite, plan)
         assert len(result.probes) == 2
         for probe in result.probes:
             assert [k for k, _ in probe.partial] == [0.0, 1.0]
-            assert [arm[:2] for arm in probe.tap] == [(0, 0), (1, 0)]
+            assert [arm[:2] for arm in probe.tap] == [(0, 0)] + [
+                (count, draw) for count in (1, 2, 4, 8) for draw in range(3)]
 
 
 def _stage_keys(record):
@@ -514,7 +511,7 @@ class TestSharedStages:
     def test_group_saves_each_stage_once(self, suite, base, tmp_path, monkeypatch):
         """The group unit, run here: one save per stage training, to every
         run that holds the stage, and runs yielded without checkpoints."""
-        plan = self.plan(run_seeds=(7,), orders=(1,), run_probes=True, top_forgotten=1)
+        plan = self.plan(run_seeds=(7,), orders=(1,), run_probes=True)
         trains = _counting_train(monkeypatch)
         saved = []
         save = tinylm.save_model
@@ -525,7 +522,7 @@ class TestSharedStages:
 
         monkeypatch.setattr(tinylm, "save_model", counting)
         (final, tasks), runs = driver._run_group(suite, plan, 7, 1, base, str(tmp_path))
-        assert len(tasks) == 1                  # the none run's end, for its probes
+        assert len(tasks) == len(suite.specs) - 1       # the none run's end, for its probes
         written = tinylm.load_model(tmp_path / "none-o1-s7/checkpoints/stage-03.json")
         assert [p.tobytes() for _, p in written.params()] == [
             p.tobytes() for _, p in final.params()]

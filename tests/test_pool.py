@@ -138,8 +138,7 @@ from rgdlab import driver, pool, taskgen
 suite = taskgen.make_suite(2, 12, 4, seed=3, probe_per_task=4)
 plan = driver.ExperimentPlan(strategies=("none", "equal"), run_seeds=(1,), orders=(0,),
                              warmup_examples=40, replay=driver.ReplaySettings(budget=4),
-                             run_probes=True, k_grid=(0.0, 1.0), demo_counts=(1,),
-                             demo_draws=1, top_forgotten=1, threads=2)
+                             run_probes=True, k_grid=(0.0, 1.0), threads=2)
 result = driver.run_experiment(suite, plan)
 print(len(result.runs), len(result.probes), *(w.proc.pid for w in pool._pool.workers))
 """
@@ -170,8 +169,8 @@ os.kill(os.getpid(), signal.SIGKILL)
 
 
 def test_workers_are_capped_at_the_units_the_grid_can_run_at_once(tmp_path, monkeypatch):
-    """``threads`` 10**6 starts S·(O+2) + S·O·top_forgotten workers (here
-    1·4 + 1·2·1), once for ``run-seq``'s early start and its grid, and
+    """``threads`` 10**6 starts S·(O+2) + S·O·TOP_FORGOTTEN workers (here
+    1·4 + 1·2·3), once for ``run-seq``'s early start and its grid, and
     ``config.json`` keeps the value given.  The pool is a fake that starts no
     process: it runs every unit here, one at a time."""
     sizes = []
@@ -179,7 +178,7 @@ def test_workers_are_capped_at_the_units_the_grid_can_run_at_once(tmp_path, monk
     class InlinePool:
         def __init__(self, size):
             sizes.append(size)
-            assert size <= 6, f"asked for {size} workers"
+            assert size <= 10, f"asked for {size} workers"
             self.workers = [None] * size
 
         def run(self, units):
@@ -200,12 +199,12 @@ def test_workers_are_capped_at_the_units_the_grid_can_run_at_once(tmp_path, monk
                   "probe_per_task": 4, "seed": 3},
         "warmup_examples": 40, "strategies": ["none", "equal"], "run_seeds": [1],
         "orders": [0, 1], "run_probes": True, "threads": 10**6,
-        "k_grid": [0.0, 1.0], "demo_counts": [1], "demo_draws": 1, "top_forgotten": 1,
+        "k_grid": [0.0, 1.0],
         "output_dir": str(tmp_path / "out"),
     }
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(config))
     assert cli.main(["run-seq", "--config", str(cfg_path)]) == 0
-    assert sizes == [6]
+    assert sizes == [10]
     snapshot = json.loads((tmp_path / "out" / "config.json").read_text())
     assert snapshot["given"]["threads"] == snapshot["resolved"]["threads"] == 10**6
