@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import artifacts, clmetrics, driver, fileio, replay, rgd, taskgen, tinylm
-from .errors import InputError, RgdLabError
+from .errors import ConfigError, InputError, RgdLabError
 
 
 def _write_suite(suite: taskgen.Suite, out_dir: str) -> None:
@@ -29,11 +29,11 @@ def _write_suite(suite: taskgen.Suite, out_dir: str) -> None:
         "orders": [list(o) for o in suite.orders],
         "tasks": [{
             "task_id": s.task_id,
-            "instruction_template": s.instruction_template,
+            "instruction_template": " ".join(s.instruction) + " {input}",
             "label_set": list(s.label_set),
             "input_grammar": {k: list(v) if isinstance(v, tuple) else v
                               for k, v in s.input_grammar.items()},
-            "rationale_template": s.rationale_template,
+            "rationale_template": taskgen.RATIONALE_TEMPLATE,
         } for s in suite.specs],
     }
     artifacts.write_json(os.path.join(out_dir, "suite.json"), manifest)
@@ -54,8 +54,8 @@ def _cmd_gen_suite(args) -> int:
     return 0
 
 
-def _write_run_artifacts(result: driver.ExperimentResult, cfg: fileio.ExperimentConfig) -> None:
-    root = cfg.output_dir
+def _write_run_artifacts(result: driver.ExperimentResult, cfg: fileio.ExperimentConfig,
+                         root: str) -> None:
     os.makedirs(root, exist_ok=True)
     given = {k: v for k, v in cfg.raw.items() if k != "output_dir"}
     artifacts.write_json(os.path.join(root, "config.json"),
@@ -90,28 +90,31 @@ def _write_run_artifacts(result: driver.ExperimentResult, cfg: fileio.Experiment
 def _cmd_run_seq(args) -> int:
     from . import pool    # here, as in driver.run_experiment: only a grid needs it
 
-    cfg = fileio.load_experiment_config(args.config, output_dir=args.out)
+    cfg = fileio.load_experiment_config(args.config)
+    root = args.out or cfg.output_dir
+    if not root:
+        raise ConfigError("output_dir is required: give --out or set output_dir in the config")
     pool.start(cfg.plan.workers)            # the workers start while the suite is made
     suite = cfg.make_suite()
     # The pool workers write the stage checkpoints (see driver.run_experiment).
-    runs_dir = os.path.join(cfg.output_dir, "runs") if cfg.plan.save_checkpoints else None
+    runs_dir = os.path.join(root, "runs") if cfg.plan.save_checkpoints else None
     result = driver.run_experiment(suite, cfg.plan, runs_dir)
-    _write_run_artifacts(result, cfg)
-    print(f"experiment artifacts written to {cfg.output_dir}")
+    _write_run_artifacts(result, cfg, root)
+    print(f"experiment artifacts written to {root}")
     return 0
 
 
 def _cmd_probe(args) -> int:
     if args.seed < 0:
         raise InputError(f"--seed must be >= 0, got {args.seed}")
-    cfg = fileio.load_experiment_config(args.config, output_dir=args.out or ".")
+    cfg = fileio.load_experiment_config(args.config)
     suite = cfg.make_suite()
     suite.spec(args.task)                   # unknown task: InputError
     model = tinylm.load_model(args.checkpoint)
     # Order 0 is the spec order, so the TAP demo pool is every other task's train data.
     record = driver.probe_task(suite, cfg.plan, 0, args.seed, model, args.task)
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    paths = [os.path.join(cfg.output_dir, f"probe_{kind}_{args.task}.csv")
+    os.makedirs(args.out, exist_ok=True)
+    paths = [os.path.join(args.out, f"probe_{kind}_{args.task}.csv")
              for kind in ("partial", "tap")]
     fileio.write_probe_csvs([record], *paths)
     print("wrote " + ", ".join(paths))
@@ -134,7 +137,7 @@ def _cmd_score_rgd(args) -> int:
     else:
         if not (args.checkpoint and args.config):
             raise InputError("need --from-records, or --checkpoint with --config")
-        cfg = fileio.load_experiment_config(args.config, output_dir=".")
+        cfg = fileio.load_experiment_config(args.config)
         suite = cfg.make_suite()
         if args.task:
             suite.spec(args.task)           # unknown task: InputError
@@ -244,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--task", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", default=".")
     p.set_defaults(func=_cmd_probe)
 
     p = subcommand("score-rgd", help="difficulty summaries from records or a checkpoint")

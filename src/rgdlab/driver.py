@@ -338,7 +338,6 @@ class ExperimentPlan(RunSettings):
 
     demo_counts = DEMO_COUNTS           # unannotated, so not fields and no config keys
     demo_draws = DEMO_DRAWS
-    top_forgotten = TOP_FORGOTTEN
     rgd_eval_size = RGD_EVAL_SIZE
 
     strategies: tuple[str, ...] = STRATEGIES
@@ -363,8 +362,10 @@ class ExperimentPlan(RunSettings):
             raise ConfigError(f"run_seeds: each run seed must be >= 0, got {list(self.run_seeds)}")
         if not self.orders or any(o not in (0, 1) for o in self.orders):
             raise ConfigError("orders must be a nonempty list of 0 and 1")
+        if not self.k_grid:
+            raise ConfigError("k_grid: at least one value is required")
         for key, what in (("strategies", "strategy"), ("run_seeds", "run seed"),
-                          ("orders", "order index")):
+                          ("orders", "order index"), ("k_grid", "k")):
             values = getattr(self, key)
             if len(set(values)) != len(values):
                 raise ConfigError(f"{key}: each {what} may appear once, got {list(values)}")

@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
-import os
 import types
 import typing
 from dataclasses import dataclass, field
@@ -271,7 +270,7 @@ class ExperimentConfig:
 
     suite: taskgen.SuiteSettings
     plan: driver.ExperimentPlan
-    output_dir: str
+    output_dir: str | None          # run-seq's output root unless --out gives one
     raw: dict = field(default_factory=dict, compare=False)
 
     def make_suite(self) -> taskgen.Suite:
@@ -326,13 +325,12 @@ def _build(cls, doc: dict, path: str = ""):
         raise ConfigError(f"{path}: {err}") from None
 
 
-def load_experiment_config(path, output_dir=None) -> ExperimentConfig:
+def load_experiment_config(path) -> ExperimentConfig:
     """Parse and validate a config file; every seed must be explicit."""
-    return experiment_config_from_dict(artifacts.read_json(path), output_dir=output_dir,
-                                       where=str(path))
+    return experiment_config_from_dict(artifacts.read_json(path), where=str(path))
 
 
-def experiment_config_from_dict(doc: dict, output_dir=None, where="config") -> ExperimentConfig:
+def experiment_config_from_dict(doc: dict, where="config") -> ExperimentConfig:
     """Besides ``suite`` and ``output_dir``, every key of ``doc`` is a field of
     ``driver.ExperimentPlan``, and a nested object's keys are the fields of
     that field's settings class."""
@@ -343,11 +341,8 @@ def experiment_config_from_dict(doc: dict, output_dir=None, where="config") -> E
     suite = _convert(doc["suite"], taskgen.SuiteSettings, "suite")
     plan = _build(driver.ExperimentPlan,
                   {k: v for k, v in doc.items() if k not in ("suite", "output_dir")})
-    out = (output_dir or _convert(doc.get("output_dir"), str | None, "output_dir")
-           or os.environ.get("RGDLAB_OUT"))
-    if not out:
-        raise ConfigError("output_dir is required (flag, config key, or RGDLAB_OUT)")
-    return ExperimentConfig(suite=suite, plan=plan, output_dir=str(out), raw=doc)
+    out = _convert(doc.get("output_dir"), str | None, "output_dir")
+    return ExperimentConfig(suite=suite, plan=plan, output_dir=out, raw=doc)
 
 
 def resolved_config_doc(cfg: ExperimentConfig) -> dict:

@@ -77,6 +77,11 @@ SCAFFOLD_BODY = "the word {feature} here"
 # instructions onto the right feature.
 GLOBAL_FEATURES = ("fits", "breaks")
 
+# The rationale of each GLOBAL_FEATURES entry, for task and warmup examples
+# alike, and the rationale template a suite manifest records for every task.
+RATIONALES = tuple(tuple(f"{SCAFFOLD_BODY.format(feature=f)} .".split()) for f in GLOBAL_FEATURES)
+RATIONALE_TEMPLATE = f"{SCAFFOLD_BODY} . {RESULT_MARKER} {{answer}}"
+
 # One entry per variant; variants cycle when the suite has more than five
 # tasks.  labels[i] pairs with GLOBAL_FEATURES[i].  Marker-family phrasings
 # end with the marker so its distance from the input is the same everywhere.
@@ -128,13 +133,9 @@ _VARIANTS = {
 @dataclass(frozen=True)
 class TaskSpec:
     task_id: str
-    instruction_template: str          # "{input}" slot; marker and options baked in
+    instruction: tuple[str, ...]       # the tokens before the input: phrasing and options
     label_set: tuple[str, ...]
     input_grammar: dict                # family name plus its parameters
-    rationale_template: str            # "{feature}" slot and a trailing answer slot
-
-    def feature_for(self, answer: str) -> str:
-        return GLOBAL_FEATURES[self.label_set.index(answer)]
 
 
 @dataclass(frozen=True)
@@ -215,11 +216,11 @@ def _validate_input(grammar: dict, words) -> None:
 # bit generator's stream fixed but lets Generator methods change algorithm
 # between releases, so the replay keeps suites on the stream alone.  Each draw
 # keeps its kind, bounds and order, because together they fix every example
-# and so every checkpoint trained on the suite: dropping even the per-example
-# seed draw in make_suite, whose value only names ad-hoc ids, would change
-# every checkpoint and re-roll acceptance criterion 6 (RGD vs equal
-# allocation), which is mostly noise.  Only the Python work around the draws
-# is cached or hoisted.
+# and so every checkpoint trained on the suite: dropping even make_suite's
+# per-example draw, whose value no example uses, would change every
+# checkpoint and re-roll acceptance criterion 6 (RGD vs equal allocation),
+# which is mostly noise.  Only the Python work around the draws is cached or
+# hoisted.
 
 _LOW32 = 0xFFFFFFFF
 _BLOCK = 64     # words per random_raw call: amortizes the call, keeps few ints alive
@@ -385,51 +386,26 @@ def _build_specs(num_tasks: int, rng: _Sampler) -> tuple[TaskSpec, ...]:
             grammar["groups"] = spec_def["groups"][variant]
             task_id = f"t{i + 1:02d}-{family}-{labels[0]}"
         phrase = phrasing.format(marker=grammar.get("marker", ""))
-        instruction = (f"{phrase} , options {labels[0]} or {labels[1]} : {{input}}")
-        rationale = f"{SCAFFOLD_BODY} . {RESULT_MARKER} {{answer}}"
+        instruction = f"{phrase} , options {labels[0]} or {labels[1]} :"
         specs.append(TaskSpec(
             task_id=task_id,
-            instruction_template=" ".join(instruction.split()),
+            instruction=tuple(instruction.split()),
             label_set=labels,
             input_grammar=grammar,
-            rationale_template=" ".join(rationale.split()),
         ))
     return tuple(specs)
 
 
-@functools.lru_cache(maxsize=256)
-def _instruction_slots(template: str):
-    """The tokens before and after a template's ``{input}`` slot.
-
-    The slot must be one whitespace-delimited token, and no other token may
-    hold a brace.
-    """
-    tokens = template.split()
-    if tokens.count("{input}") != 1 or any(
-            "{" in t or "}" in t for t in tokens if t != "{input}"):
-        raise ConfigError(
-            f"instruction template needs exactly one standalone {{input}} slot: {template!r}")
-    at = tokens.index("{input}")
-    return tuple(tokens[:at]), tuple(tokens[at + 1:])
-
-
-@functools.lru_cache(maxsize=256)
-def _rationale(template: str, feature: str, answer: str) -> tuple[str, ...]:
-    full = template.format(feature=feature, answer=answer)
-    return tuple(full.split(f" {RESULT_MARKER} ")[0].split())
-
-
-def render_example(spec: TaskSpec, raw_input, seed: int, ex_id: str | None = None) -> Example:
-    """Fill the instruction and rationale templates for one raw input."""
+def render_example(spec: TaskSpec, raw_input, ex_id: str) -> Example:
+    """The example of ``spec`` whose input words are ``raw_input``."""
     words = tuple(raw_input)
     _validate_input(spec.input_grammar, words)
     answer = _label_of(spec.input_grammar, words)
-    before, after = _instruction_slots(spec.instruction_template)
     return Example(
         task_id=spec.task_id,
-        id=ex_id if ex_id is not None else f"{spec.task_id}-adhoc-{seed}",
-        instruction=before + words + after,     # content words are single tokens
-        rationale=_rationale(spec.rationale_template, spec.feature_for(answer), answer),
+        id=ex_id,
+        instruction=spec.instruction + words,   # content words are single tokens
+        rationale=RATIONALES[spec.label_set.index(answer)],
         answer=answer,
     )
 
@@ -475,9 +451,9 @@ def make_suite(num_tasks: int, train_per_task: int, eval_per_task: int, seed: in
                 if words in seen:
                     continue
                 seen.add(words)
-                ex_id = f"{spec.task_id}-{split}-{len(examples):04d}"
+                rng.integers(0, 2**31)          # unused, but fixes the stream: see _LOW32
                 examples.append(render_example(
-                    spec, words, seed=rng.integers(0, 2**31), ex_id=ex_id))
+                    spec, words, f"{spec.task_id}-{split}-{len(examples):04d}"))
             sets[split][spec.task_id] = tuple(examples)
 
     first = tuple(s.task_id for s in specs)
@@ -530,7 +506,6 @@ def make_warmup_corpus(n_examples: int, seed: int) -> tuple[Example, ...]:
     # on spaces.  The draws follow the module's rule: all of them stay, in order.
     heads = [tuple(_WARMUP_PHRASE.split()) + (",", "hint", f, ",", "options")
              for f in GLOBAL_FEATURES]
-    rationales = [tuple(f"{SCAFFOLD_BODY.format(feature=f)} .".split()) for f in GLOBAL_FEATURES]
     rng = _Sampler(seed)
     examples = []
     for i in range(n_examples):
@@ -549,7 +524,7 @@ def make_warmup_corpus(n_examples: int, seed: int) -> tuple[Example, ...]:
             task_id=WARMUP_TASK_ID,
             id=f"{WARMUP_TASK_ID}-{i:04d}",
             instruction=instruction,
-            rationale=rationales[pick],
+            rationale=RATIONALES[pick],
             answer=(first, second)[pick],
         ))
     return tuple(examples)

@@ -35,8 +35,7 @@ class Harness:
 
 def _run_grid(name: str) -> Harness:
     start = time.time()
-    cfg = fileio.load_experiment_config(CONFIGS / f"{name}.json",
-                                        output_dir="unused")      # nothing is written
+    cfg = fileio.load_experiment_config(CONFIGS / f"{name}.json")
     result = driver.run_experiment(cfg.make_suite(), cfg.plan)
     runs = {(r.strategy, r.run_seed, r.order_index): r for r in result.runs}
     return Harness(result=result, runs=runs, elapsed=time.time() - start)

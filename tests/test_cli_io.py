@@ -2,6 +2,7 @@
 
 import dataclasses
 import filecmp
+import hashlib
 import json
 import math
 import os
@@ -275,17 +276,6 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             fileio.experiment_config_from_dict(doc)
 
-    def test_output_dir_required(self):
-        doc = good_config()
-        del doc["output_dir"]
-        old = os.environ.pop("RGDLAB_OUT", None)
-        try:
-            with pytest.raises(ConfigError, match="output_dir"):
-                fileio.experiment_config_from_dict(doc)
-        finally:
-            if old is not None:
-                os.environ["RGDLAB_OUT"] = old
-
 
 ROOT = Path(__file__).parent.parent
 
@@ -297,9 +287,9 @@ def readme_example_config() -> dict:
 
 @pytest.mark.parametrize("path", sorted(ROOT.glob("configs/*.json")),
                          ids=lambda path: path.name)
-def test_checked_in_config_loads(path, tmp_path):
-    cfg = fileio.load_experiment_config(path, output_dir=tmp_path)
-    assert cfg.output_dir == str(tmp_path)
+def test_checked_in_config_loads(path):
+    # A checked-in config names no output directory: run-seq takes it from --out.
+    assert fileio.load_experiment_config(path).output_dir is None
 
 
 def test_readme_example_config_loads():
@@ -320,10 +310,10 @@ def test_resolved_config_keys_are_field_names(name):
     keys is the name of the field it sets, nested objects included."""
     doc = (readme_example_config() if name == "README.md"
            else artifacts.read_json(ROOT / "configs" / name))
-    cfg = fileio.experiment_config_from_dict(doc, output_dir="out")
+    cfg = fileio.experiment_config_from_dict(doc)
     resolved = json.loads(json.dumps(fileio.resolved_config_doc(cfg)))   # as config.json has it
-    again = fileio.experiment_config_from_dict({**resolved, "output_dir": "out"})
-    assert (again.suite, again.plan, again.output_dir) == (cfg.suite, cfg.plan, cfg.output_dir)
+    again = fileio.experiment_config_from_dict(resolved)
+    assert (again.suite, again.plan) == (cfg.suite, cfg.plan)
 
     def assert_keys_are_fields(doc, cls):
         hints = typing.get_type_hints(cls)
@@ -377,6 +367,8 @@ def test_resolved_config_keys_are_field_names(name):
     ("run_seeds", [], "run_seeds: at least one run seed is required"),
     ("strategies", [], "strategies: at least one strategy is required"),
     ("strategies", ["bogus"], "strategies: unknown strategy 'bogus'"),
+    ("k_grid", [], "k_grid: at least one value is required"),
+    ("k_grid", [0.5, 0.5], "k_grid: each k may appear once, got [0.5, 0.5]"),
 ])
 def test_bad_config_value_exits_one(tmp_path, capsys, key, value, named):
     doc = good_config()
@@ -386,6 +378,20 @@ def test_bad_config_value_exits_one(tmp_path, capsys, key, value, named):
         target = target.setdefault(section, {})
     target[leaf] = value
     assert_run_seq_rejects(doc, named, tmp_path, capsys)
+
+
+def test_run_seq_without_an_output_dir_exits_one(tmp_path, capsys, monkeypatch):
+    def refuse(size):
+        raise AssertionError("a worker was started")
+
+    monkeypatch.setattr(pool, "start", refuse)
+    doc = good_config()
+    del doc["output_dir"]
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert cli.main(["run-seq", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: output_dir is required: give --out or set output_dir in the config"]
 
 
 def test_probes_without_the_none_run_exit_one(tmp_path, capsys):
@@ -514,6 +520,16 @@ class TestCli:
         assert examples == expected
         manifest = json.loads((out / "suite.json").read_text())
         assert len(manifest["orders"]) == 2
+
+    def test_gen_suite_output_is_pinned(self, tmp_path, capsys):
+        # 15 tasks make the variants cycle; the digest covers the manifest and every corpus.
+        out = tmp_path / "suite"
+        assert cli.main(["gen-suite", "--tasks", "15", "--train", "3", "--eval", "2",
+                         "--probe", "2", "--seed", "3", "--out", str(out)]) == 0
+        h = hashlib.sha256()
+        for name in ("suite.json", "train.jsonl", "eval.jsonl", "probe.jsonl"):
+            h.update((out / name).read_bytes())
+        assert h.hexdigest() == "c8dc5d0c71c38bc1d6991b44479df8b3ef57939b85fd5f73c1002614aaebe734"
 
     def test_out_of_memory_is_one_error_line(self, tmp_path, capsys, monkeypatch):
         message = "Unable to allocate 7.45 GiB for an array with shape (1000000000,)"
@@ -685,9 +701,8 @@ class TestCli:
     def test_resolved_snapshot_loads_back(self, run_dir):
         original = fileio.load_experiment_config(run_dir / "config.json")
         resolved = json.loads((run_dir / "out" / "config.json").read_text())["resolved"]
-        again = fileio.experiment_config_from_dict(
-            {**resolved, "output_dir": original.output_dir})
-        assert again == original
+        again = fileio.experiment_config_from_dict(resolved)
+        assert (again.suite, again.plan) == (original.suite, original.plan)
 
     def test_probe_command_reproduces_the_grid_probe(self, run_dir, monkeypatch, capsys):
         """``rgdlab probe --seed derive_seed(run_seed, 0)`` on an order-0 ``none``

@@ -68,9 +68,9 @@ class TestMakeSuite:
 
     def test_distinct_phrasings_and_labels(self):
         suite = make_suite(10, 5, 2, seed=2, probe_per_task=2)
-        templates = [s.instruction_template for s in suite.specs]
+        instructions = [s.instruction for s in suite.specs]
         labels = [s.label_set for s in suite.specs]
-        assert len(set(templates)) == len(templates)
+        assert len(set(instructions)) == len(instructions)
         assert len(set(labels)) == len(labels)
 
     def test_two_distinct_orders(self, suite):
@@ -92,8 +92,8 @@ class TestRenderExample:
         others = [w for w in taskgen.CONTENT_POOL if w != marker][:6]
         with_marker = tuple([marker] + others[:5])
         without = tuple(others[:6])
-        assert render_example(spec, with_marker, seed=0).answer == spec.label_set[0]
-        assert render_example(spec, without, seed=0).answer == spec.label_set[1]
+        assert render_example(spec, with_marker, "x").answer == spec.label_set[0]
+        assert render_example(spec, without, "x").answer == spec.label_set[1]
 
     def test_feature_matches_answer(self, suite):
         for spec in suite.specs:
@@ -101,12 +101,19 @@ class TestRenderExample:
                 expected = GLOBAL_FEATURES[spec.label_set.index(ex.answer)]
                 assert expected in ex.rationale
 
+    def test_every_rationale_is_a_table_entry(self, suite):
+        # rgd.rgd_records scores one unconditional NLL per distinct rationale.
+        examples = [ex for split in (suite.train, suite.eval, suite.probe)
+                    for spec in suite.specs for ex in split[spec.task_id]]
+        examples += make_warmup_corpus(200, seed=5)
+        assert {ex.rationale for ex in examples} == set(taskgen.RATIONALES)
+
     def test_input_outside_grammar_rejected(self, suite):
         spec = suite.specs[0]
         with pytest.raises(InputError):
-            render_example(spec, ("not-a-word",) * 6, seed=0)
+            render_example(spec, ("not-a-word",) * 6, "x")
         with pytest.raises(InputError):
-            render_example(spec, ("cat",) * 3, seed=0)
+            render_example(spec, ("cat",) * 3, "x")
 
     def test_no_label_in_rationale_prefix(self, suite):
         # first 30% of every rationale holds no label string
@@ -279,15 +286,12 @@ def reference_sample_input(grammar, rng):
     return tuple(words)
 
 
-def reference_render(spec, words, seed, ex_id=None):
+def reference_render(spec, words, ex_id):
     answer = reference_label(spec.input_grammar, words)
-    instruction = spec.instruction_template.format(input=" ".join(words))
-    rationale = spec.rationale_template.format(
-        feature=spec.feature_for(answer), answer=answer).split(f" {RESULT_MARKER} ")[0]
-    return Example(task_id=spec.task_id,
-                   id=ex_id if ex_id is not None else f"{spec.task_id}-adhoc-{seed}",
-                   instruction=tuple(instruction.split()), rationale=tuple(rationale.split()),
-                   answer=answer)
+    instruction = " ".join(spec.instruction + ("{input}",)).format(input=" ".join(words))
+    feature = GLOBAL_FEATURES[spec.label_set.index(answer)]
+    return Example(task_id=spec.task_id, id=ex_id, instruction=tuple(instruction.split()),
+                   rationale=tuple(f"the word {feature} here .".split()), answer=answer)
 
 
 def reference_suite(num_tasks, train_per_task, eval_per_task, seed, probe_per_task):
@@ -304,9 +308,9 @@ def reference_suite(num_tasks, train_per_task, eval_per_task, seed, probe_per_ta
                 if words in seen:
                     continue
                 seen.add(words)
-                ex_id = f"{spec.task_id}-{split}-{len(examples):04d}"
+                rng.integers(0, 2**31)      # the per-example seed draw
                 examples.append(reference_render(
-                    spec, words, seed=int(rng.integers(0, 2**31)), ex_id=ex_id))
+                    spec, words, f"{spec.task_id}-{split}-{len(examples):04d}"))
             sets[split][spec.task_id] = tuple(examples)
     first = tuple(s.task_id for s in specs)
     second = first
@@ -359,37 +363,24 @@ class TestReferenceEquivalence:
         assert make_warmup_corpus(n_examples, seed) == reference_warmup_corpus(n_examples, seed)
 
     @staticmethod
-    def hand_spec(template):
+    def hand_spec(instruction):
         return TaskSpec(
-            task_id="hand", instruction_template=template, label_set=("front", "back"),
-            input_grammar={"family": "position", "labels": ("front", "back"), "marker": "cat"},
-            rationale_template=f"the word {{feature}} here . {RESULT_MARKER} {{answer}}")
+            task_id="hand", instruction=tuple(instruction.split()), label_set=("front", "back"),
+            input_grammar={"family": "position", "labels": ("front", "back"), "marker": "cat"})
 
-    def test_render_example_fills_a_slot_before_the_end(self):
-        spec = self.hand_spec("which half holds {input} ? options front or back")
+    def test_render_example_appends_the_input(self):
+        spec = self.hand_spec("which half holds the word cat ? options front or back :")
         words = ("dog", "cat", "fox", "owl", "bee", "elk")
-        ex = render_example(spec, words, seed=9)
-        assert ex.instruction == (("which", "half", "holds") + words
-                                  + ("?", "options", "front", "or", "back"))
+        ex = render_example(spec, words, "hand-9")
+        assert ex.instruction == spec.instruction + words
         assert ex.rationale == ("the", "word", "fits", "here", ".") and ex.answer == "front"
-        assert ex.id == "hand-adhoc-9"
+        assert ex.id == "hand-9"
 
     def test_render_example_matches_reference(self):
-        spec = self.hand_spec("{input} : options front or back")
+        spec = self.hand_spec("options front or back :")
         for words in (("dog", "cat", "fox", "owl", "bee", "elk"),
                       ("dog", "fox", "owl", "bee", "elk", "cat")):
-            assert render_example(spec, words, seed=9) == reference_render(spec, words, seed=9)
-
-    @pytest.mark.parametrize("template", [
-        "glued{input} : options front or back",
-        "holds {input} , not {{input}}",
-        "holds {input} and {input}",
-        "options front or back",
-    ])
-    def test_render_example_rejects_a_template_without_one_standalone_slot(self, template):
-        with pytest.raises(ConfigError, match="standalone"):
-            render_example(self.hand_spec(template), ("dog", "cat", "fox", "owl", "bee", "elk"),
-                           seed=9)
+            assert render_example(spec, words, "hand-9") == reference_render(spec, words, "hand-9")
 
     def test_small_suites_match_reference_across_seeds(self):
         for seed in range(200):
@@ -494,8 +485,7 @@ class TestPinnedContent:
     ], ids=["harness5", "harness8", "perfbench-grid-seed1"])
     def test_suite(self, source, digest, tmp_path):
         if isinstance(source, str):         # a checked-in config
-            suite = fileio.load_experiment_config(CONFIGS / f"{source}.json",
-                                                  output_dir=tmp_path).make_suite()
+            suite = fileio.load_experiment_config(CONFIGS / f"{source}.json").make_suite()
         else:                               # make_suite's arguments
             suite = make_suite(*source)
         h = hashlib.sha256()
