@@ -14,7 +14,7 @@ each distinct stage once and share its checkpoint, accuracy row and RGD
 summaries; ``run_experiment`` runs each (seed, order) as one unit
 on its worker pool and shares stages within it.  That unit also writes its
 stage checkpoints, each once, so they never travel back to the caller.
-Stage checkpoints are read-only: copy one before changing it.
+Stage checkpoints are read-only: copy an array before changing it.
 """
 
 from __future__ import annotations

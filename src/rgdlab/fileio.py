@@ -55,12 +55,12 @@ def write_examples(examples, path) -> None:
 def import_ppl_records(path) -> list[rgd.PplRecord]:
     """All-or-nothing load; malformed lines are reported with their number.
 
-    Numbers are checked as a config file's are: the NLL sums must be JSON
-    numbers and the token count a JSON integer.
+    Values are checked as a config file's are: ``task`` and ``id`` must be
+    JSON strings, the NLL sums JSON numbers and the token count a JSON integer.
     """
     return artifacts.read_jsonl(path, lambda doc: rgd.PplRecord(
-        task_id=doc["task"],
-        example_id=doc["id"],
+        task_id=_convert(doc["task"], str, "task"),
+        example_id=_convert(doc["id"], str, "id"),
         nll_cond_sum=_convert(doc["nll_cond_sum"], float, "nll_cond_sum"),
         nll_uncond_sum=_convert(doc["nll_uncond_sum"], float, "nll_uncond_sum"),
         n_rationale_tokens=_convert(doc["n_rationale_tokens"], int, "n_rationale_tokens"),
@@ -87,10 +87,10 @@ def summary_doc(summary: rgd.RgdSummary, stage: int | None = None) -> dict:
 
 
 def read_summaries(path) -> list[rgd.RgdSummary]:
-    """Numbers are checked as in ``import_ppl_records``: mean and std must be
-    JSON numbers and n a JSON integer."""
+    """Values are checked as in ``import_ppl_records``: ``task`` must be a
+    JSON string, mean and std JSON numbers and n a JSON integer."""
     return artifacts.read_jsonl(path, lambda doc: rgd.RgdSummary(
-        task_id=doc["task"], mean=_convert(doc["mean"], float, "mean"),
+        task_id=_convert(doc["task"], str, "task"), mean=_convert(doc["mean"], float, "mean"),
         std=_convert(doc["std"], float, "std"), n=_convert(doc["n"], int, "n")),
         "summary")
 

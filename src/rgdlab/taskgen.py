@@ -77,11 +77,6 @@ SCAFFOLD_BODY = "the word {feature} here"
 # instructions onto the right feature.
 GLOBAL_FEATURES = ("fits", "breaks")
 
-# The rationale of each GLOBAL_FEATURES entry, for task and warmup examples
-# alike, and the rationale template a suite manifest records for every task.
-RATIONALES = tuple(tuple(f"{SCAFFOLD_BODY.format(feature=f)} .".split()) for f in GLOBAL_FEATURES)
-RATIONALE_TEMPLATE = f"{SCAFFOLD_BODY} . {RESULT_MARKER} {{answer}}"
-
 # One entry per variant; variants cycle when the suite has more than five
 # tasks.  labels[i] pairs with GLOBAL_FEATURES[i].  Marker-family phrasings
 # end with the marker so its distance from the input is the same everywhere.
@@ -128,6 +123,16 @@ _VARIANTS = {
         "groups": (("animals", "tools"), ("animals", "tools"), ("animals", "tools")),
     },
 }
+
+# The rationale of each GLOBAL_FEATURES entry, for task and warmup examples
+# alike, and the rationale template a suite manifest records for every task.
+RATIONALES = tuple(tuple(f"{SCAFFOLD_BODY.format(feature=f)} .".split()) for f in GLOBAL_FEATURES)
+RATIONALE_TEMPLATE = f"{SCAFFOLD_BODY} . {RESULT_MARKER} {{answer}}"
+
+# Every answer word across all families and variants, in a fixed order.  No
+# word of a RATIONALES entry is one of them, so no rationale states an answer.
+LABEL_LEXICON = tuple(w for spec_def in _VARIANTS.values()
+                      for labels in spec_def["labels"] for w in labels)
 
 
 @dataclass(frozen=True)
@@ -474,15 +479,6 @@ WARMUP_TASK_ID = "warmup-hint"
 _WARMUP_PHRASE = "follow the cue for this row"
 
 
-def label_lexicon() -> tuple[str, ...]:
-    """Every answer word across all families and variants, in a fixed order."""
-    words = []
-    for spec_def in _VARIANTS.values():
-        for labels in spec_def["labels"]:
-            words.extend(labels)
-    return tuple(words)
-
-
 def make_warmup_corpus(n_examples: int, seed: int) -> tuple[Example, ...]:
     """Base-skills corpus: hint-guided rationale completion.
 
@@ -501,7 +497,6 @@ def make_warmup_corpus(n_examples: int, seed: int) -> tuple[Example, ...]:
     """
     if n_examples <= 0:
         raise ConfigError("n_examples must be positive")
-    lexicon = label_lexicon()
     # Every word here is one token, so these are the rendered sentences split
     # on spaces.  The draws follow the module's rule: all of them stay, in order.
     heads = [tuple(_WARMUP_PHRASE.split()) + (",", "hint", f, ",", "options")
@@ -510,10 +505,10 @@ def make_warmup_corpus(n_examples: int, seed: int) -> tuple[Example, ...]:
     examples = []
     for i in range(n_examples):
         pick = rng.integers(0, 2)
-        first = lexicon[rng.integers(0, len(lexicon))]
+        first = LABEL_LEXICON[rng.integers(0, len(LABEL_LEXICON))]
         second = first
         while second == first:
-            second = lexicon[rng.integers(0, len(lexicon))]
+            second = LABEL_LEXICON[rng.integers(0, len(LABEL_LEXICON))]
         words = rng.integers(0, len(CONTENT_POOL), size=INPUT_LEN)
         if rng.random() < 0.5:
             instruction: tuple[str, ...] = ()
@@ -557,8 +552,11 @@ def tap_prompt(ex: Example, demos) -> tuple[str, ...]:
 def suite_tokens(suite: Suite) -> set[str]:
     """Every surface token a model over this suite can encounter.
 
-    Includes the base-skills lexicon (all feature/label pairs plus the hint
-    phrasing), so checkpoints work with any warmup corpus over the suite.
+    An example's tokens are its spec's instruction, its content words, one
+    ``RATIONALES`` entry and one label, so the specs and this module's tables
+    fix the set without reading an example.  Includes the base-skills
+    lexicon (all feature/label pairs plus the hint phrasing), so checkpoints
+    work with any warmup corpus over the suite.
     """
     tokens = {RESULT_MARKER}
     tokens.update(DEFAULT_TAP_TEMPLATE.split())
@@ -567,31 +565,7 @@ def suite_tokens(suite: Suite) -> set[str]:
     tokens.update(("hint", "options", "or", ",", ":", "."))
     tokens.update(CONTENT_POOL)
     tokens.update(GLOBAL_FEATURES)
-    tokens.update(label_lexicon())
-    for split in (suite.train, suite.eval, suite.probe):
-        for examples in split.values():
-            for ex in examples:
-                tokens.update(ex.instruction)
-                tokens.update(ex.rationale)
-                tokens.add(ex.answer)
-    for spec in suite.specs:
-        tokens.update(spec.label_set)
+    tokens.update(LABEL_LEXICON)
+    tokens.update(*RATIONALES)
+    tokens.update(*(spec.instruction for spec in suite.specs))
     return tokens
-
-
-def scan_answer_leak(examples, spec: TaskSpec) -> list[str]:
-    """Ids of examples whose rationale leaks a label before the final clause.
-
-    Checked against the task's whole label set, both in the first 30% of the
-    rationale and anywhere before the last clause separator.
-    """
-    leaking = []
-    labels = set(spec.label_set)
-    for ex in examples:
-        r = ex.rationale
-        prefix = r[:math.ceil(0.3 * len(r))]
-        last_sep = max((i for i, t in enumerate(r) if t == "."), default=len(r))
-        before_final = r[:last_sep]
-        if labels & set(prefix) or labels & set(before_final):
-            leaking.append(ex.id)
-    return leaking

@@ -166,16 +166,6 @@ class ModelState:
             ("b_out", self.b_out),
         ]
 
-    def copy(self) -> "ModelState":
-        return replace(
-            self,
-            embed=self.embed.copy(),
-            w_hidden=self.w_hidden.copy(),
-            b_hidden=self.b_hidden.copy(),
-            w_out=self.w_out.copy(),
-            b_out=self.b_out.copy(),
-        )
-
 
 @dataclass(frozen=True)
 class NllResult:

@@ -66,7 +66,8 @@ class TestPplRecordCodec:
     @pytest.mark.parametrize("key, value, want", [
         ("n_rationale_tokens", 1.7, "int"), ("n_rationale_tokens", True, "int"),
         ("n_rationale_tokens", "3", "int"), ("nll_cond_sum", "1.5", "float"),
-        ("nll_uncond_sum", True, "float"),
+        ("nll_uncond_sum", True, "float"), ("task", 5, "str"), ("task", ["a"], "str"),
+        ("id", 3, "str"),
     ])
     def test_wrong_number_type_rejected_at_line(self, tmp_path, key, value, want):
         path = tmp_path / "records.jsonl"
@@ -123,7 +124,7 @@ class TestPlanAndSummaryCodec:
         path = tmp_path / "summaries.jsonl"
         good = {"task": "a", "mean": 1.0, "std": 0.0, "n": 1}
         for key, value, want in (("mean", "high", "float"), ("mean", "1.5", "float"),
-                                 ("n", 1.7, "int")):
+                                 ("n", 1.7, "int"), ("task", 5, "str")):
             path.write_text(json.dumps(good) + "\n" + json.dumps({**good, key: value}) + "\n")
             with pytest.raises(ParseError) as err:
                 fileio.read_summaries(path)
@@ -474,6 +475,17 @@ class TestCli:
             assert captured.err.splitlines() == [
                 "error: --from-records cannot be combined with --checkpoint or --config"]
             assert not out_file.exists()
+
+    @pytest.mark.parametrize("text", ["", "\n  \n"], ids=["empty", "blank"])
+    def test_score_rgd_without_records_exits_one(self, tmp_path, capsys, text):
+        path = tmp_path / "records.jsonl"
+        path.write_text(text)
+        out_file = tmp_path / "scores.jsonl"
+        assert cli.main(["score-rgd", "--from-records", str(path),
+                         "--out-file", str(out_file)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.splitlines() == [f"error: {path}: no records"]
+        assert not out_file.exists()
 
     @pytest.mark.parametrize("flags", [["--from-records", "{records}", "--out", "{out}"],
                                        ["--from", "{records}", "--out-file", "{out}"]],

@@ -1,5 +1,6 @@
 """Tests for the synthetic task suite and probing prompts."""
 
+import dataclasses
 import hashlib
 import math
 from pathlib import Path
@@ -21,7 +22,6 @@ from rgdlab.taskgen import (
     partial_rationale_prompt,
     render_example,
     render_prompt,
-    scan_answer_leak,
     tap_prompt,
     training_target_tokens,
 )
@@ -123,19 +123,9 @@ class TestRenderExample:
                     prefix = ex.rationale[:math.ceil(0.3 * len(ex.rationale))]
                     assert not set(spec.label_set) & set(prefix)
 
-    def test_leak_scan_clean(self, suite):
-        for spec in suite.specs:
-            examples = (suite.train[spec.task_id] + suite.eval[spec.task_id]
-                        + suite.probe[spec.task_id])
-            assert scan_answer_leak(examples, spec) == []
-
-    def test_leak_scan_catches_planted_leak(self, suite):
-        spec = suite.specs[0]
-        ex = suite.train[spec.task_id][0]
-        bad = Example(task_id=ex.task_id, id="planted", answer=ex.answer,
-                      instruction=ex.instruction,
-                      rationale=(spec.label_set[0],) + ex.rationale[1:])
-        assert scan_answer_leak([bad], spec) == ["planted"]
+    def test_no_rationale_word_is_a_label(self):
+        # Every rationale is a table entry (above), so this covers every example.
+        assert not {w for r in taskgen.RATIONALES for w in r} & set(taskgen.LABEL_LEXICON)
 
 
 class TestTrainingTarget:
@@ -321,7 +311,7 @@ def reference_suite(num_tasks, train_per_task, eval_per_task, seed, probe_per_ta
 
 
 def reference_warmup_corpus(n_examples, seed):
-    lexicon = taskgen.label_lexicon()
+    lexicon = taskgen.LABEL_LEXICON
     phrase = tuple(taskgen._WARMUP_PHRASE.split())
     rationales = [tuple(f"{taskgen.SCAFFOLD_BODY.format(feature=f)} .".split())
                   for f in GLOBAL_FEATURES]
@@ -390,6 +380,35 @@ class TestReferenceEquivalence:
             n_examples = 1 + seed % 40
             assert (make_warmup_corpus(n_examples, seed)
                     == reference_warmup_corpus(n_examples, seed)), seed
+
+
+def scanned_suite_tokens(suite):
+    """The fixed lexicons plus every token of every example in the three
+    splits: how the vocabulary was collected before the specs fixed it."""
+    tokens = {RESULT_MARKER, "hint", "options", "or", ",", ":", "."}
+    tokens.update(DEFAULT_TAP_TEMPLATE.split(), taskgen._WARMUP_PHRASE.split(),
+                  PROMPT_PREFIX, taskgen.CONTENT_POOL, GLOBAL_FEATURES, taskgen.LABEL_LEXICON)
+    for split in (suite.train, suite.eval, suite.probe):
+        for examples in split.values():
+            for ex in examples:
+                tokens.update(ex.instruction)
+                tokens.update(ex.rationale)
+                tokens.add(ex.answer)
+    for spec in suite.specs:
+        tokens.update(spec.label_set)
+    return tokens
+
+
+class TestSuiteTokens:
+    @pytest.mark.parametrize("seed", [0, 1, 3, 11, 104729])
+    def test_matches_the_per_example_scan(self, seed):
+        for num_tasks in range(2, taskgen.MAX_TASKS + 1):
+            suite = make_suite(num_tasks, 12, 4, seed=seed, probe_per_task=4)
+            assert taskgen.suite_tokens(suite) == scanned_suite_tokens(suite), num_tasks
+
+    def test_reads_no_example(self, suite):
+        empty = dataclasses.replace(suite, train={}, eval={}, probe={})
+        assert taskgen.suite_tokens(empty) == taskgen.suite_tokens(suite)
 
 
 def generator_draw(rng, method, args, size=None):
